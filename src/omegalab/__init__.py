@@ -11,7 +11,7 @@ from ._version import __version__
 from .cache import ExpansionCache, activate, active_cache
 from .classical import (expand_classical, muirhead_eval, muirhead_gap,
                         powersum_compare, powersum_eval)
-from .errors import (CacheFormatError, DegeneracyError,
+from .errors import (CacheFormatError, CertificationError, DegeneracyError,
                      DimensionMismatchError, DomainError, OmegalabError,
                      ParameterError, TieError)
 from .heckman_opdam import (HOParams, QuadratureConfig, ho_closed_forms,

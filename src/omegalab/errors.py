@@ -32,3 +32,7 @@ class TieError(OmegalabError, ValueError):
 
 class CacheFormatError(OmegalabError, ValueError):
     """A cache file record that cannot be parsed."""
+
+
+class CertificationError(OmegalabError, ArithmeticError):
+    """A result failed its re-derivation and must not be reported."""

@@ -3,7 +3,12 @@
 F_{k,s}(x) is evaluated numerically by peeling off one variable at a time:
 the n-variable value is an integral of the (n-1)-variable function over the
 box of points interlacing x, against an explicit positive weight.  Base
-cases (n = 1, k = 0, uniform x) are closed forms.  This is the only module
+cases (n = 1, k = 0, uniform x) are closed forms.  One recursion serves
+every n: it evaluates a batch of points, builds the tensor node grid of all
+n-1 interlacing dimensions, and calls itself once on the flattened grid.
+Batches are split along rows at a fixed grid size, so memory per level is
+bounded by that size (or by one point's grid, when that is larger) and no
+point's value depends on the split.  This is the only module
 in the package that works in floating point end to end; everything it is
 checked against (Jack evaluations) stays exact until the final comparison.
 
@@ -130,10 +135,6 @@ def _panel_nodes(lo, hi, k: float, cfg: QuadratureConfig):
     m = cfg.nodes_per_dimension
     u, w = _unit_gauss(m)
     if cfg.singularity_rule == "plain-gauss":
-        if k < 1.0:
-            warnings.warn("plain-gauss with k < 1 leaves the endpoint "
-                          "singularity unresolved; expect degraded accuracy",
-                          stacklevel=3)
         length = hi - lo
         dlo = length * u
         return lo + dlo, dlo, length * (1.0 - u), length * w
@@ -174,81 +175,65 @@ def _weighted_edges(wts, elo, etau, dlo, dhi, k: float):
     return (wts * glo ** (k - 1.0)) * ghi ** (k - 1.0)
 
 
-def _f2_batch(k: float, s1: float, s2: float, a, b, cfg: QuadratureConfig):
-    """F_{k,(s1,s2)} on the grid of pairs (a_i, b_j) with a_i > b_j."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lo = np.broadcast_to(b[None, :], (a.size, b.size))
-    hi = np.broadcast_to(a[:, None], (a.size, b.size))
-    tau, dlo, dhi, wts = _panel_nodes(lo, hi, k, cfg)
-    if k != 1.0:
-        wts = _weighted_edges(wts, np.exp(b)[None, :, None], np.exp(tau),
-                              dlo, dhi, k)
-    integral = np.sum(wts * np.exp((s1 + 1.0 - k - s2) * tau), axis=-1)
-    pref = (math.gamma(2.0 * k) / math.gamma(k) ** 2
-            * np.exp((s2 + k / 2.0) * (a[:, None] + b[None, :]))
-            * _abs_pow(np.exp(a)[:, None] - np.exp(b)[None, :], 1.0 - 2.0 * k))
-    return pref * integral
+# elements in one level's node grid; larger batches are split along rows,
+# which bounds memory and leaves every point's value unchanged
+_BATCH = 2 ** 13
 
 
-def _f_rec(k: float, s: tuple, x: tuple, cfg: QuadratureConfig) -> float:
-    """The interlacing recursion at sorted strict x; no tie policing here."""
-    n = len(x)
-    assert all(x[i] > x[i + 1] for i in range(n - 1)), x
+def _f_rec(k: float, s: tuple, x: list, tilt: float, vpow: float,
+           cfg: QuadratureConfig):
+    """F_{k,s}(x) * exp(tilt * sum(x)) * V(e^x)^vpow at a batch of points.
+
+    x holds one array per coordinate, sorted decreasingly at every point;
+    V is the Vandermonde product.  The caller passes its
+    drift tilt and node Vandermonde down instead of spending passes over its
+    node grid on them; they fold into this level's prefactor.
+    """
+    n = len(s)
     if n == 1:
-        return math.exp(s[0] * x[0])
+        return np.exp((s[0] + tilt) * x[0])
+    per_dim = cfg.nodes_per_dimension * (
+        1 if cfg.singularity_rule == "plain-gauss" else 2)
+    size = per_dim ** (n - 1)
+    step = max(1, _BATCH // size)
+    if x[0].size > step:
+        return np.concatenate([
+            _f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg)
+            for i in range(0, x[0].size, step)])
+    # a node that rounded onto a shared endpoint leaves tied coordinates;
+    # such a point is skipped and gets weight 0
+    strict = np.logical_and.reduce([x[j] > x[j + 1] for j in range(n - 1)])
+    x = [v[strict] for v in x]
+    rows = x[0].size
     sn = s[-1]
-    ex = [math.exp(v) for v in x]
-    vandermonde = math.prod(ex[i] - ex[j]
-                            for i in range(n) for j in range(i + 1, n))
+    ex = [np.exp(v) for v in x]
     pref = (math.gamma(n * k) / math.gamma(k) ** n
-            * math.exp((sn + k * (n - 1) / 2.0) * sum(x))
-            * vandermonde ** (1.0 - 2.0 * k))
-    drift = 1.0 - n * k / 2.0 - sn
-    if n == 2:
-        tau, dlo, dhi, wts = _panel_nodes(x[1], x[0], k, cfg)
-        if k != 1.0:
-            wts = _weighted_edges(wts, ex[1], np.exp(tau), dlo, dhi, k)
-        return pref * float(np.sum(wts * np.exp((s[0] + drift) * tau)))
-    if n == 3:
-        a, dlo_a, dhi_a, wa = _panel_nodes(x[1], x[0], k, cfg)
-        b, dlo_b, dhi_b, wb = _panel_nodes(x[2], x[1], k, cfg)
-        inner = _f2_batch(k, s[0], s[1], a, b, cfg)
-        ea, eb = np.exp(a), np.exp(b)
+            * np.exp((tilt + sn + k * (n - 1) / 2.0) * sum(x)))
+    expo = vpow + 1.0 - 2.0 * k
+    if expo != 0.0:
+        pref = pref * _abs_pow(math.prod(ex[i] - ex[j] for i in range(n)
+                                         for j in range(i + 1, n)), expo)
+    shape = (rows,) + (per_dim,) * (n - 1)
+    nu = []
+    for j in range(n - 1):
+        tau, dlo, dhi, wts = _panel_nodes(x[j + 1], x[j], k, cfg)
         if k != 1.0:
             # each nu_j sees its two box endpoints (stable form) plus the
-            # one remaining coordinate of x, which stays bounded away
-            wa = _weighted_edges(wa, ex[1], ea, dlo_a, dhi_a, k)
-            wa = wa * _abs_pow(ea - ex[2], k - 1.0)
-            wb = _weighted_edges(wb, ex[2], eb, dlo_b, dhi_b, k)
-            wb = wb * _abs_pow(ex[0] - eb, k - 1.0)
-        grid = inner * np.exp(drift * (a[:, None] + b[None, :]))
-        grid = grid * (ea[:, None] - eb[None, :])
-        return pref * float(np.sum(wa[:, None] * wb[None, :] * grid))
-    # n >= 4: scalar tensor loop over the box, best effort
-    dims = [_panel_nodes(x[j + 1], x[j], k, cfg) for j in range(n - 1)]
-    total = 0.0
-    for picks in itertools.product(*(range(d[0].size) for d in dims)):
-        nu = tuple(float(dims[j][0][picks[j]]) for j in range(n - 1))
-        if any(nu[i] <= nu[i + 1] for i in range(n - 2)):
-            continue   # node rounded onto a shared endpoint; weight ~ 0
-        weight = math.prod(float(dims[j][3][picks[j]]) for j in range(n - 1))
-        if k != 1.0:
-            for j in range(n - 1):
-                dlo = max(float(dims[j][1][picks[j]]), _TINY)
-                dhi = max(float(dims[j][2][picks[j]]), _TINY)
-                weight *= ((math.exp(x[j + 1]) * math.expm1(dlo)) ** (k - 1.0)
-                           * (math.exp(nu[j]) * math.expm1(dhi)) ** (k - 1.0))
-                for i in range(n):
-                    if i not in (j, j + 1):
-                        weight *= abs(ex[i] - math.exp(nu[j])) ** (k - 1.0)
-        enu = [math.exp(v) for v in nu]
-        piece = (_f_rec(k, s[:-1], nu, cfg)
-                 * math.exp(drift * sum(nu))
-                 * math.prod(enu[i] - enu[j] for i in range(n - 1)
-                             for j in range(i + 1, n - 1)))
-        total += weight * piece
-    return pref * total
+            # other coordinates of x, which stay bounded away
+            etau = np.exp(tau)
+            wts = _weighted_edges(wts, ex[j + 1][:, None], etau, dlo, dhi, k)
+            for i in range(n):
+                if i not in (j, j + 1):
+                    wts = wts * _abs_pow(ex[i][:, None] - etau, k - 1.0)
+        dims = (rows,) + (1,) * j + (per_dim,)
+        grid = wts if j == 0 else grid[..., None] * wts.reshape(dims)
+        nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
+                                  shape).reshape(-1))
+    inner = _f_rec(k, s[:-1], nu, 1.0 - n * k / 2.0 - sn, 1.0, cfg)
+    value = np.zeros(strict.size)
+    value[strict] = pref * np.sum(grid.reshape(rows, size)
+                                  * inner.reshape(rows, size), axis=1)
+    return value
 
 
 def _sorted_checked(x, min_gap: float):
@@ -288,8 +273,13 @@ def ho_eval(params: HOParams, s, x, cfg: QuadratureConfig = None) -> float:
     mean = sum(xs) / n
     if uniform:
         return math.exp(sum(ss) * mean)
-    centered = tuple(v - mean for v in xs)
-    return math.exp(sum(ss) * mean) * _f_rec(params.k, ss, centered, cfg)
+    if cfg.singularity_rule == "plain-gauss" and params.k < 1.0:
+        warnings.warn("plain-gauss with k < 1 leaves the endpoint "
+                      "singularity unresolved; expect degraded accuracy",
+                      stacklevel=2)
+    centered = [np.array([v - mean]) for v in xs]
+    value = _f_rec(params.k, ss, centered, 0.0, 0.0, cfg)[0]
+    return math.exp(sum(ss) * mean) * float(value)
 
 
 def ho_closed_forms(params: HOParams, s, x) -> float:

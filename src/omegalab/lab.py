@@ -23,7 +23,8 @@ from fractions import Fraction
 from . import macdonald
 from ._version import __version__
 from .classical import muirhead_eval, powersum_eval
-from .errors import DomainError, ParameterError, TieError
+from .errors import (CertificationError, DomainError, ParameterError,
+                     TieError)
 from .heckman_opdam import (HOParams, QuadratureConfig, ho_error_estimate,
                             ho_eval)
 from .jack import JackParam, omega_jack_eval
@@ -547,7 +548,6 @@ def hunt_violation(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
     budget counts (pair, point) probes.  Equal pairs are never probed, so
     equality can never be reported as a violation.
     """
-    start = time.monotonic()
     mp = MacdonaldParams(q, t, n, a)
     pairs = list(enumerate_pairs(n, max_weight, "same-weight-comparable"))
     if lattice_only:
@@ -569,8 +569,11 @@ def hunt_violation(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
             rhs = values[mu]
             if lhs < rhs:
                 # soundness: recompute both sides from fresh expansions
-                assert _certified_omega(lam, mp, x) == lhs
-                assert _certified_omega(mu, mp, x) == rhs
+                for p, value in ((lam, lhs), (mu, rhs)):
+                    if _certified_omega(p, mp, x) != value:
+                        raise CertificationError(
+                            f"Omega_{p}({x}) did not re-derive to {value}; "
+                            "the witness is withheld")
                 params = {"q": mp.q, "t": mp.t, "a": mp.a}
                 return Witness("macdonald", params, lam, mu, x, lhs, rhs), probes
     return None, probes

@@ -25,13 +25,16 @@ from .sympoly import (SymmetricPolynomial, distinct_permutations, exp_add,
 
 def _iroot(m: int, r: int) -> int | None:
     """Exact r-th root of a nonnegative integer, or None."""
-    if m == 0:
-        return 0
-    k = max(1, int(round(m ** (1.0 / r))))
-    for cand in range(max(1, k - 2), k + 3):
-        if cand ** r == m:
-            return cand
-    return None
+    if m < 2:
+        return m
+    # integer Newton from above: 2^ceil(bits/r) exceeds the root, and the
+    # iterates decrease to floor(m^(1/r))
+    x = 1 << -(-m.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + m // x ** (r - 1)) // r
+        if y >= x:
+            return x if x ** r == m else None
+        x = y
 
 
 def rational_power(q: Fraction, theta: Fraction) -> Fraction:

@@ -2,13 +2,14 @@
 permanent oracles, structural identities, and the failure modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegalab.errors import DomainError, ParameterError, TieError
-from omegalab.heckman_opdam import (HOParams, QuadratureConfig,
+from omegalab.heckman_opdam import (HOParams, QuadratureConfig, _f_rec,
                                     ho_closed_forms, ho_direction_residual,
                                     ho_error_estimate, ho_eval,
                                     ho_jack_consistency)
@@ -151,12 +152,48 @@ def test_plain_gauss_warns_below_unit_multiplicity():
         ho_eval(HOParams(0.5, 2), (1.0, -1.0), (1.0, 0.0), cfg)
 
 
+def test_plain_gauss_warns_once_at_the_caller():
+    cfg = QuadratureConfig(16, "plain-gauss")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ho_eval(HOParams(0.5, 3), (1.0, 0.0, -1.0), (0.7, 0.1, -0.5), cfg)
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
+
+
+def test_batch_split_leaves_values_unchanged():
+    # 24 nodes per panel give a 48 x 48 grid per n=3 point, so a batch of
+    # seven points is split along rows at every level; the tied last point
+    # stands for a node that rounded onto a shared endpoint
+    cfg = QuadratureConfig(24)
+    s = (1.3, 0.2, -0.9)
+    points = [(0.9, 0.3, -0.6), (0.5, 0.1, -0.2), (0.2, -0.3, -0.9),
+              (1.0, -0.1, -0.4), (0.6, 0.5, -0.8), (0.3, 0.0, -1.0),
+              (0.4, 0.4, -0.7)]
+    for k in (0.5, 2.0):
+        batch = _f_rec(k, s, [np.array(c) for c in zip(*points)], 0.0, 1.0,
+                       cfg)
+        for value, x in zip(batch, points):
+            alone = _f_rec(k, s, [np.array([v]) for v in x], 0.0, 1.0, cfg)
+            assert value == alone[0], (k, x)
+        assert batch[-1] == 0.0
+
+
 def test_consistency_with_exact_expansions():
     for k in (0.5, 1, 2):
         p = HOParams(k, 2)
         for lam in ((1, 0), (2, 1)):
             gap = ho_jack_consistency(lam, p, (1.0, -1.0))
             assert gap <= 1e-9, (k, lam, gap)
+
+
+@pytest.mark.parametrize("k, bound", [(0.5, 1e-3), (2, 1e-6)])
+@pytest.mark.parametrize("lam", [(2, 1, 0, 0), (1, 1, 0, 0)])
+def test_four_variables_match_exact_expansions(k, bound, lam):
+    # criterion 09's bands for k = 1/2 and for integer k
+    gap = ho_jack_consistency(lam, HOParams(k, 4), (0.9, 0.3, -0.2, -1.0),
+                              QuadratureConfig(8))
+    assert gap <= bound
 
 
 def test_direction_residual_small():

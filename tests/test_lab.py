@@ -1,11 +1,16 @@
 """Sweep drivers, witness construction, and the targeted parameter hunt."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import omegalab
 from omegalab.classical import muirhead_eval
 from omegalab.errors import DomainError, ParameterError
 from omegalab.jack import omega_jack_eval
@@ -169,6 +174,28 @@ def test_hunt_finds_violation_at_generic_parameters():
     rhs = omega_mac_eval(witness.mu, mp, witness.x)
     assert lhs == witness.lhs and rhs == witness.rhs
     assert lhs < rhs
+
+
+def test_hunt_withholds_uncertified_witness_under_optimization():
+    # python -O strips asserts; the certification check must survive it
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from omegalab import errors, lab
+        lab._certified_omega = lambda lam, mp, x: Fraction(-1)
+        try:
+            witness, _ = lab.hunt_violation(Fraction(1, 2), Fraction(1, 3),
+                                            n=2, max_weight=6, budget=1000)
+        except errors.OmegalabError as e:
+            print(type(e).__name__)
+        else:
+            print("returned", witness.lam, witness.mu)
+    """)
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.split() == ["CertificationError"], proc.stderr
 
 
 def test_hunt_on_lattice_finds_nothing():

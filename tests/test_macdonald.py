@@ -41,6 +41,10 @@ def test_rational_power():
     assert rational_power(Fraction(8, 27), Fraction(2, 3)) == Fraction(4, 9)
     with pytest.raises(ParameterError):
         rational_power(Fraction(1, 2), Fraction(1, 2))
+    # roots are exact integer roots, even beyond float range
+    assert rational_power(Fraction(3 ** 1000), Fraction(1, 2)) == 3 ** 500
+    with pytest.raises(ParameterError):
+        rational_power(Fraction(3 ** 1001), Fraction(1, 2))
 
 
 def test_expansion_triangular_coefficient():
