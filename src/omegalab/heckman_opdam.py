@@ -157,10 +157,6 @@ def _panel_nodes(lo, hi, k: float, cfg: QuadratureConfig):
     return lo + dlo, dlo, dhi, wts
 
 
-def _abs_pow(base, expo: float):
-    return np.abs(base) ** expo
-
-
 def _weighted_edges(wts, elo, etau, dlo, dhi, k: float):
     """wts * (e^tau - e^lo)^(k-1) * (e^hi - e^tau)^(k-1), stably.
 
@@ -178,6 +174,15 @@ def _weighted_edges(wts, elo, etau, dlo, dhi, k: float):
 # elements in one level's node grid; larger batches are split along rows,
 # which bounds memory and leaves every point's value unchanged
 _BATCH = 2 ** 13
+
+# A batch's temporaries are freed at the top of the heap, and glibc hands
+# such memory back to the system past a trim threshold (128 KiB at start),
+# then faults it in again for the next batch.  Whether that happens depends
+# on where earlier allocations left the heap top, and it cost up to a third
+# of an n=4 evaluation.  Freeing one memory-mapped block raises the
+# threshold to twice the block's size (glibc's dynamic mmap threshold), so
+# one short-lived 2 MiB array, never touched, ends the churn.
+np.empty(_BATCH * 32)
 
 
 def _f_rec(k: float, s: tuple, x: list, tilt: float, vpow: float,
@@ -211,20 +216,25 @@ def _f_rec(k: float, s: tuple, x: list, tilt: float, vpow: float,
             * np.exp((tilt + sn + k * (n - 1) / 2.0) * sum(x)))
     expo = vpow + 1.0 - 2.0 * k
     if expo != 0.0:
-        pref = pref * _abs_pow(math.prod(ex[i] - ex[j] for i in range(n)
-                                         for j in range(i + 1, n)), expo)
+        pref = pref * np.abs(math.prod(ex[i] - ex[j] for i in range(n)
+                                       for j in range(i + 1, n))) ** expo
     shape = (rows,) + (per_dim,) * (n - 1)
     nu = []
     for j in range(n - 1):
         tau, dlo, dhi, wts = _panel_nodes(x[j + 1], x[j], k, cfg)
         if k != 1.0:
             # each nu_j sees its two box endpoints (stable form) plus the
-            # other coordinates of x, which stay bounded away
+            # other coordinates of x; a node whose exponential rounds onto
+            # such a coordinate's (one an ulp outside the box) gets weight
+            # 0, as a tied point does, instead of 0 ** (k - 1)
             etau = np.exp(tau)
             wts = _weighted_edges(wts, ex[j + 1][:, None], etau, dlo, dhi, k)
             for i in range(n):
                 if i not in (j, j + 1):
-                    wts = wts * _abs_pow(ex[i][:, None] - etau, k - 1.0)
+                    gap = np.abs(ex[i][:, None] - etau)
+                    live = gap > 0.0
+                    wts = np.where(live, wts * np.where(live, gap, 1.0)
+                                   ** (k - 1.0), 0.0)
         dims = (rows,) + (1,) * j + (per_dim,)
         grid = wts if j == 0 else grid[..., None] * wts.reshape(dims)
         nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),

@@ -17,7 +17,8 @@ from typing import Sequence
 from . import cache
 from .classical import expand_classical
 from .eigensolve import dominance_ideal, solve_eigen_expansion
-from .errors import DimensionMismatchError, DomainError, ParameterError
+from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
+                     ParameterError)
 from .macdonald import MacdonaldParams, macdonald_expand, _as_key
 from .partitions import Partition
 from .sympoly import (SymmetricPolynomial, distinct_permutations, exp_add,
@@ -97,7 +98,8 @@ def _jack_eigenvalue(nu: tuple, n: int, theta: Fraction) -> Fraction:
             + 2 * theta * sum((n - 1 - i) * nu[i] for i in range(n)))
 
 
-_EXPAND_MEMO: dict[tuple, SymmetricPolynomial] = {}
+# (n, lambda, theta) -> [expansion, P_lambda(1,...,1) or None until needed]
+_EXPAND_MEMO: dict[tuple, list] = {}
 
 
 def jack_expand(lam, theta) -> SymmetricPolynomial:
@@ -119,8 +121,8 @@ def jack_expand(lam, theta) -> SymmetricPolynomial:
         # collisions there); the eigenfunctions are the monomials themselves
         return SymmetricPolynomial.monomial(lam, n)
     key = (n, lam, th)
-    hit = _EXPAND_MEMO.get(key)
-    if hit is None:
+    entry = _EXPAND_MEMO.get(key)
+    if entry is None:
         def compute():
             if len(dominance_ideal(lam, n)) == 1:
                 return SymmetricPolynomial.monomial(lam, n)
@@ -130,9 +132,9 @@ def jack_expand(lam, theta) -> SymmetricPolynomial:
                 lambda nu: _jack_eigenvalue(nu, n, th),
                 label=f"theta={th}")
 
-        hit = cache.fetch("jack", n, lam, compute, theta=th)
-        _EXPAND_MEMO[key] = hit
-    return hit
+        entry = _EXPAND_MEMO[key] = [
+            cache.fetch("jack", n, lam, compute, theta=th), None]
+    return entry[0]
 
 
 def _coerce_nonneg_point(x) -> tuple[Fraction, ...]:
@@ -159,12 +161,20 @@ def omega_jack_eval(lam, theta, x) -> Fraction:
     if theta.is_infinite:
         conj = lam.conjugate(max(lam.parts[0], 1))
         p = expand_classical("elementary", conj, n)
+        denom = p.eval(ones)
     elif theta.theta == 0:
         p = SymmetricPolynomial.monomial(lam.parts, n)
+        denom = p.eval(ones)
     else:
         p = jack_expand(lam, theta)
-    denom = p.eval(ones)
-    assert denom > 0, (lam, theta)
+        entry = _EXPAND_MEMO[(n, lam.parts, theta.theta)]
+        if entry[1] is None:
+            entry[1] = p.eval(ones)
+        denom = entry[1]
+    if denom <= 0:
+        raise DegeneracyError(
+            f"normalizer {denom} of lambda={lam.parts}, theta={theta!r} at "
+            f"(1,...,1) is not positive")
     return p.eval(x) / denom
 
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 from . import macdonald
 from ._version import __version__
 from .classical import muirhead_eval, powersum_eval
-from .errors import (CertificationError, DomainError, ParameterError,
-                     TieError)
+from .errors import (CertificationError, DegeneracyError, DomainError,
+                     ParameterError, TieError)
 from .heckman_opdam import (HOParams, QuadratureConfig, ho_error_estimate,
                             ho_eval)
 from .jack import JackParam, omega_jack_eval
@@ -32,6 +32,7 @@ from .macdonald import MacdonaldParams, lattice_point, omega_mac_eval
 from .partitions import (Partition, enumerate_pairs, majorizes, midpoint,
                          partitions_of)
 from .sampling import RationalSampler
+from .sympoly import poly_eval_fresh
 
 FAMILIES = ("muirhead", "powersum", "jack", "macdonald-lattice",
             "heckman-opdam")
@@ -42,8 +43,9 @@ WITNESS_FAMILIES = ("muirhead", "powersum", "jack", "macdonald-lattice")
 # long before.
 PARAMETER_CEILING = 1 << 60
 
-# added to every floating tolerance so exact-by-closed-form probes are not
-# failed over last-bit rounding
+# relative machine-noise floor: added to every floating tolerance so
+# exact-by-closed-form probes are not failed over last-bit rounding, and
+# the least gap that counts as a near-miss
 NOISE_FLOOR = 1e-12
 
 
@@ -253,7 +255,11 @@ def _resolved_params(fam: _Family, label_bound, x_low, x_high,
 
 
 class _ProbeState:
-    """Per-sweep memo of family values and the tie/near-miss counters."""
+    """Per-sweep memo of family values and the tie/near-miss counters.
+
+    Values and ties are keyed by the point's index in the sweep's point
+    list, which hashes far cheaper than the point itself.
+    """
 
     __slots__ = ("fam", "memo", "tie_points", "near_misses", "skipped")
 
@@ -264,9 +270,10 @@ class _ProbeState:
         self.near_misses = 0
         self.skipped = 0
 
-    def value(self, lam: Partition, x):
-        """(value, error_estimate) memoized per (lam, x); TieError passes up."""
-        key = (lam.parts, x)
+    def value(self, lam: Partition, index, x):
+        """(value, error_estimate) of lam at x = points[index], memoized per
+        (lam, index); TieError passes up."""
+        key = (lam.parts, index)
         hit = self.memo.get(key)
         if hit is None:
             hit = (self.fam.value(lam, x), self.fam.estimate(lam, x))
@@ -274,15 +281,16 @@ class _ProbeState:
         return hit
 
 
-def _probe_values(state: _ProbeState, lams, x):
-    """Values for each partition at x, or None when x is a skipped tie."""
-    if x in state.tie_points:
+def _probe_values(state: _ProbeState, lams, index, x):
+    """Values for each partition at x = points[index], or None when x is a
+    skipped tie."""
+    if index in state.tie_points:
         state.skipped += 1
         return None
     try:
-        return [state.value(lam, x) for lam in lams]
+        return [state.value(lam, index, x) for lam in lams]
     except TieError:
-        state.tie_points.add(x)
+        state.tie_points.add(index)
         state.skipped += 1
         return None
 
@@ -297,7 +305,7 @@ def check_schur_convexity(family, n, max_weight, samples=100, seed=0, *,
     strictly majorizes mu in every probe.  Exact families compare Fractions;
     the Heckman-Opdam family uses the tolerance 10 * (sum of the two
     quadrature error estimates) plus a machine-noise floor, and counts
-    sub-tolerance failures as near-misses.
+    sub-tolerance failures above the noise floor as near-misses.
     """
     start = time.monotonic()
     fam = _make_family(family, n, theta=theta, q=q, t=t, a=a, k=k, cfg=cfg)
@@ -307,8 +315,8 @@ def check_schur_convexity(family, n, max_weight, samples=100, seed=0, *,
     state = _ProbeState(fam)
     violations = []
     for lam, mu in pairs:
-        for x in points:
-            vals = _probe_values(state, (lam, mu), x)
+        for i, x in enumerate(points):
+            vals = _probe_values(state, (lam, mu), i, x)
             if vals is None:
                 continue
             (lhs, el), (rhs, er) = vals
@@ -318,11 +326,11 @@ def check_schur_convexity(family, n, max_weight, samples=100, seed=0, *,
                                               lam, mu, x, lhs, rhs))
                 continue
             gap = rhs - lhs
-            tol = 10 * (el + er) + NOISE_FLOOR * (abs(lhs) + abs(rhs))
-            if gap > tol:
+            noise = NOISE_FLOOR * (abs(lhs) + abs(rhs))
+            if gap > 10 * (el + er) + noise:
                 violations.append(Witness(fam.name, fam.params,
                                           lam, mu, x, lhs, rhs))
-            elif gap > 0:
+            elif gap > noise:
                 state.near_misses += 1
     elapsed = int((time.monotonic() - start) * 1000)
     return InequalityReport("check schur", fam.name,
@@ -341,7 +349,8 @@ def check_log_convexity(family, n, max_weight, samples=100, seed=0, *,
     Pairs come from enumerate_pairs(midpoint-integral): any weights, integer
     entrywise midpoint, lambda = mu included (a trivial equality).  Witness
     lhs/rhs record the compared products.  Floating tolerance propagates the
-    per-value quadrature estimates to first order.
+    per-value quadrature estimates to first order; as in the order sweep,
+    only failures above the noise floor count as near-misses.
     """
     start = time.monotonic()
     fam = _make_family(family, n, theta=theta, q=q, t=t, a=a, k=k, cfg=cfg)
@@ -353,8 +362,8 @@ def check_log_convexity(family, n, max_weight, samples=100, seed=0, *,
     for lam, mu in pairs:
         mid = midpoint(lam, mu)
         assert mid is not None, (lam, mu)
-        for x in points:
-            vals = _probe_values(state, (lam, mu, mid), x)
+        for i, x in enumerate(points):
+            vals = _probe_values(state, (lam, mu, mid), i, x)
             if vals is None:
                 continue
             (vl, el), (vm, em), (vc, ec) = vals
@@ -366,12 +375,12 @@ def check_log_convexity(family, n, max_weight, samples=100, seed=0, *,
                                               lam, mu, x, lhs, rhs))
                 continue
             gap = rhs - lhs
-            tol = (10 * (el * abs(vm) + em * abs(vl) + 2 * ec * abs(vc))
-                   + NOISE_FLOOR * (abs(lhs) + abs(rhs)))
-            if gap > tol:
+            noise = NOISE_FLOOR * (abs(lhs) + abs(rhs))
+            if gap > (10 * (el * abs(vm) + em * abs(vl) + 2 * ec * abs(vc))
+                      + noise):
                 violations.append(Witness(fam.name, fam.params,
                                           lam, mu, x, lhs, rhs))
-            elif gap > 0:
+            elif gap > noise:
                 state.near_misses += 1
     elapsed = int((time.monotonic() - start) * 1000)
     return InequalityReport("check logconvex", fam.name,
@@ -400,9 +409,9 @@ def check_weak_majorization(theta, n, max_weight, samples=100, seed=0, *,
     state = _ProbeState(fam)
     violations = []
     for lam, mu in pairs:
-        for x in points:
-            lhs, _ = state.value(lam, x)
-            rhs, _ = state.value(mu, x)
+        for i, x in enumerate(points):
+            lhs, _ = state.value(lam, i, x)
+            rhs, _ = state.value(mu, i, x)
             if lhs < rhs:
                 violations.append(Witness(fam.name, fam.params,
                                           lam, mu, x, lhs, rhs))
@@ -485,11 +494,14 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
 
 
 def _certified_omega(lam: Partition, mp: MacdonaldParams, x) -> Fraction:
-    """Omega recomputed from a fresh expansion, bypassing every cache."""
+    """Omega recomputed from a fresh expansion, bypassing every cache: the
+    evaluation uses a private table of orbit sums, never the shared one."""
     p = macdonald._expand_uncached(lam.parts, mp)
-    denom = p.eval(mp.t_delta())
-    assert denom != 0
-    return p.eval(tuple(Fraction(v) for v in x)) / denom
+    denom = poly_eval_fresh(p, mp.t_delta())
+    if denom == 0:
+        raise DegeneracyError(f"P_{lam.parts} vanishes at t^delta for "
+                              f"q={mp.q}, t={mp.t}")
+    return poly_eval_fresh(p, x) / denom
 
 
 def _hunt_points(n, seed):

@@ -161,7 +161,8 @@ def _mac_eigenvalue(nu: tuple, n: int, q: Fraction, t: Fraction) -> Fraction:
     return sum((q ** nu[i]) * (t ** (n - 1 - i)) for i in range(n))
 
 
-_EXPAND_MEMO: dict[tuple, SymmetricPolynomial] = {}
+# ((n, q, t), lambda) -> [expansion, P_lambda(t^delta) or None until needed]
+_EXPAND_MEMO: dict[tuple, list] = {}
 
 
 def _expand_uncached(lam: tuple, params: MacdonaldParams) -> SymmetricPolynomial:
@@ -179,13 +180,13 @@ def macdonald_expand(lam, params: MacdonaldParams) -> SymmetricPolynomial:
     """Monic Macdonald polynomial P_lambda(x; q, t) in the monomial basis."""
     lam = _as_key(lam, params.n)
     key = (params.key(), lam)
-    hit = _EXPAND_MEMO.get(key)
-    if hit is None:
-        hit = cache.fetch("macdonald", params.n, lam,
-                          lambda: _expand_uncached(lam, params),
-                          q=params.q, t=params.t)
-        _EXPAND_MEMO[key] = hit
-    return hit
+    entry = _EXPAND_MEMO.get(key)
+    if entry is None:
+        entry = _EXPAND_MEMO[key] = [
+            cache.fetch("macdonald", params.n, lam,
+                        lambda: _expand_uncached(lam, params),
+                        q=params.q, t=params.t), None]
+    return entry[0]
 
 
 def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
@@ -194,13 +195,24 @@ def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in x)
 
 
+def _normalized(lam, params: MacdonaldParams):
+    """(P_lambda, P_lambda(t^delta)); the value is kept in lambda's memo
+    entry.  DegeneracyError when it is 0."""
+    lam = _as_key(lam, params.n)
+    p = macdonald_expand(lam, params)
+    entry = _EXPAND_MEMO[(params.key(), lam)]
+    if entry[1] is None:
+        entry[1] = p.eval(params.t_delta())
+    if entry[1] == 0:
+        raise DegeneracyError(
+            f"P_{lam} vanishes at t^delta for q={params.q}, t={params.t}")
+    return p, entry[1]
+
+
 def omega_mac_eval(lam, params: MacdonaldParams, x) -> Fraction:
     """Omega_lambda(x; q, t) = P_lambda(x) / P_lambda(t^delta), exact."""
-    p = macdonald_expand(lam, params)
-    x = _coerce_point(x, params.n)
-    denom = p.eval(params.t_delta())
-    assert denom != 0, (lam, params)
-    return p.eval(x) / denom
+    p, denom = _normalized(lam, params)
+    return p.eval(_coerce_point(x, params.n)) / denom
 
 
 class LatticePoint:
@@ -361,7 +373,6 @@ def binomial_check(lam, params: MacdonaldParams, x) -> Fraction:
     lam = _as_key(lam, params.n)
     x = _coerce_point(x, params.n)
     n = params.n
-    t_delta = params.t_delta()
     z_lam = interpolation_node(lam, params)
     total = Fraction(0)
     for w in range(sum(lam) + 1):
@@ -370,8 +381,8 @@ def binomial_check(lam, params: MacdonaldParams, x) -> Fraction:
                 continue
             s = _interpolation_monic(mu, params)
             den_node = s.eval(interpolation_node(mu, params))
-            den_principal = macdonald_expand(mu, params).eval(t_delta)
-            if den_node == 0 or den_principal == 0:
+            _, den_principal = _normalized(mu, params)
+            if den_node == 0:
                 raise DegeneracyError(
                     f"zero denominator in binomial term mu={mu}, "
                     f"q={params.q}, t={params.t}")

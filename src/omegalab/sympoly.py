@@ -4,7 +4,10 @@ A SymmetricPolynomial on n variables is a finite rational combination of
 monomial symmetric polynomials m_lambda, stored as a dict from the sorted
 exponent tuple (the partition, trailing zeros kept) to a nonzero Fraction.
 m_lambda(x) sums x^eta over the distinct rearrangements eta of lambda, each
-counted once.
+counted once.  Exact evaluation works in integers: the point is cleared of
+denominators once, each orbit sum at the integer point is kept in one
+bounded table shared by every polynomial evaluated there, and a single
+division at the end gives the canonical Fraction.
 
 The module also carries the expanded (one term per exponent vector)
 representation used internally when applying difference or differential
@@ -165,32 +168,90 @@ class SymmetricPolynomial:
         return f"SymmetricPolynomial({self.n}, {body})"
 
 
-def monomial_eval(lam, x: Sequence) -> Fraction:
-    """m_lambda(x): sum of x^eta over distinct rearrangements eta of lambda."""
-    parts = tuple(int(p) for p in lam)
-    xs = tuple(Fraction(c) for c in x)
-    if len(parts) != len(xs):
-        raise DimensionMismatchError(
-            f"partition length {len(parts)} vs point length {len(xs)}")
-    total = Fraction(0)
-    for eta in distinct_permutations(parts):
-        term = Fraction(1)
-        for xi, e in zip(xs, eta):
+# bound on the shared table of integer orbit sums; the table is emptied
+# when it reaches this many entries
+MONOMIAL_MEMO_SIZE = 1 << 15
+_MONOMIAL_MEMO: dict[tuple, int] = {}
+
+
+def _cleared(x: Sequence) -> tuple[tuple[int, ...], int]:
+    """(X, D) with X an integer vector, D > 0 minimal, and x = X / D."""
+    xs = [v if type(v) in (int, Fraction) else Fraction(v) for v in x]
+    d = math.lcm(*(v.denominator for v in xs))
+    return tuple(v.numerator * (d // v.denominator) for v in xs), d
+
+
+def _orbit_sum(nu: Exponent, X: tuple[int, ...]) -> int:
+    """m_nu(X) at an integer point: a plain integer sum over the orbit."""
+    total = 0
+    for eta in distinct_permutations(nu):
+        term = 1
+        for xi, e in zip(X, eta):
             if e:
                 term *= xi ** e
         total += term
     return total
 
 
-def poly_eval(p: SymmetricPolynomial, x: Sequence) -> Fraction:
-    xs = tuple(Fraction(c) for c in x)
-    if len(xs) != p.n:
+def _cleared_eval(terms: Mapping[Exponent, Fraction], x: Sequence,
+                  table: dict) -> Fraction:
+    """sum c_nu * m_nu(x) in integers, with a single division at the end.
+
+    With x = X / D, m_nu(x) = m_nu(X) / D^|nu|.  Every term is brought to
+    the common denominator L * D^top, where L is the lcm of the coefficient
+    denominators and top the largest degree, so non-homogeneous
+    polynomials need nothing extra.  m_nu(X) is read from table, keyed by
+    (nu, X), and filled on a miss.
+    """
+    if not terms:
+        return Fraction(0)
+    X, d = _cleared(x)
+    degrees = [sum(nu) for nu in terms]
+    top = max(degrees)
+    lcm = math.lcm(*(c.denominator for c in terms.values()))
+    num = 0
+    for (nu, c), deg in zip(terms.items(), degrees):
+        key = (nu, X)
+        m = table.get(key)
+        if m is None:
+            m = _orbit_sum(nu, X)
+            if len(table) >= MONOMIAL_MEMO_SIZE:
+                table.clear()
+            table[key] = m
+        if deg != top:
+            m *= d ** (top - deg)
+        num += c.numerator * (lcm // c.denominator) * m
+    return Fraction(num, lcm * d ** top)
+
+
+def monomial_eval(lam, x: Sequence) -> Fraction:
+    """m_lambda(x): sum of x^eta over distinct rearrangements eta of lambda."""
+    parts = tuple(sorted((int(p) for p in lam), reverse=True))
+    x = tuple(x)
+    if len(parts) != len(x):
         raise DimensionMismatchError(
-            f"point length {len(xs)} vs polynomial on {p.n} variables")
-    total = Fraction(0)
-    for key, coeff in p.terms.items():
-        total += coeff * monomial_eval(key, xs)
-    return total
+            f"partition length {len(parts)} vs point length {len(x)}")
+    if parts and parts[-1] < 0:
+        raise DomainError(f"negative exponent in {parts}")
+    return _cleared_eval({parts: Fraction(1)}, x, _MONOMIAL_MEMO)
+
+
+def _point_for(p: SymmetricPolynomial, x: Sequence) -> tuple:
+    x = tuple(x)
+    if len(x) != p.n:
+        raise DimensionMismatchError(
+            f"point length {len(x)} vs polynomial on {p.n} variables")
+    return x
+
+
+def poly_eval(p: SymmetricPolynomial, x: Sequence) -> Fraction:
+    """p(x), exact; the orbit sums are shared through the bounded memo."""
+    return _cleared_eval(p.terms, _point_for(p, x), _MONOMIAL_MEMO)
+
+
+def poly_eval_fresh(p: SymmetricPolynomial, x: Sequence) -> Fraction:
+    """p(x) through a private, empty table: reads no shared memo."""
+    return _cleared_eval(p.terms, _point_for(p, x), {})
 
 
 def poly_eval_float(p: SymmetricPolynomial, x: Sequence) -> float:

@@ -179,6 +179,28 @@ def test_batch_split_leaves_values_unchanged():
         assert batch[-1] == 0.0
 
 
+def test_node_on_an_outside_coordinate_gets_weight_zero():
+    # the last two coordinates are one ulp apart, as a level of the n=4
+    # recursion below produces them; the first box's lowest node rounds
+    # onto x_2 and its factor |e^x_3 - e^nu|^(k-1) would be 0 ** -0.9
+    x = (0.275, -0.42499999999999993, -0.42500000000000004)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _f_rec(0.1, (1.3, 0.2, -0.9), [np.array([v]) for v in x],
+                       0.0, 1.0, QuadratureConfig(16))
+    assert value[0] == 0.0
+
+
+def test_small_multiplicity_at_four_variables_is_finite():
+    # k = 0.1 puts nodes within an ulp of their endpoints; slow (about a
+    # minute), as every 16-node n=4 evaluation is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = ho_eval(HOParams(0.1, 4), (1.3, 0.2, -0.9, -1),
+                        (0.6, 0.2, -0.5, -0.6), QuadratureConfig(16))
+    assert math.isfinite(value) and value > 0
+
+
 def test_consistency_with_exact_expansions():
     for k in (0.5, 1, 2):
         p = HOParams(k, 2)

@@ -135,3 +135,24 @@ def test_limit_probe_rejects_bad_input():
 def test_eval_rejects_negative_coordinates():
     with pytest.raises(DomainError):
         omega_jack_eval((2, 0), 1, (3, -1))
+
+
+def test_normalizer_is_evaluated_once_per_expansion(monkeypatch):
+    from omegalab import sympoly
+    ones = (Fraction(1),) * 3
+    seen = []
+    evaluate = sympoly.poly_eval
+
+    def counted(p, x):
+        seen.append(tuple(x))
+        return evaluate(p, x)
+
+    monkeypatch.setattr(sympoly, "poly_eval", counted)
+    theta = Fraction(3, 7)   # a parameter no other test expands at
+    for x in ((3, 2, 1), (Fraction(1, 2), Fraction(1, 3), 0), (5, 5, 4)):
+        for lam in ((2, 1, 0), (1, 1, 1)):
+            value = omega_jack_eval(lam, theta, x)
+            p = jack_expand(lam, theta)
+            assert value == evaluate(p, x) / evaluate(p, ones)
+    assert seen.count(ones) == 2
+    assert len(seen) == 2 + 6

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omegalab
+from omegalab import sympoly
 from omegalab.classical import muirhead_eval
-from omegalab.errors import DomainError, ParameterError
+from omegalab.errors import CertificationError, DomainError, ParameterError
+from omegalab.heckman_opdam import QuadratureConfig
 from omegalab.jack import omega_jack_eval
-from omegalab.lab import (FAMILIES, WITNESS_FAMILIES, check_log_convexity,
+from omegalab.lab import (FAMILIES, NOISE_FLOOR, WITNESS_FAMILIES,
+                          _make_family, _sample_points, check_log_convexity,
                           check_schur_convexity, check_weak_majorization,
                           find_witness, hunt_report, hunt_violation)
 from omegalab.macdonald import MacdonaldParams, lattice_point, omega_mac_eval
@@ -178,7 +181,7 @@ def test_hunt_finds_violation_at_generic_parameters():
 
 def test_hunt_withholds_uncertified_witness_under_optimization():
     # python -O strips asserts; the certification check must survive it
-    script = textwrap.dedent("""
+    out, err = run_optimized("""
         from fractions import Fraction
         from omegalab import errors, lab
         lab._certified_omega = lambda lam, mp, x: Fraction(-1)
@@ -190,12 +193,76 @@ def test_hunt_withholds_uncertified_witness_under_optimization():
         else:
             print("returned", witness.lam, witness.mu)
     """)
+    assert out == ["CertificationError"], err
+
+
+def run_optimized(script):
+    """Standard output of script run under python -O, split into words."""
     src = os.path.dirname(os.path.dirname(omegalab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.stdout.split() == ["CertificationError"], proc.stderr
+    proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    return proc.stdout.split(), proc.stderr
+
+
+def test_zero_normalizers_raise_under_optimization():
+    # each expansion is replaced by one that vanishes at its normalization
+    # point: (1,...,1) for Jack, t^delta = (1/3, 1) for Macdonald
+    out, err = run_optimized("""
+        from fractions import Fraction
+        from omegalab import errors, jack, lab, macdonald
+        from omegalab.partitions import Partition
+        from omegalab.sympoly import SymmetricPolynomial
+
+        def vanishing(*terms):
+            poly = SymmetricPolynomial(2, dict(terms))
+            return lambda *args, **kwargs: poly
+
+        jack.solve_eigen_expansion = vanishing(((2, 0), 1), ((1, 1), -2))
+        macdonald.solve_eigen_expansion = vanishing(
+            ((2, 0), 1), ((1, 1), Fraction(-10, 3)))
+        mp = macdonald.MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 2)
+        x = (Fraction(2), Fraction(1, 2))
+        for call in (lambda: jack.omega_jack_eval((2, 0), Fraction(1, 2), x),
+                     lambda: macdonald.omega_mac_eval((2, 0), mp, x),
+                     lambda: lab._certified_omega(Partition((2, 0)), mp, x)):
+            try:
+                print("returned", call())
+            except errors.OmegalabError as e:
+                print(type(e).__name__)
+    """)
+    assert out == ["DegeneracyError"] * 3, err
+
+
+def test_certification_reads_no_shared_table(monkeypatch):
+    # inflate m_(1,1) at the first lattice point in the shared table: the
+    # lattice-only hunt, which finds nothing on sound values, now sees
+    # Omega_(2,0) < Omega_(1,1) there, and certification must refuse it
+    mp = MacdonaldParams(Fraction(2, 5), Fraction(3, 7), 2)
+    X, _ = sympoly._cleared(lattice_point((0, 0), mp).coords)
+    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {((1, 1), X): 10 ** 9})
+    with pytest.raises(CertificationError):
+        hunt_violation(mp.q, mp.t, n=2, max_weight=2, lattice_only=True,
+                       label_bound=2)
+
+
+def test_exact_identities_are_not_near_misses():
+    # shifting lambda along (1,1) multiplies F by exp(c * sum(x)), so
+    # F_(2,2) * F_(0,0) = F_(1,1)^2 exactly; quadrature lands the identity
+    # on the positive side at some sample points, by a few ulps
+    cfg = QuadratureConfig(24)
+    fam = _make_family("heckman-opdam", 2, k=2, cfg=cfg)
+    gaps = []
+    for x in _sample_points(10, 2, 0, 10, 0, as_float=True):
+        top, bottom, mid = (fam.value(Partition(lam), x)
+                            for lam in ((2, 2), (0, 0), (1, 1)))
+        gaps.append((mid * mid - top * bottom) / (mid * mid))
+    assert 0 < max(gaps) <= NOISE_FLOOR
+    report = check_log_convexity("heckman-opdam", 2, 4, samples=10, seed=0,
+                                 k=2, cfg=cfg)
+    assert report.passed and report.near_misses == 0
 
 
 def test_hunt_on_lattice_finds_nothing():

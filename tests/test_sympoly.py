@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from omegalab import sympoly
 from omegalab.errors import DimensionMismatchError, DomainError
+from omegalab.macdonald import MacdonaldParams, lattice_point
 from omegalab.sympoly import (SymmetricPolynomial, distinct_permutations,
                               exp_add, exp_divide_linear, exp_mul,
                               expand_to_exponents, monomial_eval, orbit_size,
-                              parse_poly, poly_eval_float, poly_multiply,
-                              serialize_poly, symmetrize_exponents)
+                              parse_poly, poly_eval, poly_eval_float,
+                              poly_eval_fresh, poly_multiply, serialize_poly,
+                              symmetrize_exponents)
 
 
 def partition_keys(max_len=3, max_part=4):
@@ -127,3 +130,98 @@ def test_exp_mul_matches_polynomial_product():
     a = {(1, 0): Fraction(2)}
     b = {(0, 1): Fraction(3), (1, 0): Fraction(1)}
     assert exp_mul(a, b) == {(1, 1): Fraction(6), (2, 0): Fraction(2)}
+
+
+# -- the integer-cleared evaluator against a plain Fraction loop ---------------
+
+
+def reference_monomial(key, x):
+    """m_key(x) term by term in Fraction arithmetic."""
+    total = Fraction(0)
+    for eta in distinct_permutations(key):
+        term = Fraction(1)
+        for xi, e in zip(x, eta):
+            term *= Fraction(xi) ** e
+        total += term
+    return total
+
+
+def reference_eval(p, x):
+    return sum((c * reference_monomial(key, x) for key, c in p.terms.items()),
+               Fraction(0))
+
+
+@st.composite
+def polynomials_and_points(draw, lo=-3, hi=3, max_denominator=8):
+    """A polynomial of any degree mix (the zero polynomial included) on
+    n in [1, 4] variables and a rational point with zeros and negatives."""
+    n = draw(st.integers(1, 4))
+    keys = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(
+        lambda v: tuple(sorted(v, reverse=True)))
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    terms = draw(st.dictionaries(keys, coeffs, max_size=6))
+    coord = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=lo, max_value=hi,
+                                   max_denominator=max_denominator))
+    x = draw(st.tuples(*[coord] * n))
+    return SymmetricPolynomial(n, terms), x
+
+
+@given(polynomials_and_points())
+def test_poly_eval_matches_fraction_reference(case):
+    p, x = case
+    expected = reference_eval(p, x)
+    assert poly_eval(p, x) == expected
+    # the second evaluation reads the shared table
+    assert p.eval(x) == expected
+    assert poly_eval_fresh(p, x) == expected
+
+
+@given(polynomials_and_points())
+def test_monomial_eval_matches_fraction_reference(case):
+    p, x = case
+    for key in p.terms:
+        # any order of the exponents names the same orbit
+        assert monomial_eval(key[::-1], x) == reference_monomial(key, x)
+
+
+@given(polynomials_and_points(), st.data())
+def test_evaluation_at_large_lattice_points(case, data):
+    p, _ = case
+    n = p.n
+    label = tuple(sorted(data.draw(st.lists(st.integers(-20, 20), min_size=n,
+                                            max_size=n)), reverse=True))
+    x = lattice_point(label, MacdonaldParams(Fraction(2, 7), Fraction(5, 11),
+                                             n, Fraction(3, 13))).coords
+    assert poly_eval(p, x) == reference_eval(p, x)
+
+
+def test_single_variable_and_zero_polynomial():
+    p = SymmetricPolynomial(1, {(3,): Fraction(2, 3), (0,): Fraction(-1)})
+    assert p.eval((Fraction(-3, 2),)) == Fraction(2, 3) * Fraction(-27, 8) - 1
+    assert SymmetricPolynomial.zero(3).eval((1, 2, 3)) == 0
+    assert monomial_eval((2,), (Fraction(-1, 5),)) == Fraction(1, 25)
+
+
+def test_values_are_canonical_fractions():
+    # 1/2 + 1/2 reduces to 1: the result never carries a stale denominator
+    p = SymmetricPolynomial(2, {(1, 0): Fraction(1, 2)})
+    value = p.eval((Fraction(1, 2), Fraction(3, 2)))
+    assert value == 1 and value.denominator == 1
+    assert monomial_eval((0, 0), (0.5, 0.25)) == 1
+
+
+def test_monomial_eval_rejects_negative_exponents():
+    with pytest.raises(DomainError):
+        monomial_eval((1, -1), (Fraction(2), Fraction(3)))
+
+
+def test_shared_table_stays_bounded(monkeypatch):
+    monkeypatch.setattr(sympoly, "MONOMIAL_MEMO_SIZE", 5)
+    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {})
+    p = SymmetricPolynomial(2, {(2, 0): Fraction(1), (1, 1): Fraction(3),
+                                (1, 0): Fraction(-2)})
+    for i in range(1, 12):
+        x = (Fraction(i, 7), Fraction(-i, 3))
+        assert p.eval(x) == reference_eval(p, x)
+        assert len(sympoly._MONOMIAL_MEMO) <= 5
