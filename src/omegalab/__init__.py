@@ -13,7 +13,7 @@ from .classical import (expand_classical, muirhead_eval, muirhead_gap,
                         powersum_compare, powersum_eval)
 from .errors import (CacheFormatError, CertificationError, DegeneracyError,
                      DimensionMismatchError, DomainError, OmegalabError,
-                     ParameterError, TieError)
+                     OperatorRowError, ParameterError, TieError)
 from .heckman_opdam import (HOParams, QuadratureConfig, ho_closed_forms,
                             ho_direction_residual, ho_error_estimate,
                             ho_eval, ho_jack_consistency)

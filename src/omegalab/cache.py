@@ -4,7 +4,8 @@ Format: a header line "omegalab-cache v1", then one record per line,
 "key<TAB>serialized polynomial", append-only.  Keys are canonical strings
 such as "macdonald|n=2|lam=2,0|q=1/2|t=1/3".  Records that fail to parse
 are skipped with a warning and never trusted.  Reads are concurrent;
-insertion happens under a single lock.
+insertion happens under a single lock, and each record is appended with a
+single write, so processes sharing a file cannot interleave records.
 """
 
 from __future__ import annotations
@@ -72,12 +73,21 @@ class ExpansionCache:
     def put(self, key: str, poly: SymmetricPolynomial):
         assert "\t" not in key and "\n" not in key
         body = serialize_poly(poly).strip().replace("\n", " ; ")
+        line = f"{key}\t{body}\n".encode("utf-8")
         with self._lock:
             if key in self._records:
                 return
             self._records[key] = poly
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(f"{key}\t{body}\n")
+            # one write on an O_APPEND descriptor: the record lands whole at
+            # the end of the file, so concurrent writers cannot interleave
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+            try:
+                written = os.write(fd, line)
+            finally:
+                os.close(fd)
+            if written != len(line):
+                raise OSError(f"{self.path}: short write of a cache record "
+                              f"({written} of {len(line)} bytes)")
 
 
 def activate(cache: "ExpansionCache | None"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError, OperatorRowError
 from .partitions import majorizes, partitions_of
 from .sympoly import SymmetricPolynomial
 
@@ -27,7 +27,8 @@ def dominance_ideal(lam: Sequence[int], n: int) -> list[tuple]:
     """
     lam = tuple(lam)
     out = [nu for nu in partitions_of(sum(lam), n) if majorizes(lam, nu)]
-    assert out and out[0] == lam
+    if not out or out[0] != lam:
+        raise DomainError(f"{lam} is not a partition with {n} parts")
     return out
 
 
@@ -47,12 +48,12 @@ def solve_eigen_expansion(lam: Sequence[int], n: int,
     lam = tuple(lam)
     ideal = dominance_ideal(lam, n)
     member = set(ideal)
+    where = f" for {label}" if label else ""
     e_top = eigenvalue(lam)
     for nu in ideal[1:]:
         if eigenvalue(nu) == e_top:
             raise DegeneracyError(
-                f"eigenvalue collision between {lam} and {nu}"
-                + (f" for {label}" if label else ""))
+                f"eigenvalue collision between {lam} and {nu}{where}")
 
     coeffs: dict[tuple, Fraction] = {}
     rows: dict[tuple, dict] = {}
@@ -67,8 +68,16 @@ def solve_eigen_expansion(lam: Sequence[int], n: int,
         row = apply_to_monomial(nu)
         # operator stability: the row must stay inside the dominance ideal,
         # with the eigenvalue itself on the diagonal
-        assert all(key in member for key in row), (lam, nu, row)
-        assert row.get(nu, Fraction(0)) == eigenvalue(nu), (lam, nu)
+        outside = [key for key in row if key not in member]
+        if outside:
+            raise OperatorRowError(
+                f"row of {nu} leaves the dominance ideal of {lam} at "
+                f"{outside[0]}{where}")
+        diagonal, expected = row.get(nu, Fraction(0)), eigenvalue(nu)
+        if diagonal != expected:
+            raise OperatorRowError(
+                f"row of {nu} has diagonal {diagonal}, not the eigenvalue "
+                f"{expected}{where}")
         rows[nu] = row
     return SymmetricPolynomial(n, coeffs)
 

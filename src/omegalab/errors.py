@@ -36,3 +36,8 @@ class CacheFormatError(OmegalabError, ValueError):
 
 class CertificationError(OmegalabError, ArithmeticError):
     """A result failed its re-derivation and must not be reported."""
+
+
+class OperatorRowError(OmegalabError, ArithmeticError):
+    """An operator row leaves the dominance ideal or disagrees with its
+    eigenvalue on the diagonal, so the triangular eigen-solve is unsound."""

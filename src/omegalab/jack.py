@@ -21,9 +21,7 @@ from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      ParameterError)
 from .macdonald import MacdonaldParams, macdonald_expand, _as_key
 from .partitions import Partition
-from .sympoly import (SymmetricPolynomial, distinct_permutations, exp_add,
-                      exp_divide_linear, exp_scale, poly_eval_float,
-                      symmetrize_exponents)
+from .sympoly import SymmetricPolynomial, poly_eval_float
 
 INFINITE = math.inf
 
@@ -65,32 +63,38 @@ def _apply_jack_op(nu: tuple, n: int, theta: Fraction) -> dict:
     """Monomial-basis row of the theta-deformed differential operator on m_nu.
 
     The operator is sum_i x_i^2 d_i^2 + 2 theta sum_{i<j}
-    (x_i^2 d_i - x_j^2 d_j)/(x_i - x_j); each pair term is antisymmetric
-    under swapping i and j, so the division is exact.
+    (x_i^2 d_i - x_j^2 d_j)/(x_i - x_j).  Paired with its (i, j)-swap, each
+    monomial's pair term is a geometric sum, (x_i^P x_j^R - x_i^R x_j^P) /
+    (x_i - x_j), so the row is read off nu directly (Stanley, Adv. Math. 77,
+    1989).  The diagonal is sum nu_i (nu_i - 1) + 2 theta sum_{i<j}
+    max(nu_i, nu_j); the coefficient of m_mu below nu is
+        2 theta sum_{i<j} sum_{b < min(mu_i, mu_j)} (a - b)
+            [sort(mu with mu_i -> a, mu_j -> b) = nu],  a = mu_i + mu_j - b,
+    and the mu that occur move two parts (a, b) of nu to (k, a + b - k)
+    for b < k < a.
     """
-    orbit = list(distinct_permutations(nu))
-    diagonal = sum(p * (p - 1) for p in nu)
-    total: dict = {eta: Fraction(diagonal) for eta in orbit} if diagonal else {}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    row = {nu: sum(p * (p - 1) for p in nu)
+           + 2 * theta * sum(max(nu[i], nu[j]) for i, j in pairs)}
     if theta:
-        crossed: dict = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair: dict = {}
-                for eta in orbit:
-                    if eta[i]:
-                        up = list(eta)
-                        up[i] += 1
-                        key = tuple(up)
-                        pair[key] = pair.get(key, Fraction(0)) + eta[i]
-                    if eta[j]:
-                        up = list(eta)
-                        up[j] += 1
-                        key = tuple(up)
-                        pair[key] = pair.get(key, Fraction(0)) - eta[j]
-                pair = {e: c for e, c in pair.items() if c}
-                crossed = exp_add(crossed, exp_divide_linear(pair, n, i, j))
-        total = exp_add(total, exp_scale(crossed, 2 * theta))
-    return dict(symmetrize_exponents(total, n, check=True).terms)
+        targets = set()
+        for i, j in pairs:
+            a, b = nu[i], nu[j]
+            for k in range(b + 1, a):
+                mu = list(nu)
+                mu[i], mu[j] = k, a + b - k
+                targets.add(tuple(sorted(mu, reverse=True)))
+        for mu in targets:
+            count = 0
+            for i, j in pairs:
+                for b in range(min(mu[i], mu[j])):
+                    a = mu[i] + mu[j] - b
+                    spread = list(mu)
+                    spread[i], spread[j] = a, b
+                    if tuple(sorted(spread, reverse=True)) == nu:
+                        count += a - b
+            row[mu] = 2 * theta * count
+    return {mu: Fraction(c) for mu, c in row.items() if c}
 
 
 def _jack_eigenvalue(nu: tuple, n: int, theta: Fraction) -> Fraction:

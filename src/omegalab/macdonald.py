@@ -9,6 +9,7 @@ parameter-inversion identity.  Everything is exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,9 +19,7 @@ from .eigensolve import (as_int_vector, dominance_ideal, solve_eigen_expansion,
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      ParameterError)
 from .partitions import Partition, contains, partitions_of
-from .sympoly import (SymmetricPolynomial, distinct_permutations, exp_add,
-                      exp_binomial, exp_divide_linear, exp_mul, exp_scale,
-                      monomial_eval, symmetrize_exponents)
+from .sympoly import SymmetricPolynomial, distinct_permutations, monomial_eval
 
 
 def _iroot(m: int, r: int) -> int | None:
@@ -126,35 +125,79 @@ def _as_key(lam, n: int) -> tuple[int, ...]:
     return parts
 
 
+def _alternant_terms(nu: tuple, n: int):
+    """The terms of a_delta * m_nu at strictly decreasing exponents.
+
+    a_delta * m_nu = sum_w eps(w) sum_{eta in orbit(nu)} x^(eta + w delta);
+    yields (kappa, eps(w), eta, w delta) for each term with eta + w delta =
+    kappa + delta strictly decreasing.  Those terms alone fix an alternating
+    polynomial: its coefficient of a_(kappa+delta) is the one of
+    x^(kappa+delta).
+    """
+    for eta in distinct_permutations(nu):
+        # place w delta one position at a time; the sign flips once for
+        # each larger value still unplaced
+        stack = [((), -1, 1)]
+        while stack:
+            d, prev, sign = stack.pop()
+            i = len(d)
+            if i == n:
+                yield (tuple(eta[k] + d[k] - (n - 1 - k) for k in range(n)),
+                       sign, eta, d)
+                continue
+            above = 0
+            for v in range(n - 1, -1, -1):
+                if v in d:
+                    continue
+                if prev < 0 or eta[i] + v < prev:
+                    stack.append((d + (v,), eta[i] + v, -sign if above % 2
+                                  else sign))
+                above += 1
+
+
+@functools.lru_cache(maxsize=32)
+def _kostka(n: int, weight: int) -> dict:
+    """{kappa: {mu: K_kappa,mu}}, s_kappa in the monomial basis.
+
+    a_delta * m_mu = sum_kappa N_mu,kappa a_(kappa+delta) gives
+    m_mu = sum_kappa N_mu,kappa s_kappa, unitriangular in dominance; it is
+    inverted one shape at a time, lowest shape first.  Shared by every row
+    of this (n, weight); the caller must not modify it.
+    """
+    schur: dict = {}
+    for mu in reversed(list(partitions_of(weight, n))):
+        monomials = {mu: 1}
+        for kappa, sign, _, _ in _alternant_terms(mu, n):
+            if kappa != mu:
+                for rho, k in schur[kappa].items():
+                    monomials[rho] = monomials.get(rho, 0) - sign * k
+        schur[mu] = {rho: k for rho, k in monomials.items() if k}
+    return schur
+
+
 def _apply_macdonald_op(nu: tuple, n: int, q: Fraction, t: Fraction) -> dict:
     """Monomial-basis row of the Macdonald q-difference operator on m_nu.
 
-    The operator is sum_i A_i(x;t) T_{q,x_i} with A_i = prod_{j != i}
-    (t x_i - x_j)/(x_i - x_j).  Clearing denominators against the Vandermonde
-    keeps everything polynomial: the i-th summand contributes
-    (-1)^i N_i(x) V_i(x) (T_i m_nu) to V(x) * (D m_nu), where N_i collects
-    the numerators t x_i - x_j and V_i is the Vandermonde without x_i.
-    The total is divisible by each Vandermonde factor in turn.
+    The operator is D = sum_i A_i(x;t) T_{q,x_i} with A_i = prod_{j != i}
+    (t x_i - x_j)/(x_i - x_j), which is also a_delta^-1 sum_w eps(w)
+    x^(w delta) sum_i t^((w delta)_i) T_{q,x_i} (Macdonald, Symmetric
+    Functions and Hall Polynomials, VI (3.4)).  So a_delta * D m_nu is
+    sum_w eps(w) sum_eta (sum_i t^((w delta)_i) q^(eta_i)) x^(eta + w delta),
+    whose strictly decreasing exponents kappa + delta give D m_nu in the
+    Schur basis; the Kostka numbers take it to monomials.
     """
-    one = Fraction(1)
-    total: dict = {}
-    for i in range(n):
-        shifted = {}
-        for eta in distinct_permutations(nu):
-            shifted[eta] = shifted.get(eta, Fraction(0)) + q ** eta[i]
-        prod = shifted
-        for j in range(n):
-            if j != i:
-                prod = exp_mul(prod, exp_binomial(n, i, t, j, -one))
-        for j in range(n):
-            for k in range(j + 1, n):
-                if j != i and k != i:
-                    prod = exp_mul(prod, exp_binomial(n, j, one, k, -one))
-        total = exp_add(total, exp_scale(prod, Fraction((-1) ** i)))
-    for j in range(n):
-        for k in range(j + 1, n):
-            total = exp_divide_linear(total, n, j, k)
-    return dict(symmetrize_exponents(total, n, check=True).terms)
+    qpow = [q ** e for e in range(nu[0] + 1)]
+    tpow = [t ** d for d in range(n)]
+    schur: dict = {}
+    for kappa, sign, eta, d in _alternant_terms(nu, n):
+        c = sum(tpow[dk] * qpow[ek] for dk, ek in zip(d, eta))
+        schur[kappa] = schur.get(kappa, 0) + sign * c
+    kostka = _kostka(n, sum(nu))
+    row: dict = {}
+    for kappa, c in schur.items():
+        for mu, k in kostka[kappa].items():
+            row[mu] = row.get(mu, 0) + c * k
+    return {mu: Fraction(c) for mu, c in row.items() if c}
 
 
 def _mac_eigenvalue(nu: tuple, n: int, q: Fraction, t: Fraction) -> Fraction:

@@ -10,8 +10,8 @@ bounded table shared by every polynomial evaluated there, and a single
 division at the end gives the canonical Fraction.
 
 The module also carries the expanded (one term per exponent vector)
-representation used internally when applying difference or differential
-operators; that form never leaves this package.
+representation; it serves only poly_multiply and never leaves this
+package.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def poly_combine(pairs: Iterable[tuple[Fraction, SymmetricPolynomial]]) -> Symme
     return SymmetricPolynomial(n, acc)
 
 
-# -- expanded (exponent-vector) representation; internal ---------------------
+# -- expanded (exponent-vector) representation, for poly_multiply -----------
 
 
 def expand_to_exponents(p: SymmetricPolynomial) -> dict[Exponent, Fraction]:
@@ -302,49 +302,18 @@ def expand_to_exponents(p: SymmetricPolynomial) -> dict[Exponent, Fraction]:
     return {e: c for e, c in out.items() if c != 0}
 
 
-def symmetrize_exponents(expanded: Mapping[Exponent, Fraction], n: int,
-                         check: bool = True) -> SymmetricPolynomial:
-    """Collect an expanded polynomial back into the monomial basis.
+def symmetrize_exponents(expanded: Mapping[Exponent, Fraction],
+                         n: int) -> SymmetricPolynomial:
+    """Collect a symmetric expanded polynomial back into the monomial basis.
 
-    With check=True the expansion must actually be symmetric: every exponent
-    vector in an orbit must carry the same coefficient.
+    Every exponent vector of an orbit carries the orbit's coefficient; the
+    expansion is taken to be symmetric and is not checked.
     """
     terms: dict[Exponent, Fraction] = {}
-    seen: dict[Exponent, Fraction] = {}
     for e, c in expanded.items():
-        if c == 0:
-            continue
-        key = tuple(sorted(e, reverse=True))
-        if check:
-            if key in seen and seen[key] != c:
-                raise DomainError(
-                    f"expansion not symmetric at orbit {key}: {seen[key]} vs {c}")
-            seen[key] = c
-        terms[key] = c
-    if check:
-        # orbits must be complete, not just internally consistent
-        for key, c in terms.items():
-            hits = sum(1 for eta in distinct_permutations(key) if expanded.get(eta, 0) == c)
-            if hits != orbit_size(key):
-                raise DomainError(f"incomplete orbit for {key}")
+        if c:
+            terms[tuple(sorted(e, reverse=True))] = c
     return SymmetricPolynomial(n, terms)
-
-
-def exp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        new = out.get(e, Fraction(0)) + c
-        if new == 0:
-            out.pop(e, None)
-        else:
-            out[e] = new
-    return out
-
-
-def exp_scale(a: dict, c: Fraction) -> dict:
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in a.items()}
 
 
 def exp_mul(a: dict, b: dict) -> dict:
@@ -360,56 +329,11 @@ def exp_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def exp_binomial(n: int, i: int, ci: Fraction, j: int, cj: Fraction) -> dict:
-    """The linear form ci*x_i + cj*x_j as an expanded polynomial."""
-    ei = [0] * n
-    ei[i] = 1
-    ej = [0] * n
-    ej[j] = 1
-    out = {}
-    if ci:
-        out[tuple(ei)] = Fraction(ci)
-    if cj:
-        out[tuple(ej)] = Fraction(cj)
-    return out
-
-
-def exp_divide_linear(p: dict, n: int, i: int, j: int) -> dict:
-    """Exact division of p by (x_i - x_j); raises if the division is inexact.
-
-    Processes terms by decreasing x_i-exponent; each reduction step moves one
-    power of x_i to x_j, so the total x_i-degree strictly drops and the loop
-    terminates.
-    """
-    rem = dict(p)
-    quo: dict[Exponent, Fraction] = {}
-    while rem:
-        e = max(rem, key=lambda t: (t[i], t))
-        c = rem[e]
-        if e[i] == 0:
-            raise DomainError("polynomial not divisible by the linear factor")
-        q = list(e)
-        q[i] -= 1
-        qe = tuple(q)
-        quo[qe] = quo.get(qe, Fraction(0)) + c
-        del rem[e]
-        # cancel -x_j * quotient term against the remainder
-        r = list(qe)
-        r[j] += 1
-        re = tuple(r)
-        new = rem.get(re, Fraction(0)) + c
-        if new == 0:
-            rem.pop(re, None)
-        else:
-            rem[re] = new
-    return {e: c for e, c in quo.items() if c != 0}
-
-
 def poly_multiply(p: SymmetricPolynomial, q: SymmetricPolynomial) -> SymmetricPolynomial:
     """Product in the monomial basis via expand, convolve, re-collect."""
     p._check_compatible(q)
     prod = exp_mul(expand_to_exponents(p), expand_to_exponents(q))
-    return symmetrize_exponents(prod, p.n, check=False)
+    return symmetrize_exponents(prod, p.n)
 
 
 # -- serialization -----------------------------------------------------------

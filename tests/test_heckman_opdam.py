@@ -192,12 +192,12 @@ def test_node_on_an_outside_coordinate_gets_weight_zero():
 
 
 def test_small_multiplicity_at_four_variables_is_finite():
-    # k = 0.1 puts nodes within an ulp of their endpoints; slow (about a
-    # minute), as every 16-node n=4 evaluation is
+    # k = 0.05 puts nodes within an ulp of their endpoints, and some round
+    # onto a coordinate outside their box
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = ho_eval(HOParams(0.1, 4), (1.3, 0.2, -0.9, -1),
-                        (0.6, 0.2, -0.5, -0.6), QuadratureConfig(16))
+        value = ho_eval(HOParams(0.05, 4), (1.3, 0.2, -0.9, -1),
+                        (0.52, 0.44, -0.11, -1.0), QuadratureConfig(4))
     assert math.isfinite(value) and value > 0
 
 

@@ -236,6 +236,32 @@ def test_zero_normalizers_raise_under_optimization():
     assert out == ["DegeneracyError"] * 3, err
 
 
+def test_broken_operator_rows_raise_under_optimization():
+    # a row that leaves the dominance ideal of (2, 0), then one whose
+    # diagonal is not the eigenvalue, then a shape that is not a partition
+    out, err = run_optimized("""
+        from fractions import Fraction
+        from omegalab import errors
+        from omegalab.eigensolve import dominance_ideal, solve_eigen_expansion
+
+        def eigenvalue(nu):
+            return Fraction(nu[0])
+
+        for row in (lambda nu: {nu: eigenvalue(nu), (2, 1): Fraction(1)},
+                    lambda nu: {nu: eigenvalue(nu) + 1}):
+            try:
+                print("returned", solve_eigen_expansion((2, 0), 2, row,
+                                                        eigenvalue))
+            except errors.OmegalabError as e:
+                print(type(e).__name__)
+        try:
+            print("returned", dominance_ideal((1, 2), 2))
+        except errors.OmegalabError as e:
+            print(type(e).__name__)
+    """)
+    assert out == ["OperatorRowError", "OperatorRowError", "DomainError"], err
+
+
 def test_certification_reads_no_shared_table(monkeypatch):
     # inflate m_(1,1) at the first lattice point in the shared table: the
     # lattice-only hunt, which finds nothing on sound values, now sees

@@ -1,12 +1,16 @@
 """Macdonald expansions, the evaluation lattice, shifted polynomials, and
 the binomial and inversion identities at fixed rational parameters."""
 
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import omegalab
 from omegalab.cache import ExpansionCache, activate, cache_key, fetch
 from omegalab.errors import (DimensionMismatchError, DomainError,
                              ParameterError)
@@ -206,6 +210,45 @@ def test_cache_round_trip(tmp_path):
     with pytest.warns(UserWarning):
         tolerant = ExpansionCache(str(path))
     assert tolerant.get(key) == p
+
+
+WRITER = """
+import os, sys, time
+from omegalab.cache import ExpansionCache
+from omegalab.sympoly import SymmetricPolynomial
+path, go, worker = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = ExpansionCache(path)
+while not os.path.exists(go):
+    time.sleep(0.001)
+for i in range(RECORDS):
+    cache.put(f"long|worker={worker}|i={i}", SymmetricPolynomial(
+        2, {(k, 0): 10 ** 4000 * k + 100 * i + worker for k in range(1, 6)}))
+"""
+
+
+def test_concurrent_writers_leave_whole_records(tmp_path):
+    # each record is about 20 KiB, more than twice a default I/O buffer
+    records, workers = 40, 4
+    path, go = tmp_path / "shared.txt", tmp_path / "go"
+    ExpansionCache(str(path))
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = WRITER.replace("RECORDS", str(records))
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(path),
+                               str(go), str(w)], env=env)
+             for w in range(workers)]
+    go.touch()
+    assert all(proc.wait(timeout=120) == 0 for proc in procs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reread = ExpansionCache(str(path))
+    assert len(reread) == records * workers
+    for w in range(workers):
+        for i in range(records):
+            poly = reread.get(f"long|worker={w}|i={i}")
+            assert poly.terms == {(k, 0): 10 ** 4000 * k + 100 * i + w
+                                  for k in range(1, 6)}
 
 
 def test_fetch_uses_active_cache(tmp_path):

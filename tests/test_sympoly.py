@@ -10,11 +10,10 @@ from omegalab import sympoly
 from omegalab.errors import DimensionMismatchError, DomainError
 from omegalab.macdonald import MacdonaldParams, lattice_point
 from omegalab.sympoly import (SymmetricPolynomial, distinct_permutations,
-                              exp_add, exp_divide_linear, exp_mul,
-                              expand_to_exponents, monomial_eval, orbit_size,
-                              parse_poly, poly_eval, poly_eval_float,
-                              poly_eval_fresh, poly_multiply, serialize_poly,
-                              symmetrize_exponents)
+                              exp_mul, expand_to_exponents, monomial_eval,
+                              orbit_size, parse_poly, poly_eval,
+                              poly_eval_float, poly_eval_fresh, poly_multiply,
+                              serialize_poly, symmetrize_exponents)
 
 
 def partition_keys(max_len=3, max_part=4):
@@ -111,19 +110,7 @@ def test_expand_and_symmetrize_round_trip():
     grid = expand_to_exponents(p)
     # the full orbit of (2,1,0) has 6 exponent vectors, (1,1,1) has one
     assert len(grid) == 7
-    assert symmetrize_exponents(grid, 3, check=True) == p
-
-
-def test_exp_divide_linear_exact_quotient():
-    # (x0^2 - x1^2) / (x0 - x1) = x0 + x1
-    num = exp_add({(2, 0): Fraction(1)}, {(0, 2): Fraction(-1)})
-    quot = exp_divide_linear(num, 2, 0, 1)
-    assert quot == {(1, 0): Fraction(1), (0, 1): Fraction(1)}
-
-
-def test_exp_divide_linear_rejects_inexact():
-    with pytest.raises(DomainError):
-        exp_divide_linear({(2, 0): Fraction(1)}, 2, 0, 1)
+    assert symmetrize_exponents(grid, 3) == p
 
 
 def test_exp_mul_matches_polynomial_product():
