@@ -349,6 +349,15 @@ def ho_direction_residual(params: HOParams, s, x, h: float,
     return abs(derivative - sum(s) * f0) / abs(f0)
 
 
+def _ho_eval_and_gap(params: HOParams, s, x,
+                     cfg: QuadratureConfig = None) -> tuple:
+    """(F at m nodes, ho_error_estimate's gap) from two ho_eval calls."""
+    cfg = cfg or QuadratureConfig()
+    coarse = ho_eval(params, s, x, cfg)
+    fine = ho_eval(params, s, x, cfg.with_nodes(2 * cfg.nodes_per_dimension))
+    return coarse, abs(fine - coarse)
+
+
 def ho_error_estimate(params: HOParams, s, x,
                       cfg: QuadratureConfig = None) -> float:
     """Self-consistency gap |F at m nodes - F at 2m nodes|.
@@ -356,7 +365,4 @@ def ho_error_estimate(params: HOParams, s, x,
     Ten times this value is the working quadrature tolerance used by the
     inequality sweeps.
     """
-    cfg = cfg or QuadratureConfig()
-    coarse = ho_eval(params, s, x, cfg)
-    fine = ho_eval(params, s, x, cfg.with_nodes(2 * cfg.nodes_per_dimension))
-    return abs(fine - coarse)
+    return _ho_eval_and_gap(params, s, x, cfg)[1]

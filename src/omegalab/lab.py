@@ -1,9 +1,10 @@
 """The inequality laboratory.
 
-Sweep drivers that test Schur-convexity and midpoint log-convexity of the
-normalized families over enumerated partition pairs and sampled points,
-a constructive witness builder for non-majorizing pairs, and a hunter that
-searches for off-lattice Macdonald violations.
+One sweep driver tests Schur-convexity and midpoint log-convexity of the
+normalized families over enumerated partition pairs and sampled points;
+each statement supplies its pair mode, shapes, sides and tolerance.  Beside
+it: a constructive witness builder for non-majorizing pairs, and a budgeted
+point-first hunter for off-lattice Macdonald violations.
 
 Every exact family is compared with exact rational arithmetic, so a reported
 violation is a theorem and an empty report is a finished finite check, not a
@@ -18,6 +19,7 @@ single merge point.
 
 import itertools
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from . import macdonald
@@ -25,14 +27,15 @@ from ._version import __version__
 from .classical import muirhead_eval, powersum_eval
 from .errors import (CertificationError, DegeneracyError, DomainError,
                      ParameterError, TieError)
-from .heckman_opdam import (HOParams, QuadratureConfig, ho_error_estimate,
-                            ho_eval)
+# ho_eval and ho_error_estimate stay bound for the benchmark tracer's patches
+from .heckman_opdam import (HOParams, QuadratureConfig, _ho_eval_and_gap,
+                            ho_error_estimate, ho_eval)
 from .jack import JackParam, omega_jack_eval
 from .macdonald import MacdonaldParams, lattice_point, omega_mac_eval
 from .partitions import (Partition, enumerate_pairs, majorizes, midpoint,
                          partitions_of)
 from .sampling import RationalSampler
-from .sympoly import poly_eval_fresh
+from .sympoly import _decimal_text, poly_eval_fresh
 
 FAMILIES = ("muirhead", "powersum", "jack", "macdonald-lattice",
             "heckman-opdam")
@@ -52,7 +55,7 @@ NOISE_FLOOR = 1e-12
 def _json_value(v):
     # exact values travel as strings, floating values as JSON numbers
     if isinstance(v, (Fraction, int)):
-        return str(v)
+        return _decimal_text(v)
     if isinstance(v, float):
         return v
     return str(v)
@@ -146,57 +149,54 @@ class InequalityReport:
 
 
 class _Family:
-    """Evaluation strategy shared by the sweep drivers.
+    """Evaluation strategy shared by the sweep driver.
 
-    value(lam, x) returns the normalized family member at x; exact families
-    return Fractions and get a zero tolerance, the floating family returns
-    floats plus a quadrature error estimate.
+    probe(lam, x) returns (value, err): the normalized family member at x
+    and its error estimate.  Exact families return a Fraction and err 0;
+    the floating family returns floats, err from its quadrature.
     """
 
-    __slots__ = ("name", "params", "exact", "value", "estimate")
+    __slots__ = ("name", "params", "exact", "probe")
 
-    def __init__(self, name, params, exact, value, estimate=None):
+    def __init__(self, name, params, exact, probe):
         self.name = name
         self.params = params
         self.exact = exact
-        self.value = value
-        self.estimate = estimate or (lambda lam, x: 0)
+        self.probe = probe
 
 
 def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
                  cfg=None) -> _Family:
     if family == "muirhead":
-        return _Family(family, {}, True, lambda lam, x: muirhead_eval(lam, x))
+        return _Family(family, {}, True,
+                       lambda lam, x: (muirhead_eval(lam, x), 0))
     if family == "powersum":
-        return _Family(family, {}, True, lambda lam, x: powersum_eval(lam, x))
+        return _Family(family, {}, True,
+                       lambda lam, x: (powersum_eval(lam, x), 0))
     if family == "jack":
         if theta is None:
             raise ParameterError("the jack family needs theta")
         th = JackParam(theta)
         label = "inf" if th.is_infinite else th.theta
         return _Family(family, {"theta": label}, True,
-                       lambda lam, x: omega_jack_eval(lam, th, x))
+                       lambda lam, x: (omega_jack_eval(lam, th, x), 0))
     if family == "macdonald-lattice":
         if q is None or t is None:
             raise ParameterError("the macdonald-lattice family needs q and t")
         mp = MacdonaldParams(q, t, n, Fraction(1) if a is None else a)
         return _Family(family, {"q": mp.q, "t": mp.t, "a": mp.a}, True,
-                       lambda lam, x: omega_mac_eval(lam, mp, x))
+                       lambda lam, x: (omega_mac_eval(lam, mp, x), 0))
     if family == "heckman-opdam":
         if k is None:
             raise ParameterError("the heckman-opdam family needs k")
         hop = HOParams(float(k), n)
         rho = tuple(float(r) for r in hop.rho)
 
-        def value(lam, x):
+        def probe(lam, x):
             s = tuple(p + hop.k * r for p, r in zip(lam.parts, rho))
-            return ho_eval(hop, s, x, cfg)
+            return _ho_eval_and_gap(hop, s, x, cfg)
 
-        def estimate(lam, x):
-            s = tuple(p + hop.k * r for p, r in zip(lam.parts, rho))
-            return ho_error_estimate(hop, s, x, cfg)
-
-        return _Family(family, {"k": hop.k}, False, value, estimate)
+        return _Family(family, {"k": hop.k}, False, probe)
     raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -215,7 +215,8 @@ def _sample_points(samples, n, x_low, x_high, seed, as_float):
 
 
 def _lattice_labels(n, label_bound):
-    assert label_bound >= 0
+    if label_bound < 0:
+        raise DomainError(f"need label_bound >= 0; got {label_bound}")
     out = []
     for w in range(n * label_bound + 1):
         out.extend(partitions_of(w, n, label_bound))
@@ -255,9 +256,9 @@ def _resolved_params(fam: _Family, label_bound, x_low, x_high,
 
 
 class _ProbeState:
-    """Per-sweep memo of family values and the tie/near-miss counters.
+    """Per-sweep memo of family probes and the tie/near-miss counters.
 
-    Values and ties are keyed by the point's index in the sweep's point
+    Probes and ties are keyed by the point's index in the sweep's point
     list, which hashes far cheaper than the point itself.
     """
 
@@ -270,29 +271,99 @@ class _ProbeState:
         self.near_misses = 0
         self.skipped = 0
 
-    def value(self, lam: Partition, index, x):
-        """(value, error_estimate) of lam at x = points[index], memoized per
-        (lam, index); TieError passes up."""
-        key = (lam.parts, index)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = (self.fam.value(lam, x), self.fam.estimate(lam, x))
-            self.memo[key] = hit
-        return hit
+    def probe(self, lams, index, x):
+        """(value, err) for each partition at x = points[index], memoized
+        per (lam, index), or None when x is a skipped tie."""
+        if index not in self.tie_points:
+            out = []
+            try:
+                for lam in lams:
+                    key = (lam.parts, index)
+                    hit = self.memo.get(key)
+                    if hit is None:
+                        hit = self.memo[key] = self.fam.probe(lam, x)
+                    out.append(hit)
+                return out
+            except TieError:
+                self.tie_points.add(index)
+        self.skipped += 1
+        return None
 
 
-def _probe_values(state: _ProbeState, lams, index, x):
-    """Values for each partition at x = points[index], or None when x is a
-    skipped tie."""
-    if index in state.tie_points:
-        state.skipped += 1
-        return None
-    try:
-        return [state.value(lam, index, x) for lam in lams]
-    except TieError:
-        state.tie_points.add(index)
-        state.skipped += 1
-        return None
+# lhs >= rhs over the pairs of one enumeration mode: shapes(lam, mu) lists
+# the partitions probed per pair, sides(probes) and tolerance(probes) read
+# their (value, err) probes; the tolerance is computed for floats only
+_Statement = namedtuple("_Statement", "command mode shapes sides tolerance")
+
+
+def _order_sides(probes):
+    (lhs, _), (rhs, _) = probes
+    return lhs, rhs
+
+
+def _order_tolerance(probes):
+    (_, el), (_, er) = probes
+    return 10 * (el + er)
+
+
+def _midpoint_sides(probes):
+    (vl, _), (vm, _), (vc, _) = probes
+    return vl * vm, vc * vc
+
+
+def _midpoint_tolerance(probes):
+    # the per-value estimates propagated to first order
+    (vl, el), (vm, em), (vc, ec) = probes
+    return 10 * (el * abs(vm) + em * abs(vl) + 2 * ec * abs(vc))
+
+
+_SCHUR = _Statement("check schur", "same-weight-comparable",
+                    lambda lam, mu: (lam, mu), _order_sides, _order_tolerance)
+_LOGCONVEX = _Statement("check logconvex", "midpoint-integral",
+                        lambda lam, mu: (lam, mu, midpoint(lam, mu)),
+                        _midpoint_sides, _midpoint_tolerance)
+_WEAK = _SCHUR._replace(command="check weak", mode="weak-comparable")
+
+
+def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
+           theta=None, q=None, t=None, a=None, k=None, label_bound=None,
+           x_low, x_high, cfg: QuadratureConfig = None) -> InequalityReport:
+    """Probe stmt at every (pair, point); exact families fail on lhs < rhs,
+    the floating family on rhs - lhs past its tolerance plus noise."""
+    start = time.monotonic()
+    if samples < 0:
+        raise DomainError(f"need samples >= 0; got {samples}")
+    fam = _make_family(family, n, theta=theta, q=q, t=t, a=a, k=k, cfg=cfg)
+    points = _evaluation_points(fam, n, samples, x_low, x_high, seed,
+                                label_bound)
+    pairs = list(enumerate_pairs(n, max_weight, stmt.mode))
+    state = _ProbeState(fam)
+    violations = []
+    for lam, mu in pairs:
+        shapes = stmt.shapes(lam, mu)
+        for i, x in enumerate(points):
+            probes = state.probe(shapes, i, x)
+            if probes is None:
+                continue
+            lhs, rhs = stmt.sides(probes)
+            if fam.exact:
+                if lhs < rhs:
+                    violations.append(Witness(fam.name, fam.params,
+                                              lam, mu, x, lhs, rhs))
+                continue
+            gap = rhs - lhs
+            noise = NOISE_FLOOR * (abs(lhs) + abs(rhs))
+            if gap > stmt.tolerance(probes) + noise:
+                violations.append(Witness(fam.name, fam.params,
+                                          lam, mu, x, lhs, rhs))
+            elif gap > noise:
+                state.near_misses += 1
+    elapsed = int((time.monotonic() - start) * 1000)
+    return InequalityReport(stmt.command, fam.name,
+                            _resolved_params(fam, label_bound, x_low, x_high, cfg),
+                            n, max_weight, seed, len(pairs), len(points),
+                            violations, state.near_misses, state.skipped,
+                            elapsed)
 
 
 def check_schur_convexity(family, n, max_weight, samples=100, seed=0, *,
@@ -307,37 +378,9 @@ def check_schur_convexity(family, n, max_weight, samples=100, seed=0, *,
     quadrature error estimates) plus a machine-noise floor, and counts
     sub-tolerance failures above the noise floor as near-misses.
     """
-    start = time.monotonic()
-    fam = _make_family(family, n, theta=theta, q=q, t=t, a=a, k=k, cfg=cfg)
-    points = _evaluation_points(fam, n, samples, x_low, x_high, seed,
-                                label_bound)
-    pairs = list(enumerate_pairs(n, max_weight, "same-weight-comparable"))
-    state = _ProbeState(fam)
-    violations = []
-    for lam, mu in pairs:
-        for i, x in enumerate(points):
-            vals = _probe_values(state, (lam, mu), i, x)
-            if vals is None:
-                continue
-            (lhs, el), (rhs, er) = vals
-            if fam.exact:
-                if lhs < rhs:
-                    violations.append(Witness(fam.name, fam.params,
-                                              lam, mu, x, lhs, rhs))
-                continue
-            gap = rhs - lhs
-            noise = NOISE_FLOOR * (abs(lhs) + abs(rhs))
-            if gap > 10 * (el + er) + noise:
-                violations.append(Witness(fam.name, fam.params,
-                                          lam, mu, x, lhs, rhs))
-            elif gap > noise:
-                state.near_misses += 1
-    elapsed = int((time.monotonic() - start) * 1000)
-    return InequalityReport("check schur", fam.name,
-                            _resolved_params(fam, label_bound, x_low, x_high, cfg),
-                            n, max_weight, seed, len(pairs), len(points),
-                            violations, state.near_misses, state.skipped,
-                            elapsed)
+    return _sweep(_SCHUR, family, n, max_weight, samples, seed, theta=theta,
+                  q=q, t=t, a=a, k=k, label_bound=label_bound, x_low=x_low,
+                  x_high=x_high, cfg=cfg)
 
 
 def check_log_convexity(family, n, max_weight, samples=100, seed=0, *,
@@ -352,42 +395,9 @@ def check_log_convexity(family, n, max_weight, samples=100, seed=0, *,
     per-value quadrature estimates to first order; as in the order sweep,
     only failures above the noise floor count as near-misses.
     """
-    start = time.monotonic()
-    fam = _make_family(family, n, theta=theta, q=q, t=t, a=a, k=k, cfg=cfg)
-    points = _evaluation_points(fam, n, samples, x_low, x_high, seed,
-                                label_bound)
-    pairs = list(enumerate_pairs(n, max_weight, "midpoint-integral"))
-    state = _ProbeState(fam)
-    violations = []
-    for lam, mu in pairs:
-        mid = midpoint(lam, mu)
-        assert mid is not None, (lam, mu)
-        for i, x in enumerate(points):
-            vals = _probe_values(state, (lam, mu, mid), i, x)
-            if vals is None:
-                continue
-            (vl, el), (vm, em), (vc, ec) = vals
-            lhs = vl * vm
-            rhs = vc * vc
-            if fam.exact:
-                if lhs < rhs:
-                    violations.append(Witness(fam.name, fam.params,
-                                              lam, mu, x, lhs, rhs))
-                continue
-            gap = rhs - lhs
-            noise = NOISE_FLOOR * (abs(lhs) + abs(rhs))
-            if gap > (10 * (el * abs(vm) + em * abs(vl) + 2 * ec * abs(vc))
-                      + noise):
-                violations.append(Witness(fam.name, fam.params,
-                                          lam, mu, x, lhs, rhs))
-            elif gap > noise:
-                state.near_misses += 1
-    elapsed = int((time.monotonic() - start) * 1000)
-    return InequalityReport("check logconvex", fam.name,
-                            _resolved_params(fam, label_bound, x_low, x_high, cfg),
-                            n, max_weight, seed, len(pairs), len(points),
-                            violations, state.near_misses, state.skipped,
-                            elapsed)
+    return _sweep(_LOGCONVEX, family, n, max_weight, samples, seed,
+                  theta=theta, q=q, t=t, a=a, k=k, label_bound=label_bound,
+                  x_low=x_low, x_high=x_high, cfg=cfg)
 
 
 def check_weak_majorization(theta, n, max_weight, samples=100, seed=0, *,
@@ -402,25 +412,8 @@ def check_weak_majorization(theta, n, max_weight, samples=100, seed=0, *,
     if Fraction(x_low) < 1:
         raise DomainError(f"weak majorization sweeps need x >= 1; "
                           f"got x_low={x_low}")
-    start = time.monotonic()
-    fam = _make_family("jack", n, theta=theta)
-    points = _sample_points(samples, n, x_low, x_high, seed, as_float=False)
-    pairs = list(enumerate_pairs(n, max_weight, "weak-comparable"))
-    state = _ProbeState(fam)
-    violations = []
-    for lam, mu in pairs:
-        for i, x in enumerate(points):
-            lhs, _ = state.value(lam, i, x)
-            rhs, _ = state.value(mu, i, x)
-            if lhs < rhs:
-                violations.append(Witness(fam.name, fam.params,
-                                          lam, mu, x, lhs, rhs))
-    elapsed = int((time.monotonic() - start) * 1000)
-    params = dict(fam.params, x_low=Fraction(x_low), x_high=Fraction(x_high))
-    return InequalityReport("check weak", fam.name, params, n,
-                            max_weight, seed, len(pairs), len(points),
-                            violations, state.near_misses, state.skipped,
-                            elapsed)
+    return _sweep(_WEAK, "jack", n, max_weight, samples, seed, theta=theta,
+                  x_low=x_low, x_high=x_high)
 
 
 def _violated_prefix(lam: Partition, mu: Partition) -> int:
@@ -472,8 +465,8 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
         while K <= PARAMETER_CEILING:
             label = (K,) * r + (0,) * (n - r)
             x = lattice_point(label, mp).coords
-            lhs = fam.value(lam, x)
-            rhs = fam.value(mu, x)
+            lhs = fam.probe(lam, x)[0]
+            rhs = fam.probe(mu, x)[0]
             if rhs > lhs:
                 params = dict(fam.params, label=label)
                 return Witness(family, params, lam, mu, x, lhs, rhs)
@@ -483,8 +476,8 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
     T = 1
     while T <= PARAMETER_CEILING:
         x = (Fraction(T),) * r + (Fraction(1),) * (n - r)
-        lhs = fam.value(lam, x)
-        rhs = fam.value(mu, x)
+        lhs = fam.probe(lam, x)[0]
+        rhs = fam.probe(mu, x)[0]
         if rhs > lhs:
             params = dict(fam.params, ray_length=r, ray_value=T)
             return Witness(family, params, lam, mu, x, lhs, rhs)
@@ -560,6 +553,8 @@ def hunt_violation(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
     budget counts (pair, point) probes.  Equal pairs are never probed, so
     equality can never be reported as a violation.
     """
+    if budget < 0:
+        raise DomainError(f"need budget >= 0; got {budget}")
     mp = MacdonaldParams(q, t, n, a)
     pairs = list(enumerate_pairs(n, max_weight, "same-weight-comparable"))
     if lattice_only:

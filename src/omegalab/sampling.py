@@ -61,5 +61,6 @@ class RationalSampler:
 
     def point(self, index: int, n: int) -> tuple:
         """The index-th sample point in n coordinates."""
-        assert n >= 1
+        if n < 1:
+            raise DomainError(f"need at least one coordinate; got n={n}")
         return tuple(self.value(index * n + j) for j in range(n))

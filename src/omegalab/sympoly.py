@@ -17,6 +17,8 @@ package.
 from __future__ import annotations
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -338,12 +340,35 @@ def poly_multiply(p: SymmetricPolynomial, q: SymmetricPolynomial) -> SymmetricPo
 
 # -- serialization -----------------------------------------------------------
 
+# Exact values are written and read through Decimal, which has no digit
+# limit: str() and int() refuse integers past 4300 decimal digits by default,
+# and raising that limit (sys.set_int_max_str_digits) would raise it for the
+# whole process.  Text under the limit is exactly what str() gives.
+_RATIONAL_TEXT = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def _decimal_text(v) -> str:
+    """str(v) for an int or a Fraction of any size."""
+    if isinstance(v, Fraction) and v.denominator != 1:
+        return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+    return str(Decimal(int(v)))
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), with integer parts of any size."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None:
+        return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
 
 def serialize_poly(p: SymmetricPolynomial) -> str:
     """One line per term: 'lambda : coefficient', heaviest term first."""
     lines = []
     for key, coeff in p.items():
-        lines.append(f"{','.join(str(e) for e in key)} : {coeff}")
+        lines.append(f"{','.join(str(e) for e in key)} : "
+                     f"{_decimal_text(coeff)}")
     if not lines:
         lines.append(f"{','.join('0' for _ in range(p.n))} : 0")
     return "\n".join(lines) + "\n"
@@ -360,7 +385,7 @@ def parse_poly(text: str, n: int | None = None) -> SymmetricPolynomial:
             raise DomainError(f"malformed polynomial line {line!r}")
         left, right = line.split(":", 1)
         key = tuple(int(tok) for tok in left.strip().split(","))
-        coeff = Fraction(right.strip())
+        coeff = _parse_rational(right)
         if n is None:
             n = len(key)
         if coeff != 0:

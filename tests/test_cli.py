@@ -9,6 +9,7 @@ import pytest
 from omegalab.cli import run
 from omegalab.classical import muirhead_eval
 from omegalab.sympoly import monomial_eval
+from test_lab import run_optimized
 
 
 def parse_expansion(text: str) -> dict:
@@ -209,3 +210,40 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+HOSTILE = [
+    ["check", "schur", "--family", "macdonald-lattice", "--q", "1/2",
+     "--t", "1/3", "--n", "2", "--max-weight", "3", "--label-bound", "-1"],
+    ["hunt", "--q", "1/2", "--t", "1/3", "--lattice-only",
+     "--label-bound", "-1"],
+    ["check", "schur", "--family", "muirhead", "--n", "0",
+     "--max-weight", "3"],
+    ["check", "schur", "--family", "muirhead", "--n", "2",
+     "--max-weight", "3", "--samples", "-5"],
+    ["check", "weak", "--theta", "1", "--n", "2", "--max-weight", "3",
+     "--samples", "-2"],
+    ["hunt", "--q", "1/2", "--t", "1/3", "--budget", "-3"],
+]
+
+
+def test_hostile_arguments_exit_two(capsys):
+    for argv in HOSTILE:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: "), argv
+
+
+def test_hostile_arguments_exit_two_under_optimization():
+    # python -O strips asserts; each refusal must survive it
+    out, err = run_optimized(f"""
+        import contextlib, io
+        from omegalab.cli import run
+        for argv in {HOSTILE!r}:
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = run(argv)
+            print(code, stderr.getvalue().startswith("error: "))
+    """)
+    assert out == ["2", "True"] * len(HOSTILE), err

@@ -1,5 +1,6 @@
 """Sweep drivers, witness construction, and the targeted parameter hunt."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,15 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omegalab
-from omegalab import sympoly
+from omegalab import heckman_opdam, lab, sympoly
 from omegalab.classical import muirhead_eval
 from omegalab.errors import CertificationError, DomainError, ParameterError
 from omegalab.heckman_opdam import QuadratureConfig
 from omegalab.jack import omega_jack_eval
-from omegalab.lab import (FAMILIES, NOISE_FLOOR, WITNESS_FAMILIES,
-                          _make_family, _sample_points, check_log_convexity,
-                          check_schur_convexity, check_weak_majorization,
-                          find_witness, hunt_report, hunt_violation)
+from omegalab.lab import (FAMILIES, NOISE_FLOOR, WITNESS_FAMILIES, Witness,
+                          _make_family, _ProbeState, _sample_points,
+                          check_log_convexity, check_schur_convexity,
+                          check_weak_majorization, find_witness, hunt_report,
+                          hunt_violation)
 from omegalab.macdonald import MacdonaldParams, lattice_point, omega_mac_eval
 from omegalab.partitions import (Partition, majorizes, partitions_of,
                                  weakly_majorizes)
@@ -107,6 +109,103 @@ def test_report_schema_and_determinism():
     assert json.dumps(a) == json.dumps(b)
     # exact sweep parameters travel as strings
     assert a["params"]["x_low"] == "0"
+
+
+# small sweeps covering every family under both statements, the weak
+# sweep, Heckman-Opdam at n = 2, 3 and k = 1/2, 2, and an all-tied
+# Heckman-Opdam sweep (min_gap wider than the sample box)
+DIGEST_SWEEPS = [
+    (sweep, args, kwargs)
+    for sweep in (check_schur_convexity, check_log_convexity)
+    for args, kwargs in [
+        (("muirhead", 3, 4), dict(samples=6, seed=1)),
+        (("powersum", 3, 4), dict(samples=6, seed=2)),
+        (("jack", 3, 4), dict(samples=5, seed=3, theta=Fraction(1, 2))),
+        (("jack", 2, 4), dict(samples=5, seed=4, theta="inf")),
+        (("macdonald-lattice", 2, 4), dict(label_bound=2, **Q13)),
+        (("macdonald-lattice", 3, 3), dict(label_bound=1, a=2, **Q13)),
+        (("heckman-opdam", 2, 3), dict(samples=3, seed=5, k=Fraction(1, 2),
+                                       cfg=QuadratureConfig(8))),
+        (("heckman-opdam", 2, 3), dict(samples=3, seed=6, k=2,
+                                       cfg=QuadratureConfig(8))),
+        (("heckman-opdam", 3, 2), dict(samples=2, seed=7, k=Fraction(1, 2),
+                                       cfg=QuadratureConfig(4))),
+        (("heckman-opdam", 3, 2), dict(samples=2, seed=8, k=2,
+                                       cfg=QuadratureConfig(4))),
+        (("heckman-opdam", 2, 3), dict(samples=4, seed=0, k=2,
+                                       cfg=QuadratureConfig(4, min_gap=100.0))),
+    ]
+] + [
+    (check_weak_majorization, (1, 2, 4), dict(samples=6, seed=2)),
+    (check_weak_majorization, (Fraction(2, 3), 3, 3), dict(samples=4, seed=9)),
+]
+
+# sha256 of the DIGEST_SWEEPS reports, recorded before the three sweeps
+# shared one driver; a change to any count, parameter or key order moves it
+REPORT_DIGEST = ("88182e6e46ec19221902bda4092b7ef7"
+                 "bc98621f5b7076e1493668ad3333927a")
+
+
+def test_sweep_reports_match_pinned_digest():
+    reports = []
+    for sweep, args, kwargs in DIGEST_SWEEPS:
+        data = sweep(*args, **kwargs).to_json()
+        # timing varies run to run; the version is not a sweep result
+        del data["elapsed_ms"], data["version"]
+        reports.append(data)
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == REPORT_DIGEST
+
+
+def test_tied_points_are_skipped_and_counted():
+    # min_gap wider than the sample box ties every point: each probe is
+    # skipped and counted, and none is compared
+    cfg = QuadratureConfig(4, min_gap=100.0)
+    order = check_schur_convexity("heckman-opdam", 2, 3, samples=4, seed=0,
+                                  k=2, cfg=cfg)
+    assert order.skipped == order.pairs_checked * order.samples == 8
+    midpoints = check_log_convexity("heckman-opdam", 2, 3, samples=4, seed=0,
+                                    k=2, cfg=cfg)
+    assert midpoints.skipped == midpoints.pairs_checked * 4 == 32
+    for report in (order, midpoints):
+        assert report.passed and report.near_misses == 0
+
+
+def test_heckman_opdam_probe_evaluates_each_node_count_once(monkeypatch):
+    # one probe of a fresh (lambda, point) runs the quadrature once at m
+    # nodes and once at 2m for the error estimate, and a repeat runs none
+    cfg = QuadratureConfig(8)
+    x = (1.5, 0.25)
+    lam = Partition((2, 1))
+    hop = heckman_opdam.HOParams(2, 2)
+    s = (2 + 2 * 0.5, 1 - 2 * 0.5)
+    value = heckman_opdam.ho_eval(hop, s, x, cfg)
+    estimate = heckman_opdam.ho_error_estimate(hop, s, x, cfg)
+    nodes = []
+    original = heckman_opdam.ho_eval
+
+    def counted(params, s, x, cfg=None):
+        nodes.append(cfg.nodes_per_dimension)
+        return original(params, s, x, cfg)
+
+    for owner in (heckman_opdam, lab):
+        monkeypatch.setattr(owner, "ho_eval", counted)
+    state = _ProbeState(_make_family("heckman-opdam", 2, k=2, cfg=cfg))
+    assert state.probe((lam,), 0, x) == [(value, estimate)]
+    assert nodes == [8, 16]
+    assert state.probe((lam, lam), 0, x) == [(value, estimate)] * 2
+    assert nodes == [8, 16]
+
+
+def test_witness_json_carries_values_past_the_digit_limit():
+    # str() refuses integers of more than 4300 digits
+    big = Fraction(10 ** 5000 + 1, 3 ** 18860)
+    w = Witness("jack", {"theta": 1}, (1, 1), (2, 0), (big, 1), big, -big)
+    data = w.to_json()
+    assert len(data["lhs"]) > 9000 + 5000
+    assert sympoly._parse_rational(data["lhs"]) == big
+    assert sympoly._parse_rational(data["rhs"]) == -big
+    assert data["x"][1] == "1"
 
 
 def test_witness_examples():
@@ -282,7 +381,7 @@ def test_exact_identities_are_not_near_misses():
     fam = _make_family("heckman-opdam", 2, k=2, cfg=cfg)
     gaps = []
     for x in _sample_points(10, 2, 0, 10, 0, as_float=True):
-        top, bottom, mid = (fam.value(Partition(lam), x)
+        top, bottom, mid = (fam.probe(Partition(lam), x)[0]
                             for lam in ((2, 2), (0, 0), (1, 1)))
         gaps.append((mid * mid - top * bottom) / (mid * mid))
     assert 0 < max(gaps) <= NOISE_FLOOR

@@ -21,6 +21,7 @@ from omegalab.macdonald import (MacdonaldParams, _apply_macdonald_op,
                                 omega_mac_eval, rational_power,
                                 shifted_macdonald)
 from omegalab.partitions import partitions_of
+from omegalab.sympoly import SymmetricPolynomial
 
 HALF_THIRD = MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 2)
 
@@ -210,6 +211,17 @@ def test_cache_round_trip(tmp_path):
     with pytest.warns(UserWarning):
         tolerant = ExpansionCache(str(path))
     assert tolerant.get(key) == p
+
+
+def test_cache_holds_rationals_past_the_digit_limit(tmp_path):
+    # str() and int() refuse integers of more than 4300 decimal digits
+    path = str(tmp_path / "expansions.txt")
+    p = SymmetricPolynomial(2, {(2, 0): 10 ** 5000 + 3,
+                                (1, 1): Fraction(-7, 10 ** 8999 + 1)})
+    ExpansionCache(path).put("big|n=2", p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ExpansionCache(path).get("big|n=2") == p
 
 
 WRITER = """
