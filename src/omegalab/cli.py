@@ -32,6 +32,7 @@ from .lab import (FAMILIES, WITNESS_FAMILIES, InequalityReport, Witness,
                   check_weak_majorization, find_witness, hunt_report)
 from .macdonald import MacdonaldParams, macdonald_expand
 from .partitions import Partition, majorizes
+from .sympoly import _decimal_text
 
 CHECK_KINDS = ("schur", "logconvex", "weak", "muirhead")
 HO_ACTIONS = ("eval", "verify", "residual")
@@ -71,6 +72,11 @@ def _theta_arg(text: str):
     if text in ("inf", "oo"):
         return text
     return _rational_arg(text)
+
+
+def _value_text(v) -> str:
+    # exact values of any size (str() refuses ints past 4300 digits)
+    return _decimal_text(v) if isinstance(v, (int, Fraction)) else str(v)
 
 
 def _fmt_param(v) -> str:
@@ -234,14 +240,15 @@ def _cmd_expand(ns, seed, out, quiet) -> int:
     p = _expansion(ns)
     if not quiet:
         for key, coeff in p.items():
-            print(f"m({','.join(str(e) for e in key)}): {coeff}")
+            print(f"m({','.join(str(e) for e in key)}): "
+                  f"{_decimal_text(coeff)}")
     return 0
 
 
 def _cmd_eval(ns, seed, out, quiet) -> int:
     value = _expansion(ns).eval(ns.x)
     if not quiet:
-        print(value)
+        print(_decimal_text(value))
     return 0
 
 
@@ -254,9 +261,9 @@ def _cmd_majorize(ns, seed, out, quiet) -> int:
 
 
 def _witness_line(w: Witness) -> str:
-    x = ",".join(str(v) for v in w.x)
+    x = ",".join(_value_text(v) for v in w.x)
     return (f"lambda={w.lam} mu={w.mu} x=({x}) "
-            f"lhs={w.lhs} rhs={w.rhs}")
+            f"lhs={_value_text(w.lhs)} rhs={_value_text(w.rhs)}")
 
 
 def _emit_report(rep: InequalityReport, out: str, quiet: bool):
@@ -317,7 +324,8 @@ def _cmd_witness(ns, seed, out, quiet) -> int:
                 "version": __version__,
             }))
         else:
-            print(f"witness found: {_witness_line(w)} margin={w.margin}")
+            print(f"witness found: {_witness_line(w)} "
+                  f"margin={_value_text(w.margin)}")
     return 1
 
 

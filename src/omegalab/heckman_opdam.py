@@ -4,13 +4,17 @@ F_{k,s}(x) is evaluated numerically by peeling off one variable at a time:
 the n-variable value is an integral of the (n-1)-variable function over the
 box of points interlacing x, against an explicit positive weight.  Base
 cases (n = 1, k = 0, uniform x) are closed forms.  One recursion serves
-every n: it evaluates a batch of points, builds the tensor node grid of all
-n-1 interlacing dimensions, and calls itself once on the flattened grid.
-Batches are split along rows at a fixed grid size, so memory per level is
-bounded by that size (or by one point's grid, when that is larger) and no
-point's value depends on the split.  This is the only module
-in the package that works in floating point end to end; everything it is
-checked against (Jack evaluations) stays exact until the final comparison.
+every n: it evaluates a batch of L spectral vectors at a batch of points,
+builds the tensor node grid of all n-1 interlacing dimensions, and calls
+itself once on the flattened grid.  Nodes and weights depend on x and k
+only, so the L vectors share them, and the inequality sweeps evaluate every
+shape they need at a point in one pass per node count.  Batches are split
+along rows at a fixed grid size of 2^13 elements, so memory per level is
+bounded by L times that size (or by L times one point's grid, when that is
+larger), and no value depends on the split or on the other vectors in its
+batch.  This is the only module in the package that works in floating
+point end to end; everything it is checked against (Jack evaluations)
+stays exact until the final comparison.
 
 Conventions: F is symmetric in x and in s separately, F(0) = 1, and
 F_{k, lam + k*rho}(x) = Omega_lam(e^x; k) ties the family to the Jack side.
@@ -26,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, TieError
+from .errors import DegeneracyError, DomainError, ParameterError, TieError
 from .jack import JackParam, jack_expand
 from .macdonald import _as_key
 from .sympoly import poly_eval_float
@@ -60,7 +64,8 @@ class HOParams:
         return (1.0,) * self.n
 
     def basis(self, i: int) -> tuple:
-        assert 0 <= i < self.n
+        if not 0 <= i < self.n:
+            raise DomainError(f"need a basis index in [0, {self.n}); got {i}")
         return tuple(1.0 if j == i else 0.0 for j in range(self.n))
 
     def __repr__(self):
@@ -121,6 +126,34 @@ def _unit_gauss(m: int):
 _TINY = 1e-300
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_panels(m: int, k: float, rule: str):
+    """One dimension's node offsets and weight factors per unit of box
+    scale, read-only: (a, b, jac, w) gives dlo = scale * a, dhi = scale * b
+    and wts = scale * jac * w, or scale * w where jac is None.  The scale is
+    the box length under plain-gauss and half of it otherwise."""
+    u, w = _unit_gauss(m)
+    if rule == "plain-gauss":
+        a, b, jac = u, 1.0 - u, None
+    elif k >= 1.0:
+        # weight is bounded; two plain panels per dimension
+        a = np.concatenate([u, 1.0 + u])
+        b = np.concatenate([2.0 - u, 1.0 - u])
+        jac, w = None, np.concatenate([w, w])
+    else:
+        # k < 1: nu = endpoint +- half * u^(1/k) turns the (nu-endpoint)^(k-1)
+        # factor into a constant; the Jacobian goes into the weights
+        g = u ** (1.0 / k)
+        jac = (1.0 / k) * u ** (1.0 / k - 1.0)
+        a = np.concatenate([g, 2.0 - g])
+        b = np.concatenate([2.0 - g, g])
+        jac, w = np.concatenate([jac, jac]), np.concatenate([w, w])
+    for v in (a, b, jac, w):
+        if v is not None:
+            v.setflags(write=False)
+    return a, b, jac, w
+
+
 def _panel_nodes(lo, hi, k: float, cfg: QuadratureConfig):
     """Quadrature nodes for one interlacing dimension.
 
@@ -128,33 +161,19 @@ def _panel_nodes(lo, hi, k: float, cfg: QuadratureConfig):
     appended last.  Returns (tau, dlo, dhi, wts) where dlo = tau - lo and
     dhi = hi - tau are taken from the map itself, so they stay accurate
     even when tau is within rounding distance of an endpoint.  Weights
-    absorb the affine and power-map Jacobians.
+    absorb the affine and power-map Jacobians; the per-unit factors come
+    from _unit_panels, built once per node count, k and rule.
     """
     lo = np.asarray(lo, dtype=float)[..., None]
     hi = np.asarray(hi, dtype=float)[..., None]
-    m = cfg.nodes_per_dimension
-    u, w = _unit_gauss(m)
-    if cfg.singularity_rule == "plain-gauss":
-        length = hi - lo
-        dlo = length * u
-        return lo + dlo, dlo, length * (1.0 - u), length * w
-    half = (hi - lo) / 2.0
-    if k >= 1.0:
-        # weight is bounded; two plain panels per dimension
-        dlo = np.concatenate([half * u, half * (1.0 + u)], axis=-1)
-        dhi = np.concatenate([half * (2.0 - u), half * (1.0 - u)], axis=-1)
-        wts = half * w
-        wts = np.concatenate([wts, wts], axis=-1)
-        return lo + dlo, dlo, dhi, wts
-    # k < 1: nu = endpoint +- half * u^(1/k) turns the (nu-endpoint)^(k-1)
-    # factor into a constant; the Jacobian goes into the weights
-    g = u ** (1.0 / k)
-    jac = (1.0 / k) * u ** (1.0 / k - 1.0)
-    dlo = np.concatenate([half * g, half * (2.0 - g)], axis=-1)
-    dhi = np.concatenate([half * (2.0 - g), half * g], axis=-1)
-    wts = half * jac * w
-    wts = np.concatenate([wts, wts], axis=-1)
-    return lo + dlo, dlo, dhi, wts
+    a, b, jac, w = _unit_panels(cfg.nodes_per_dimension, k,
+                                cfg.singularity_rule)
+    scale = hi - lo
+    if cfg.singularity_rule != "plain-gauss":
+        scale = scale / 2.0
+    dlo = scale * a
+    wts = scale * w if jac is None else scale * jac * w
+    return lo + dlo, dlo, scale * b, wts
 
 
 def _weighted_edges(wts, elo, etau, dlo, dhi, k: float):
@@ -172,7 +191,10 @@ def _weighted_edges(wts, elo, etau, dlo, dhi, k: float):
 
 
 # elements in one level's node grid; larger batches are split along rows,
-# which bounds memory and leaves every point's value unchanged
+# which bounds memory and leaves every point's value unchanged.  The step
+# ignores the number L of spectral vectors, so a level holds L times this
+# many values: dividing it by L as well cut an n=3 sweep's 2m-node level
+# into 12-row chunks and gave back half of the batching gain
 _BATCH = 2 ** 13
 
 # A batch's temporaries are freed at the top of the heap, and glibc hands
@@ -185,18 +207,21 @@ _BATCH = 2 ** 13
 np.empty(_BATCH * 32)
 
 
-def _f_rec(k: float, s: tuple, x: list, tilt: float, vpow: float,
-           cfg: QuadratureConfig):
-    """F_{k,s}(x) * exp(tilt * sum(x)) * V(e^x)^vpow at a batch of points.
+def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig):
+    """F_{k,s}(x) * exp(tilt * sum(x)) * V(e^x)^vpow for a batch of spectral
+    vectors at a batch of points, as an array of shape (len(s), points).
 
-    x holds one array per coordinate, sorted decreasingly at every point;
-    V is the Vandermonde product.  The caller passes its
+    s is an (L, n) array, one spectral vector per row, and tilt a scalar or
+    one value per row; x holds one array per coordinate, sorted decreasingly
+    at every point; V is the Vandermonde product.  The caller passes its
     drift tilt and node Vandermonde down instead of spending passes over its
-    node grid on them; they fold into this level's prefactor.
+    node grid on them; they fold into this level's prefactor.  Nodes and
+    weights depend on x and k only, so one tree serves every row of s, and
+    each row's value is the one it would get alone.
     """
-    n = len(s)
+    count, n = s.shape
     if n == 1:
-        return np.exp((s[0] + tilt) * x[0])
+        return np.exp((s[:, 0] + tilt)[:, None] * x[0])
     per_dim = cfg.nodes_per_dimension * (
         1 if cfg.singularity_rule == "plain-gauss" else 2)
     size = per_dim ** (n - 1)
@@ -204,16 +229,16 @@ def _f_rec(k: float, s: tuple, x: list, tilt: float, vpow: float,
     if x[0].size > step:
         return np.concatenate([
             _f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg)
-            for i in range(0, x[0].size, step)])
+            for i in range(0, x[0].size, step)], axis=1)
     # a node that rounded onto a shared endpoint leaves tied coordinates;
     # such a point is skipped and gets weight 0
     strict = np.logical_and.reduce([x[j] > x[j + 1] for j in range(n - 1)])
     x = [v[strict] for v in x]
     rows = x[0].size
-    sn = s[-1]
+    sn = s[:, -1]
     ex = [np.exp(v) for v in x]
     pref = (math.gamma(n * k) / math.gamma(k) ** n
-            * np.exp((tilt + sn + k * (n - 1) / 2.0) * sum(x)))
+            * np.exp((tilt + sn + k * (n - 1) / 2.0)[:, None] * sum(x)))
     expo = vpow + 1.0 - 2.0 * k
     if expo != 0.0:
         pref = pref * np.abs(math.prod(ex[i] - ex[j] for i in range(n)
@@ -239,11 +264,16 @@ def _f_rec(k: float, s: tuple, x: list, tilt: float, vpow: float,
         grid = wts if j == 0 else grid[..., None] * wts.reshape(dims)
         nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
                                   shape).reshape(-1))
-    inner = _f_rec(k, s[:-1], nu, 1.0 - n * k / 2.0 - sn, 1.0, cfg)
-    value = np.zeros(strict.size)
-    value[strict] = pref * np.sum(grid.reshape(rows, size)
-                                  * inner.reshape(rows, size), axis=1)
-    return value
+    inner = _f_rec(k, s[:, :-1], nu, 1.0 - n * k / 2.0 - sn, 1.0, cfg)
+    value = pref * np.sum(
+        grid.reshape(rows, size) * inner.reshape(count, rows, size), axis=-1)
+    if rows == strict.size:
+        return value
+    # most batches have no tied row; a scatter through the 2-d mask costs
+    # some 5 us, and an 8-node n=4 evaluation makes over 4,000 calls
+    padded = np.zeros((count, strict.size))
+    padded[:, strict] = value
+    return padded
 
 
 def _sorted_checked(x, min_gap: float):
@@ -260,6 +290,39 @@ def _sorted_checked(x, min_gap: float):
     return xs, False
 
 
+def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
+    """ho_eval at x for every spectral vector in svecs, from one tree.
+
+    The checks, closed forms and shortcuts of ho_eval apply to each s, and
+    each value equals ho_eval(params, s, x, cfg) bit for bit.
+    """
+    n = params.n
+    svecs = [tuple(float(v) for v in s) for s in svecs]
+    for s in svecs:
+        if len(s) != n or len(x) != n:
+            raise DomainError(f"need length-{n} vectors; got s={s}, "
+                              f"x={tuple(x)}")
+        if not all(math.isfinite(v) for v in s):
+            raise DomainError(f"need finite spectral vector; got {s}")
+    if n == 1:
+        return [math.exp(s[0] * float(x[0])) for s in svecs]
+    if params.k == 0.0:
+        return [ho_closed_forms(params, s, x) for s in svecs]
+    xs, uniform = _sorted_checked(x, cfg.min_gap)
+    ss = [tuple(sorted(s, reverse=True)) for s in svecs]
+    mean = sum(xs) / n
+    if uniform:
+        return [math.exp(sum(s) * mean) for s in ss]
+    if cfg.singularity_rule == "plain-gauss" and params.k < 1.0:
+        # stacklevel 3 names the line that called ho_eval or _ho_eval_and_gap
+        warnings.warn("plain-gauss with k < 1 leaves the endpoint "
+                      "singularity unresolved; expect degraded accuracy",
+                      stacklevel=3)
+    centered = [np.array([v - mean]) for v in xs]
+    values = _f_rec(params.k, np.array(ss), centered, 0.0, 0.0, cfg)[:, 0]
+    return [math.exp(sum(s) * mean) * float(v) for s, v in zip(ss, values)]
+
+
 def ho_eval(params: HOParams, s, x, cfg: QuadratureConfig = None) -> float:
     """F_{k,s}(x) by recursive quadrature; closed forms where they exist.
 
@@ -267,29 +330,7 @@ def ho_eval(params: HOParams, s, x, cfg: QuadratureConfig = None) -> float:
     part of x is split off exactly as exp(mean(x)*sum(s)), and the
     remaining trace-free part goes through the interlacing recursion.
     """
-    cfg = cfg or QuadratureConfig()
-    n = params.n
-    s = tuple(float(v) for v in s)
-    if len(s) != n or len(x) != n:
-        raise DomainError(f"need length-{n} vectors; got s={s}, x={tuple(x)}")
-    if not all(math.isfinite(v) for v in s):
-        raise DomainError(f"need finite spectral vector; got {s}")
-    if n == 1:
-        return math.exp(s[0] * float(x[0]))
-    if params.k == 0.0:
-        return ho_closed_forms(params, s, x)
-    xs, uniform = _sorted_checked(x, cfg.min_gap)
-    ss = tuple(sorted(s, reverse=True))
-    mean = sum(xs) / n
-    if uniform:
-        return math.exp(sum(ss) * mean)
-    if cfg.singularity_rule == "plain-gauss" and params.k < 1.0:
-        warnings.warn("plain-gauss with k < 1 leaves the endpoint "
-                      "singularity unresolved; expect degraded accuracy",
-                      stacklevel=2)
-    centered = [np.array([v - mean]) for v in xs]
-    value = _f_rec(params.k, ss, centered, 0.0, 0.0, cfg)[0]
-    return math.exp(sum(ss) * mean) * float(value)
+    return _ho_eval_batch(params, [s], x, cfg or QuadratureConfig())[0]
 
 
 def ho_closed_forms(params: HOParams, s, x) -> float:
@@ -323,7 +364,10 @@ def ho_jack_consistency(lam, params: HOParams, x,
     y = [math.exp(float(v)) for v in x]
     jack_side = poly_eval_float(p, y) / float(p.eval((Fraction(1),) * params.n))
     ho_side = ho_eval(params, s, x, cfg)
-    assert jack_side > 0
+    if not jack_side > 0:
+        raise DegeneracyError(
+            f"Omega_{lam}(e^x; k={params.k}) is {jack_side} in floating "
+            f"point at x={tuple(x)}; the relative gap is undefined")
     return abs(ho_side - jack_side) / jack_side
 
 
@@ -345,17 +389,21 @@ def ho_direction_residual(params: HOParams, s, x, h: float,
     f_up = ho_eval(params, s, up, cfg)
     f_down = ho_eval(params, s, down, cfg)
     derivative = (f_up - f_down) / (2.0 * h)
-    assert f0 != 0.0
+    if f0 == 0.0:
+        raise DegeneracyError(f"F_{{k,s}}(x) is 0 in floating point at "
+                              f"x={x}; the relative residual is undefined")
     return abs(derivative - sum(s) * f0) / abs(f0)
 
 
-def _ho_eval_and_gap(params: HOParams, s, x,
-                     cfg: QuadratureConfig = None) -> tuple:
-    """(F at m nodes, ho_error_estimate's gap) from two ho_eval calls."""
+def _ho_eval_and_gap(params: HOParams, svecs, x,
+                     cfg: QuadratureConfig = None) -> list:
+    """(F at m nodes, ho_error_estimate's gap) for every s in svecs, from
+    one quadrature pass at m nodes and one at 2m."""
     cfg = cfg or QuadratureConfig()
-    coarse = ho_eval(params, s, x, cfg)
-    fine = ho_eval(params, s, x, cfg.with_nodes(2 * cfg.nodes_per_dimension))
-    return coarse, abs(fine - coarse)
+    coarse = _ho_eval_batch(params, svecs, x, cfg)
+    fine = _ho_eval_batch(params, svecs, x,
+                          cfg.with_nodes(2 * cfg.nodes_per_dimension))
+    return [(c, abs(f - c)) for c, f in zip(coarse, fine)]
 
 
 def ho_error_estimate(params: HOParams, s, x,
@@ -365,4 +413,4 @@ def ho_error_estimate(params: HOParams, s, x,
     Ten times this value is the working quadrature tolerance used by the
     inequality sweeps.
     """
-    return _ho_eval_and_gap(params, s, x, cfg)[1]
+    return _ho_eval_and_gap(params, [s], x, cfg)[0][1]

@@ -21,7 +21,7 @@ from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      ParameterError)
 from .macdonald import MacdonaldParams, macdonald_expand, _as_key
 from .partitions import Partition
-from .sympoly import SymmetricPolynomial, poly_eval_float
+from .sympoly import SymmetricPolynomial, _decimal_text, poly_eval_float
 
 INFINITE = math.inf
 
@@ -134,7 +134,7 @@ def jack_expand(lam, theta) -> SymmetricPolynomial:
                 lam, n,
                 lambda nu: _apply_jack_op(nu, n, th),
                 lambda nu: _jack_eigenvalue(nu, n, th),
-                label=f"theta={th}")
+                label=f"theta={_decimal_text(th)}")
 
         entry = _EXPAND_MEMO[key] = [
             cache.fetch("jack", n, lam, compute, theta=th), None]

@@ -14,7 +14,9 @@ near-misses, never as violations.
 
 Probes are pure functions of (pair, point), so sweeps are trivially
 data-parallel; this implementation runs them in order and the report is the
-single merge point.
+single merge point.  At each point the first probe evaluates every shape the
+sweep will compare there, in one family call, so the floating family builds
+its quadrature tree once per point and node count instead of once per shape.
 """
 
 import itertools
@@ -151,9 +153,10 @@ class InequalityReport:
 class _Family:
     """Evaluation strategy shared by the sweep driver.
 
-    probe(lam, x) returns (value, err): the normalized family member at x
-    and its error estimate.  Exact families return a Fraction and err 0;
-    the floating family returns floats, err from its quadrature.
+    probe(lams, x) returns one (value, err) per partition: the normalized
+    family member at x and its error estimate.  Exact families return a
+    Fraction and err 0; the floating family returns floats, err from its
+    quadrature, and evaluates every partition from one quadrature tree.
     """
 
     __slots__ = ("name", "params", "exact", "probe")
@@ -165,36 +168,39 @@ class _Family:
         self.probe = probe
 
 
+def _exact_probe(evaluate):
+    return lambda lams, x: [(evaluate(lam, x), 0) for lam in lams]
+
+
 def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
                  cfg=None) -> _Family:
     if family == "muirhead":
-        return _Family(family, {}, True,
-                       lambda lam, x: (muirhead_eval(lam, x), 0))
+        return _Family(family, {}, True, _exact_probe(muirhead_eval))
     if family == "powersum":
-        return _Family(family, {}, True,
-                       lambda lam, x: (powersum_eval(lam, x), 0))
+        return _Family(family, {}, True, _exact_probe(powersum_eval))
     if family == "jack":
         if theta is None:
             raise ParameterError("the jack family needs theta")
         th = JackParam(theta)
         label = "inf" if th.is_infinite else th.theta
-        return _Family(family, {"theta": label}, True,
-                       lambda lam, x: (omega_jack_eval(lam, th, x), 0))
+        return _Family(family, {"theta": label}, True, _exact_probe(
+            lambda lam, x: omega_jack_eval(lam, th, x)))
     if family == "macdonald-lattice":
         if q is None or t is None:
             raise ParameterError("the macdonald-lattice family needs q and t")
         mp = MacdonaldParams(q, t, n, Fraction(1) if a is None else a)
         return _Family(family, {"q": mp.q, "t": mp.t, "a": mp.a}, True,
-                       lambda lam, x: (omega_mac_eval(lam, mp, x), 0))
+                       _exact_probe(lambda lam, x: omega_mac_eval(lam, mp, x)))
     if family == "heckman-opdam":
         if k is None:
             raise ParameterError("the heckman-opdam family needs k")
         hop = HOParams(float(k), n)
         rho = tuple(float(r) for r in hop.rho)
 
-        def probe(lam, x):
-            s = tuple(p + hop.k * r for p, r in zip(lam.parts, rho))
-            return _ho_eval_and_gap(hop, s, x, cfg)
+        def probe(lams, x):
+            return _ho_eval_and_gap(
+                hop, [tuple(p + hop.k * r for p, r in zip(lam.parts, rho))
+                      for lam in lams], x, cfg)
 
         return _Family(family, {"k": hop.k}, False, probe)
     raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -258,32 +264,36 @@ def _resolved_params(fam: _Family, label_bound, x_low, x_high,
 class _ProbeState:
     """Per-sweep memo of family probes and the tie/near-miss counters.
 
-    Probes and ties are keyed by the point's index in the sweep's point
-    list, which hashes far cheaper than the point itself.
+    shapes lists every partition the sweep probes.  The first probe at a
+    point evaluates all of them there in one family call, so the floating
+    family builds one quadrature tree per point and node count.  Probes and
+    ties are keyed by the point's index in the sweep's point list, which
+    hashes far cheaper than the point itself.
     """
 
-    __slots__ = ("fam", "memo", "tie_points", "near_misses", "skipped")
+    __slots__ = ("fam", "shapes", "memo", "tie_points", "near_misses",
+                 "skipped")
 
-    def __init__(self, fam: _Family):
+    def __init__(self, fam: _Family, shapes):
         self.fam = fam
+        self.shapes = shapes
         self.memo = {}
         self.tie_points = set()
         self.near_misses = 0
         self.skipped = 0
 
     def probe(self, lams, index, x):
-        """(value, err) for each partition at x = points[index], memoized
-        per (lam, index), or None when x is a skipped tie."""
+        """(value, err) for each of lams, all among the sweep's shapes, at
+        x = points[index], memoized per point, or None when x is a skipped
+        tie."""
         if index not in self.tie_points:
-            out = []
             try:
-                for lam in lams:
-                    key = (lam.parts, index)
-                    hit = self.memo.get(key)
-                    if hit is None:
-                        hit = self.memo[key] = self.fam.probe(lam, x)
-                    out.append(hit)
-                return out
+                row = self.memo.get(index)
+                if row is None:
+                    row = self.memo[index] = dict(zip(
+                        (lam.parts for lam in self.shapes),
+                        self.fam.probe(self.shapes, x)))
+                return [row[lam.parts] for lam in lams]
             except TieError:
                 self.tie_points.add(index)
         self.skipped += 1
@@ -337,7 +347,8 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
     points = _evaluation_points(fam, n, samples, x_low, x_high, seed,
                                 label_bound)
     pairs = list(enumerate_pairs(n, max_weight, stmt.mode))
-    state = _ProbeState(fam)
+    state = _ProbeState(fam, list(dict.fromkeys(
+        shape for lam, mu in pairs for shape in stmt.shapes(lam, mu))))
     violations = []
     for lam, mu in pairs:
         shapes = stmt.shapes(lam, mu)
@@ -465,8 +476,8 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
         while K <= PARAMETER_CEILING:
             label = (K,) * r + (0,) * (n - r)
             x = lattice_point(label, mp).coords
-            lhs = fam.probe(lam, x)[0]
-            rhs = fam.probe(mu, x)[0]
+            lhs = fam.probe([lam], x)[0][0]
+            rhs = fam.probe([mu], x)[0][0]
             if rhs > lhs:
                 params = dict(fam.params, label=label)
                 return Witness(family, params, lam, mu, x, lhs, rhs)
@@ -476,8 +487,8 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
     T = 1
     while T <= PARAMETER_CEILING:
         x = (Fraction(T),) * r + (Fraction(1),) * (n - r)
-        lhs = fam.probe(lam, x)[0]
-        rhs = fam.probe(mu, x)[0]
+        lhs = fam.probe([lam], x)[0][0]
+        rhs = fam.probe([mu], x)[0][0]
         if rhs > lhs:
             params = dict(fam.params, ray_length=r, ray_value=T)
             return Witness(family, params, lam, mu, x, lhs, rhs)
@@ -553,6 +564,12 @@ def hunt_violation(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
     budget counts (pair, point) probes.  Equal pairs are never probed, so
     equality can never be reported as a violation.
     """
+    return _hunt(q, t, n, max_weight, budget, seed, a, lattice_only,
+                 label_bound)[:2]
+
+
+def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
+    """hunt_violation's search: (witness, probes, enumerated pair count)."""
     if budget < 0:
         raise DomainError(f"need budget >= 0; got {budget}")
     mp = MacdonaldParams(q, t, n, a)
@@ -567,7 +584,7 @@ def hunt_violation(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
         values = {}
         for lam, mu in pairs:
             if probes >= budget:
-                return None, probes
+                return None, probes, len(pairs)
             probes += 1
             for p in (lam, mu):
                 if p not in values:
@@ -582,8 +599,9 @@ def hunt_violation(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
                             f"Omega_{p}({x}) did not re-derive to {value}; "
                             "the witness is withheld")
                 params = {"q": mp.q, "t": mp.t, "a": mp.a}
-                return Witness("macdonald", params, lam, mu, x, lhs, rhs), probes
-    return None, probes
+                witness = Witness("macdonald", params, lam, mu, x, lhs, rhs)
+                return witness, probes, len(pairs)
+    return None, probes, len(pairs)
 
 
 def hunt_report(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
@@ -593,13 +611,10 @@ def hunt_report(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
     pairs_checked counts probes spent; samples counts enumerated pairs.
     """
     start = time.monotonic()
-    witness, probes = hunt_violation(q, t, n, max_weight, budget, seed, a=a,
-                                     lattice_only=lattice_only,
-                                     label_bound=label_bound)
+    witness, probes, pairs = _hunt(q, t, n, max_weight, budget, seed, a,
+                                   lattice_only, label_bound)
     elapsed = int((time.monotonic() - start) * 1000)
     mp = MacdonaldParams(q, t, n, a)
-    pairs = sum(1 for _ in enumerate_pairs(n, max_weight,
-                                           "same-weight-comparable"))
     params = {"q": mp.q, "t": mp.t, "a": mp.a, "budget": budget,
               "mode": "lattice" if lattice_only else "off-lattice"}
     return InequalityReport("hunt", "macdonald", params, n, max_weight,

@@ -19,7 +19,8 @@ from .eigensolve import (as_int_vector, dominance_ideal, solve_eigen_expansion,
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      ParameterError)
 from .partitions import Partition, contains, partitions_of
-from .sympoly import SymmetricPolynomial, distinct_permutations, monomial_eval
+from .sympoly import (SymmetricPolynomial, _decimal_text,
+                      distinct_permutations, monomial_eval)
 
 
 def _iroot(m: int, r: int) -> int | None:
@@ -216,7 +217,7 @@ def _expand_uncached(lam: tuple, params: MacdonaldParams) -> SymmetricPolynomial
         lam, n,
         lambda nu: _apply_macdonald_op(nu, n, q, t),
         lambda nu: _mac_eigenvalue(nu, n, q, t),
-        label=f"q={q}, t={t}")
+        label=f"q={_decimal_text(q)}, t={_decimal_text(t)}")
 
 
 def macdonald_expand(lam, params: MacdonaldParams) -> SymmetricPolynomial:

@@ -8,7 +8,8 @@ import pytest
 
 from omegalab.cli import run
 from omegalab.classical import muirhead_eval
-from omegalab.sympoly import monomial_eval
+from omegalab.jack import jack_expand
+from omegalab.sympoly import _decimal_text, monomial_eval
 from test_lab import run_optimized
 
 
@@ -227,23 +228,78 @@ HOSTILE = [
 ]
 
 
-def test_hostile_arguments_exit_two(capsys):
-    for argv in HOSTILE:
+# quadrature inputs whose reference value underflows to 0, so the relative
+# gap or residual is undefined
+UNDERFLOWING = [
+    ["ho", "verify", "--k", "1", "--lambda", "1,0", "--x=-800,-801",
+     "--tol", "1e-6"],
+    ["ho", "residual", "--k", "1", "--s", "-1000", "--x", "1"],
+]
+
+
+def assert_exit_two(argvs, capsys):
+    for argv in argvs:
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.startswith("error: "), argv
 
 
-def test_hostile_arguments_exit_two_under_optimization():
+def assert_exit_two_under_optimization(argvs):
     # python -O strips asserts; each refusal must survive it
     out, err = run_optimized(f"""
         import contextlib, io
         from omegalab.cli import run
-        for argv in {HOSTILE!r}:
+        for argv in {argvs!r}:
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
                 code = run(argv)
             print(code, stderr.getvalue().startswith("error: "))
     """)
-    assert out == ["2", "True"] * len(HOSTILE), err
+    assert out == ["2", "True"] * len(argvs), err
+
+
+def test_hostile_arguments_exit_two(capsys):
+    assert_exit_two(HOSTILE, capsys)
+
+
+def test_hostile_arguments_exit_two_under_optimization():
+    assert_exit_two_under_optimization(HOSTILE)
+
+
+def test_underflowing_quadrature_checks_exit_two(capsys):
+    assert_exit_two(UNDERFLOWING, capsys)
+
+
+def test_underflowing_quadrature_checks_exit_two_under_optimization():
+    assert_exit_two_under_optimization(UNDERFLOWING)
+
+
+# str() refuses integers of more than 4300 digits; each command prints
+# exact values of any size
+def test_eval_prints_values_past_the_digit_limit(capsys):
+    assert run(["eval", "--family", "classical", "--basis", "powersum",
+                "--lambda", "5000", "--x", "10"]) == 0
+    assert capsys.readouterr().out == "1" + "0" * 5000 + "\n"
+
+
+def test_expand_prints_coefficients_past_the_digit_limit(capsys):
+    theta = 10 ** 5000
+    assert run(["expand", "--family", "jack", "--lambda", "2,0",
+                "--theta", "1e5000"]) == 0
+    out = capsys.readouterr().out
+    expected = dict(jack_expand((2, 0), Fraction(theta)).items())[(1, 1)]
+    assert expected.numerator >= theta
+    assert out.splitlines() == [
+        "m(2,0): 1", f"m(1,1): {_decimal_text(expected)}"]
+
+
+def test_witness_table_prints_values_past_the_digit_limit(capsys):
+    assert run(["witness", "--family", "muirhead", "--lambda", "10000,10000",
+                "--mu", "20000,0", "--out", "table"]) == 1
+    line = capsys.readouterr().out
+    lhs, rhs = 2 ** 10000, Fraction(2 ** 20000 + 1, 2)
+    assert line == (f"witness found: lambda=10000,10000 mu=20000,0 x=(2,1) "
+                    f"lhs={_decimal_text(lhs)} rhs={_decimal_text(rhs)} "
+                    f"margin={_decimal_text(rhs - lhs)}\n")
+    assert rhs.numerator >= 10 ** 6000

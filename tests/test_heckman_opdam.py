@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from omegalab.errors import DomainError, ParameterError, TieError
 from omegalab.heckman_opdam import (HOParams, QuadratureConfig, _f_rec,
-                                    ho_closed_forms, ho_direction_residual,
-                                    ho_error_estimate, ho_eval,
-                                    ho_jack_consistency)
+                                    _ho_eval_batch, _panel_nodes,
+                                    _unit_gauss, ho_closed_forms,
+                                    ho_direction_residual, ho_error_estimate,
+                                    ho_eval, ho_jack_consistency)
 
 
 def determinant_oracle(s, x):
@@ -44,6 +45,13 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         HOParams(1, 0)
     assert HOParams(0, 3).rho == (1, 0, -1)
+
+
+def test_basis_index_out_of_range_raises():
+    assert HOParams(1, 3).basis(2) == (0.0, 0.0, 1.0)
+    for i in (-1, 3):
+        with pytest.raises(DomainError):
+            HOParams(1, 3).basis(i)
 
 
 def test_quadrature_config_validation():
@@ -166,15 +174,15 @@ def test_batch_split_leaves_values_unchanged():
     # seven points is split along rows at every level; the tied last point
     # stands for a node that rounded onto a shared endpoint
     cfg = QuadratureConfig(24)
-    s = (1.3, 0.2, -0.9)
+    s = np.array([(1.3, 0.2, -0.9)])
     points = [(0.9, 0.3, -0.6), (0.5, 0.1, -0.2), (0.2, -0.3, -0.9),
               (1.0, -0.1, -0.4), (0.6, 0.5, -0.8), (0.3, 0.0, -1.0),
               (0.4, 0.4, -0.7)]
     for k in (0.5, 2.0):
         batch = _f_rec(k, s, [np.array(c) for c in zip(*points)], 0.0, 1.0,
-                       cfg)
+                       cfg)[0]
         for value, x in zip(batch, points):
-            alone = _f_rec(k, s, [np.array([v]) for v in x], 0.0, 1.0, cfg)
+            alone = _f_rec(k, s, [np.array([v]) for v in x], 0.0, 1.0, cfg)[0]
             assert value == alone[0], (k, x)
         assert batch[-1] == 0.0
 
@@ -186,9 +194,95 @@ def test_node_on_an_outside_coordinate_gets_weight_zero():
     x = (0.275, -0.42499999999999993, -0.42500000000000004)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = _f_rec(0.1, (1.3, 0.2, -0.9), [np.array([v]) for v in x],
-                       0.0, 1.0, QuadratureConfig(16))
+        value = _f_rec(0.1, np.array([(1.3, 0.2, -0.9)]),
+                       [np.array([v]) for v in x], 0.0, 1.0,
+                       QuadratureConfig(16))[0]
     assert value[0] == 0.0
+
+
+def panel_nodes_reference(lo, hi, k, cfg):
+    """_panel_nodes rebuilt from the Gauss-Legendre rule on every call."""
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    u, w = _unit_gauss(cfg.nodes_per_dimension)
+    if cfg.singularity_rule == "plain-gauss":
+        length = hi - lo
+        dlo = length * u
+        return lo + dlo, dlo, length * (1.0 - u), length * w
+    half = (hi - lo) / 2.0
+    if k >= 1.0:
+        dlo = np.concatenate([half * u, half * (1.0 + u)], axis=-1)
+        dhi = np.concatenate([half * (2.0 - u), half * (1.0 - u)], axis=-1)
+        wts = half * w
+        return lo + dlo, dlo, dhi, np.concatenate([wts, wts], axis=-1)
+    g = u ** (1.0 / k)
+    jac = (1.0 / k) * u ** (1.0 / k - 1.0)
+    dlo = np.concatenate([half * g, half * (2.0 - g)], axis=-1)
+    dhi = np.concatenate([half * (2.0 - g), half * g], axis=-1)
+    wts = half * jac * w
+    return lo + dlo, dlo, dhi, np.concatenate([wts, wts], axis=-1)
+
+
+@pytest.mark.parametrize("rule", ["plain-gauss", "endpoint-substitution"])
+@pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 1.5, 2.0])
+def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(rule, k):
+    cfg = QuadratureConfig(6, rule)
+    lo = np.array([-0.7, 0.1, 0.3])
+    hi = np.array([0.2, 0.1 + 1e-9, 2.9])
+    for got, want in zip(_panel_nodes(lo, hi, k, cfg),
+                         panel_nodes_reference(lo, hi, k, cfg)):
+        assert got.tolist() == want.tolist()
+
+
+# spectral vectors for the batch tests, cut to n coordinates; the third
+# has tied entries, the last is unsorted
+SPECTRA = [(1.3, 0.2, -0.9, -1.0), (2.0, 0.5, 0.5, -1.5),
+           (0.0, 0.0, 0.0, 0.0), (3.5, -0.25, -1.0, -2.25),
+           (-0.7, 1.1, 0.4, 0.2)]
+
+
+@pytest.mark.parametrize("n, nodes", [(2, 16), (3, 8), (4, 4)])
+@pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 1.5, 2.0])
+def test_batched_values_equal_one_at_a_time_bitwise(n, nodes, k):
+    p = HOParams(k, n)
+    cfg = QuadratureConfig(nodes)
+    svecs = [s[:n] for s in SPECTRA]
+    x = (0.9, 0.3, -0.6, -1.1)[:n]
+    assert (_ho_eval_batch(p, svecs, x, cfg)
+            == [ho_eval(p, s, x, cfg) for s in svecs])
+
+
+def test_batched_rows_split_like_single_rows():
+    # at 24 nodes an n=3 batch is split along rows at every level; the
+    # tied last point gets 0 for every spectral vector
+    cfg = QuadratureConfig(24)
+    s = np.array([v[:3] for v in SPECTRA[:3]])
+    points = [(0.9, 0.3, -0.6), (0.5, 0.1, -0.2), (1.0, -0.1, -0.4),
+              (0.4, 0.4, -0.7)]
+    x = [np.array(c) for c in zip(*points)]
+    for k in (0.5, 2.0):
+        batch = _f_rec(k, s, x, 0.0, 1.0, cfg)
+        for row, sv in zip(batch, s):
+            alone = _f_rec(k, sv[None], x, 0.0, 1.0, cfg)[0]
+            assert row.tolist() == alone.tolist(), (k, sv)
+        assert batch[:, -1].tolist() == [0.0] * len(s)
+
+
+def test_batched_closed_forms_and_shortcuts_apply_per_s():
+    svecs = [s[:3] for s in SPECTRA]
+    cfg = QuadratureConfig(8)
+    zero = HOParams(0, 3)
+    x = (0.7, 0.1, -0.5)
+    assert (_ho_eval_batch(zero, svecs, x, cfg)
+            == [ho_closed_forms(zero, s, x) for s in svecs])
+    p = HOParams(1.5, 3)
+    uniform = (0.4, 0.4, 0.4)
+    assert (_ho_eval_batch(p, svecs, uniform, cfg)
+            == [math.exp(sum(sorted(s, reverse=True)) * 0.4) for s in svecs])
+    with pytest.raises(TieError):
+        _ho_eval_batch(p, svecs, (0.5, 0.5, 0.0), cfg)
+    with pytest.raises(DomainError):
+        _ho_eval_batch(p, svecs + [(1.0, 0.0)], x, cfg)
 
 
 def test_small_multiplicity_at_four_variables_is_finite():

@@ -172,29 +172,49 @@ def test_tied_points_are_skipped_and_counted():
 
 
 def test_heckman_opdam_probe_evaluates_each_node_count_once(monkeypatch):
-    # one probe of a fresh (lambda, point) runs the quadrature once at m
-    # nodes and once at 2m for the error estimate, and a repeat runs none
+    # the first probe at a fresh point runs the quadrature once at m nodes
+    # and once at 2m for the error estimate, for every shape of the sweep
+    # at once, and a repeat runs none; each value is the one-at-a-time one
     cfg = QuadratureConfig(8)
     x = (1.5, 0.25)
-    lam = Partition((2, 1))
+    shapes = [Partition((2, 1)), Partition((1, 0)), Partition((3, 0))]
     hop = heckman_opdam.HOParams(2, 2)
-    s = (2 + 2 * 0.5, 1 - 2 * 0.5)
-    value = heckman_opdam.ho_eval(hop, s, x, cfg)
-    estimate = heckman_opdam.ho_error_estimate(hop, s, x, cfg)
-    nodes = []
-    original = heckman_opdam.ho_eval
+    expected = []
+    for lam in shapes:
+        s = tuple(p + 2 * r for p, r in zip(lam.parts, (0.5, -0.5)))
+        expected.append((heckman_opdam.ho_eval(hop, s, x, cfg),
+                         heckman_opdam.ho_error_estimate(hop, s, x, cfg)))
+    calls = []
+    original = heckman_opdam._ho_eval_batch
 
-    def counted(params, s, x, cfg=None):
-        nodes.append(cfg.nodes_per_dimension)
-        return original(params, s, x, cfg)
+    def counted(params, svecs, x, cfg):
+        calls.append((cfg.nodes_per_dimension, len(svecs)))
+        return original(params, svecs, x, cfg)
 
-    for owner in (heckman_opdam, lab):
-        monkeypatch.setattr(owner, "ho_eval", counted)
-    state = _ProbeState(_make_family("heckman-opdam", 2, k=2, cfg=cfg))
-    assert state.probe((lam,), 0, x) == [(value, estimate)]
-    assert nodes == [8, 16]
-    assert state.probe((lam, lam), 0, x) == [(value, estimate)] * 2
-    assert nodes == [8, 16]
+    monkeypatch.setattr(heckman_opdam, "_ho_eval_batch", counted)
+    state = _ProbeState(_make_family("heckman-opdam", 2, k=2, cfg=cfg),
+                        shapes)
+    assert state.probe((shapes[0],), 0, x) == [expected[0]]
+    assert calls == [(8, 3), (16, 3)]
+    assert (state.probe((shapes[2], shapes[1], shapes[2]), 0, x)
+            == [expected[2], expected[1], expected[2]])
+    assert calls == [(8, 3), (16, 3)]
+
+
+def test_sweep_probes_every_shape_at_a_point_in_one_batch(monkeypatch):
+    # five shapes at one n=3 point: one m-node and one 2m-node quadrature
+    calls = []
+    original = heckman_opdam._ho_eval_batch
+
+    def counted(params, svecs, x, cfg):
+        calls.append((cfg.nodes_per_dimension, len(svecs)))
+        return original(params, svecs, x, cfg)
+
+    monkeypatch.setattr(heckman_opdam, "_ho_eval_batch", counted)
+    report = check_schur_convexity("heckman-opdam", 3, 3, samples=1, seed=0,
+                                   k=2, cfg=QuadratureConfig(4))
+    assert report.pairs_checked == 4 and report.passed
+    assert calls == [(4, 5), (8, 5)]
 
 
 def test_witness_json_carries_values_past_the_digit_limit():
@@ -381,7 +401,7 @@ def test_exact_identities_are_not_near_misses():
     fam = _make_family("heckman-opdam", 2, k=2, cfg=cfg)
     gaps = []
     for x in _sample_points(10, 2, 0, 10, 0, as_float=True):
-        top, bottom, mid = (fam.probe(Partition(lam), x)[0]
+        top, bottom, mid = (fam.probe([Partition(lam)], x)[0][0]
                             for lam in ((2, 2), (0, 0), (1, 1)))
         gaps.append((mid * mid - top * bottom) / (mid * mid))
     assert 0 < max(gaps) <= NOISE_FLOOR
@@ -412,6 +432,22 @@ def test_hunt_report_schema():
     assert data["command"] == "hunt"
     assert data["params"]["mode"] == "off-lattice"
     assert not report.passed
+
+
+def test_hunt_report_enumerates_pairs_once(monkeypatch):
+    calls = []
+    original = lab.enumerate_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lab, "enumerate_pairs", counted)
+    report = hunt_report(Fraction(1, 2), Fraction(1, 3), n=2, max_weight=6,
+                         budget=50)
+    assert calls == [(2, 6, "same-weight-comparable")]
+    assert report.samples == len(list(original(2, 6,
+                                               "same-weight-comparable")))
 
 
 def test_unknown_family_rejected():
