@@ -32,7 +32,7 @@ from .lab import (FAMILIES, WITNESS_FAMILIES, InequalityReport, Witness,
                   check_weak_majorization, find_witness, hunt_report)
 from .macdonald import MacdonaldParams, macdonald_expand
 from .partitions import Partition, majorizes
-from .sympoly import _decimal_text
+from .sympoly import _decimal_text, _parse_rational
 
 CHECK_KINDS = ("schur", "logconvex", "weak", "muirhead")
 HO_ACTIONS = ("eval", "verify", "residual")
@@ -48,10 +48,15 @@ def _partition_arg(text: str) -> Partition:
 
 
 def _rational_arg(text: str) -> Fraction:
+    # integers and p/q of any length; the message quotes a bounded prefix,
+    # since the exception's own text repeats the whole argument
     try:
-        return Fraction(text.strip())
+        return _parse_rational(text.strip())
     except (ValueError, ZeroDivisionError) as e:
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {e}")
+        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+        reason = ("zero denominator" if isinstance(e, ZeroDivisionError)
+                  else "not an integer, p/q or decimal")
+        raise argparse.ArgumentTypeError(f"bad rational {shown}: {reason}")
 
 
 def _point_arg(text: str) -> tuple:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, ParameterError, TieError
-from .jack import JackParam, jack_expand
+from .jack import JackParam, _normalized as _jack_normalized
 from .macdonald import _as_key
 from .sympoly import poly_eval_float
 
@@ -360,9 +360,9 @@ def ho_jack_consistency(lam, params: HOParams, x,
     lam = _as_key(lam, params.n)
     s = tuple(float(Fraction(li) + theta.theta * r)
               for li, r in zip(lam, params.rho))
-    p = jack_expand(lam, theta)
+    p, denom = _jack_normalized(lam, theta)
     y = [math.exp(float(v)) for v in x]
-    jack_side = poly_eval_float(p, y) / float(p.eval((Fraction(1),) * params.n))
+    jack_side = poly_eval_float(p, y) / float(denom)
     ho_side = ho_eval(params, s, x, cfg)
     if not jack_side > 0:
         raise DegeneracyError(

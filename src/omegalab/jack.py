@@ -102,8 +102,44 @@ def _jack_eigenvalue(nu: tuple, n: int, theta: Fraction) -> Fraction:
             + 2 * theta * sum((n - 1 - i) * nu[i] for i in range(n)))
 
 
-# (n, lambda, theta) -> [expansion, P_lambda(1,...,1) or None until needed]
-_EXPAND_MEMO: dict[tuple, list] = {}
+def _solve(lam: tuple, n: int, th: Fraction) -> SymmetricPolynomial:
+    if len(dominance_ideal(lam, n)) == 1:
+        return SymmetricPolynomial.monomial(lam, n)
+    return solve_eigen_expansion(
+        lam, n,
+        lambda nu: _apply_jack_op(nu, n, th),
+        lambda nu: _jack_eigenvalue(nu, n, th),
+        label=f"theta={_decimal_text(th)}")
+
+
+def _entry(lam: tuple, theta: JackParam, base=None):
+    """(P_lambda, P_lambda(1,...,1) or None) from the package memo.
+
+    theta = 0 gives the monomial and theta = infinity the elementary
+    polynomial of the conjugate shape; only finite positive theta reaches
+    the disk cache.
+    """
+    n = len(lam)
+    th = theta.theta
+
+    def compute():
+        if theta.is_infinite:
+            conj = Partition(lam).conjugate(max(lam[0], 1))
+            return expand_classical("elementary", conj, n)
+        if th == 0:
+            # the operator is diagonal at theta = 0 (and has eigenvalue
+            # collisions there); the eigenfunctions are the monomials
+            return SymmetricPolynomial.monomial(lam, n)
+        return cache.fetch("jack", n, lam, lambda: _solve(lam, n, th),
+                           theta=th)
+
+    return cache._memoized(("jack", n, lam, th), compute, base)
+
+
+def _normalized(lam: tuple, theta: JackParam):
+    """(P_lambda, P_lambda(1,...,1)) in one memo lookup; the caller checks
+    the normalizer."""
+    return _entry(lam, theta, lambda: (Fraction(1),) * len(lam))
 
 
 def jack_expand(lam, theta) -> SymmetricPolynomial:
@@ -118,27 +154,7 @@ def jack_expand(lam, theta) -> SymmetricPolynomial:
                           "use omega_jack_eval for the infinite parameter")
     lam = tuple(Partition(lam).parts) if not isinstance(lam, Partition) \
         else lam.parts
-    n = len(lam)
-    th = theta.theta
-    if th == 0:
-        # the operator is diagonal at theta = 0 (and has eigenvalue
-        # collisions there); the eigenfunctions are the monomials themselves
-        return SymmetricPolynomial.monomial(lam, n)
-    key = (n, lam, th)
-    entry = _EXPAND_MEMO.get(key)
-    if entry is None:
-        def compute():
-            if len(dominance_ideal(lam, n)) == 1:
-                return SymmetricPolynomial.monomial(lam, n)
-            return solve_eigen_expansion(
-                lam, n,
-                lambda nu: _apply_jack_op(nu, n, th),
-                lambda nu: _jack_eigenvalue(nu, n, th),
-                label=f"theta={_decimal_text(th)}")
-
-        entry = _EXPAND_MEMO[key] = [
-            cache.fetch("jack", n, lam, compute, theta=th), None]
-    return entry[0]
+    return _entry(lam, theta)[0]
 
 
 def _coerce_nonneg_point(x) -> tuple[Fraction, ...]:
@@ -161,20 +177,7 @@ def omega_jack_eval(lam, theta, x) -> Fraction:
     n = len(x)
     if lam.n != n:
         raise DimensionMismatchError(f"partition {lam} vs point of length {n}")
-    ones = (Fraction(1),) * n
-    if theta.is_infinite:
-        conj = lam.conjugate(max(lam.parts[0], 1))
-        p = expand_classical("elementary", conj, n)
-        denom = p.eval(ones)
-    elif theta.theta == 0:
-        p = SymmetricPolynomial.monomial(lam.parts, n)
-        denom = p.eval(ones)
-    else:
-        p = jack_expand(lam, theta)
-        entry = _EXPAND_MEMO[(n, lam.parts, theta.theta)]
-        if entry[1] is None:
-            entry[1] = p.eval(ones)
-        denom = entry[1]
+    p, denom = _normalized(lam.parts, theta)
     if denom <= 0:
         raise DegeneracyError(
             f"normalizer {denom} of lambda={lam.parts}, theta={theta!r} at "
@@ -212,14 +215,15 @@ def jack_limit_probe(lam, theta, x, ks: Sequence[int]):
     n = len(x)
     if any(x[i] <= x[i + 1] for i in range(n - 1)) or x[-1] <= 0:
         raise DomainError(f"need strictly decreasing positive x; got {x}")
+    ks = [int(k) for k in ks]
+    if any(k < 1 for k in ks):
+        raise DomainError(f"need lattice scales k >= 1; got {min(ks)}")
     lam = _as_key(lam, n)
     a = x[-1] / 2
     th = float(theta.theta)
     jack_val = float(omega_jack_eval(lam, theta, x))
     out = []
     for k in ks:
-        k = int(k)
-        assert k >= 1
         q = math.exp(-1.0 / k)
         t = math.exp(-th / k)
         mu = tuple(_floor_scaled_log(k, xj / a) for xj in x)

@@ -205,10 +205,6 @@ def _mac_eigenvalue(nu: tuple, n: int, q: Fraction, t: Fraction) -> Fraction:
     return sum((q ** nu[i]) * (t ** (n - 1 - i)) for i in range(n))
 
 
-# ((n, q, t), lambda) -> [expansion, P_lambda(t^delta) or None until needed]
-_EXPAND_MEMO: dict[tuple, list] = {}
-
-
 def _expand_uncached(lam: tuple, params: MacdonaldParams) -> SymmetricPolynomial:
     n, q, t = params.n, params.q, params.t
     if len(dominance_ideal(lam, n)) == 1:
@@ -220,17 +216,19 @@ def _expand_uncached(lam: tuple, params: MacdonaldParams) -> SymmetricPolynomial
         label=f"q={_decimal_text(q)}, t={_decimal_text(t)}")
 
 
+def _entry(lam: tuple, params: MacdonaldParams, base=None):
+    """(P_lambda, P_lambda(t^delta) or None) from the package memo."""
+    return cache._memoized(
+        ("macdonald", params.key(), lam),
+        lambda: cache.fetch("macdonald", params.n, lam,
+                            lambda: _expand_uncached(lam, params),
+                            q=params.q, t=params.t),
+        base)
+
+
 def macdonald_expand(lam, params: MacdonaldParams) -> SymmetricPolynomial:
     """Monic Macdonald polynomial P_lambda(x; q, t) in the monomial basis."""
-    lam = _as_key(lam, params.n)
-    key = (params.key(), lam)
-    entry = _EXPAND_MEMO.get(key)
-    if entry is None:
-        entry = _EXPAND_MEMO[key] = [
-            cache.fetch("macdonald", params.n, lam,
-                        lambda: _expand_uncached(lam, params),
-                        q=params.q, t=params.t), None]
-    return entry[0]
+    return _entry(_as_key(lam, params.n), params)[0]
 
 
 def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
@@ -240,17 +238,14 @@ def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
 
 
 def _normalized(lam, params: MacdonaldParams):
-    """(P_lambda, P_lambda(t^delta)); the value is kept in lambda's memo
-    entry.  DegeneracyError when it is 0."""
+    """(P_lambda, P_lambda(t^delta)) in one memo lookup.  DegeneracyError
+    when the normalizer is 0."""
     lam = _as_key(lam, params.n)
-    p = macdonald_expand(lam, params)
-    entry = _EXPAND_MEMO[(params.key(), lam)]
-    if entry[1] is None:
-        entry[1] = p.eval(params.t_delta())
-    if entry[1] == 0:
+    p, denom = _entry(lam, params, params.t_delta)
+    if denom == 0:
         raise DegeneracyError(
             f"P_{lam} vanishes at t^delta for q={params.q}, t={params.t}")
-    return p, entry[1]
+    return p, denom
 
 
 def omega_mac_eval(lam, params: MacdonaldParams, x) -> Fraction:
@@ -317,10 +312,8 @@ def interpolation_node(kappa, params: MacdonaldParams) -> tuple[Fraction, ...]:
     return tuple(q ** kappa[i] * t ** (n - 1 - i) for i in range(n))
 
 
-_INTERP_MEMO: dict[tuple, SymmetricPolynomial] = {}
-
-
-def _interpolation_monic(mu: tuple, params: MacdonaldParams) -> SymmetricPolynomial:
+def _solve_interpolation(mu: tuple,
+                         params: MacdonaldParams) -> SymmetricPolynomial:
     """Leading-monic interpolation polynomial in the shifted variables.
 
     As a symmetric polynomial S(z) of degree |mu| it vanishes at z(kappa)
@@ -328,10 +321,6 @@ def _interpolation_monic(mu: tuple, params: MacdonaldParams) -> SymmetricPolynom
     coefficient is 1.  The weight-|mu| component is then automatically the
     Macdonald polynomial P_mu(z).
     """
-    key = (params.key(), mu)
-    hit = _INTERP_MEMO.get(key)
-    if hit is not None:
-        return hit
     n = params.n
     basis = [nu for w in range(sum(mu) + 1) for nu in partitions_of(w, n)]
     matrix = []
@@ -351,9 +340,20 @@ def _interpolation_monic(mu: tuple, params: MacdonaldParams) -> SymmetricPolynom
             f"singular interpolation system for mu={mu}, q={params.q}, "
             f"t={params.t}") from None
     poly = SymmetricPolynomial(n, dict(zip(basis, sol)))
-    assert poly.coefficient(mu) == 1
-    _INTERP_MEMO[key] = poly
+    if poly.coefficient(mu) != 1:
+        raise DegeneracyError(
+            f"interpolation solve for mu={mu}, q={params.q}, t={params.t} "
+            f"is not monic")
     return poly
+
+
+def _interpolation_monic(mu: tuple, params: MacdonaldParams):
+    """(S_mu, S_mu(z(mu))) in one memo lookup; the caller checks the
+    value."""
+    return cache._memoized(
+        ("interpolation", params.key(), mu),
+        lambda: _solve_interpolation(mu, params),
+        lambda: interpolation_node(mu, params))
 
 
 class ShiftedMacdonald:
@@ -396,8 +396,7 @@ class ShiftedMacdonald:
 def shifted_macdonald(mu, params: MacdonaldParams) -> ShiftedMacdonald:
     """The interpolation polynomial P*_mu with P*_mu(q^mu) = 1."""
     mu = _as_key(mu, params.n)
-    monic = _interpolation_monic(mu, params)
-    norm = monic.eval(interpolation_node(mu, params))
+    monic, norm = _interpolation_monic(mu, params)
     if norm == 0:
         raise DegeneracyError(
             f"interpolation polynomial vanishes at its own node: mu={mu}, "
@@ -423,8 +422,7 @@ def binomial_check(lam, params: MacdonaldParams, x) -> Fraction:
         for mu in partitions_of(w, n):
             if not contains(lam, mu):
                 continue
-            s = _interpolation_monic(mu, params)
-            den_node = s.eval(interpolation_node(mu, params))
+            s, den_node = _interpolation_monic(mu, params)
             _, den_principal = _normalized(mu, params)
             if den_node == 0:
                 raise DegeneracyError(

@@ -303,3 +303,45 @@ def test_witness_table_prints_values_past_the_digit_limit(capsys):
                     f"lhs={_decimal_text(lhs)} rhs={_decimal_text(rhs)} "
                     f"margin={_decimal_text(rhs - lhs)}\n")
     assert rhs.numerator >= 10 ** 6000
+
+
+def expansion_lines(argv, capsys):
+    assert run(argv) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_exact_arguments_of_any_length(capsys):
+    # integers and p/q past the 4300-digit limit of int(), each read as the
+    # same value as its short scientific form
+    zeros = "0" * 5000
+    jack = ["expand", "--family", "jack", "--lambda", "2,0", "--theta"]
+    assert (expansion_lines(jack + ["1" + zeros], capsys)
+            == expansion_lines(jack + ["1e5000"], capsys))
+    assert (expansion_lines(jack + ["1/1" + zeros], capsys)
+            == expansion_lines(jack + ["1e-5000"], capsys))
+    mac = ["expand", "--family", "macdonald", "--lambda", "2,1", "--t", "1/3",
+           "--q"]
+    assert (expansion_lines(mac + ["1/1" + zeros], capsys)
+            == expansion_lines(mac + ["1e-5000"], capsys))
+
+
+def test_malformed_exact_argument_quotes_a_bounded_prefix(capsys):
+    for theta in ("1x" + "0" * 5000, "1/" + "0" * 5000, "1/2/3"):
+        with pytest.raises(SystemExit) as exc:
+            run(["expand", "--family", "jack", "--lambda", "2,0",
+                 "--theta", theta])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad rational" in err and theta[:40] in err
+        assert len(err.splitlines()[-1]) < 200
+
+
+def test_cache_keys_hold_parameters_past_the_digit_limit(monkeypatch, capsys,
+                                                         tmp_path):
+    from omegalab import cache
+    argv = ["expand", "--family", "jack", "--lambda", "2,0", "--theta",
+            "1e5000", "--cache", str(tmp_path / "cache.txt")]
+    plain = expansion_lines(argv[:-2], capsys)
+    for _ in range(2):  # computed and written, then read from the file
+        monkeypatch.setattr(cache, "_MEMO", {})
+        assert expansion_lines(argv, capsys) == plain

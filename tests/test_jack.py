@@ -130,6 +130,8 @@ def test_limit_probe_rejects_bad_input():
         jack_limit_probe((2, 1), 1, (1, 4), (10,))
     with pytest.raises(DomainError):
         jack_limit_probe((2, 1), 0, (4, 1), (10,))
+    with pytest.raises(DomainError):
+        jack_limit_probe((2, 1), 1, (4, 1), (10, 0))
 
 
 def test_eval_rejects_negative_coordinates():
@@ -138,21 +140,57 @@ def test_eval_rejects_negative_coordinates():
 
 
 def test_normalizer_is_evaluated_once_per_expansion(monkeypatch):
-    from omegalab import sympoly
-    ones = (Fraction(1),) * 3
+    # every normalizer is evaluated once per memo entry, however often it is
+    # used: Jack at (1,...,1) for theta = 0, 1/2 and infinity, Macdonald at
+    # t^delta, and the interpolation polynomial S_mu at its node z(mu)
+    from omegalab import cache, macdonald, sympoly
+    monkeypatch.setattr(cache, "_MEMO", {})
     seen = []
     evaluate = sympoly.poly_eval
 
     def counted(p, x):
-        seen.append(tuple(x))
+        seen.append((p, tuple(x)))
         return evaluate(p, x)
 
     monkeypatch.setattr(sympoly, "poly_eval", counted)
-    theta = Fraction(3, 7)   # a parameter no other test expands at
-    for x in ((3, 2, 1), (Fraction(1, 2), Fraction(1, 3), 0), (5, 5, 4)):
-        for lam in ((2, 1, 0), (1, 1, 1)):
-            value = omega_jack_eval(lam, theta, x)
-            p = jack_expand(lam, theta)
-            assert value == evaluate(p, x) / evaluate(p, ones)
-    assert seen.count(ones) == 2
-    assert len(seen) == 2 + 6
+    ones = (Fraction(1),) * 3
+    points = ((3, 2, 1), (Fraction(1, 2), Fraction(1, 3), 0), (5, 5, 4))
+    shapes = ((2, 1, 0), (1, 1, 1))
+
+    def reference(lam, theta):
+        if theta == "inf":
+            conj = Partition(lam).conjugate(lam[0])
+            return expand_classical("elementary", conj, 3)
+        return jack_expand(lam, theta)
+
+    for theta in (0, Fraction(1, 2), "inf"):
+        for x in points:
+            for lam in shapes:
+                value = omega_jack_eval(lam, theta, x)
+                p = reference(lam, theta)
+                assert value == evaluate(p, x) / evaluate(p, ones)
+    assert [x for _, x in seen].count(ones) == 3 * len(shapes)
+    assert len(seen) == 3 * len(shapes) * (1 + len(points))
+
+    mp = macdonald.MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 3)
+    seen.clear()
+    for x in points:
+        for lam in shapes:
+            macdonald.omega_mac_eval(lam, mp, x)
+    assert [x for _, x in seen].count(mp.t_delta()) == len(shapes)
+    assert len(seen) == len(shapes) * (1 + len(points))
+
+    # S_lambda is evaluated at z(lambda) by every binomial_check of lambda,
+    # so only the shapes strictly inside lambda are counted
+    lam = (2, 1, 0)
+    inside = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0))
+    seen.clear()
+    for mu in inside:
+        for _ in range(2):
+            macdonald.shifted_macdonald(mu, mp)
+    for x in points:
+        assert macdonald.binomial_check(lam, mp, x) == 0
+    for mu in inside:
+        s, _ = macdonald._interpolation_monic(mu, mp)
+        node = macdonald.interpolation_node(mu, mp)
+        assert sum(1 for p, x in seen if p is s and x == node) == 1

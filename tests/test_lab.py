@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omegalab
-from omegalab import heckman_opdam, lab, sympoly
+from omegalab import cache, heckman_opdam, lab, macdonald, sympoly
 from omegalab.classical import muirhead_eval
 from omegalab.errors import CertificationError, DomainError, ParameterError
 from omegalab.heckman_opdam import QuadratureConfig
@@ -391,6 +391,42 @@ def test_certification_reads_no_shared_table(monkeypatch):
     with pytest.raises(CertificationError):
         hunt_violation(mp.q, mp.t, n=2, max_weight=2, lattice_only=True,
                        label_bound=2)
+
+
+def test_certification_reads_no_memo_entry(monkeypatch):
+    # shrink the memo's normalizer of P_(1,1) a billion times: the
+    # lattice-only hunt, which finds nothing on sound values, now sees
+    # Omega_(2,0) < Omega_(1,1), and certification must refuse it
+    mp = MacdonaldParams(Fraction(2, 5), Fraction(3, 7), 2)
+    monkeypatch.setattr(cache, "_MEMO", {})
+    macdonald._normalized((1, 1), mp)
+    (entry,) = cache._MEMO.values()
+    entry[1] /= 10 ** 9
+    with pytest.raises(CertificationError):
+        hunt_violation(mp.q, mp.t, n=2, max_weight=2, lattice_only=True,
+                       label_bound=2)
+
+
+def test_last_soundness_checks_raise_under_optimization():
+    # a non-monic interpolation solve behind binomial_check, then a lattice
+    # scale k = 0 for the limit probe (a ZeroDivisionError once asserts
+    # are stripped)
+    out, err = run_optimized("""
+        from fractions import Fraction
+        from omegalab import errors, jack, macdonald
+
+        solve = macdonald.solve_linear_system
+        macdonald.solve_linear_system = lambda m, r: [2 * v
+                                                      for v in solve(m, r)]
+        mp = macdonald.MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 2)
+        for call in (lambda: macdonald.binomial_check((1, 0), mp, (2, 1)),
+                     lambda: jack.jack_limit_probe((2, 1), 1, (4, 1), (0,))):
+            try:
+                print("returned", call())
+            except errors.OmegalabError as e:
+                print(type(e).__name__)
+    """)
+    assert out == ["DegeneracyError", "DomainError"], err
 
 
 def test_exact_identities_are_not_near_misses():
