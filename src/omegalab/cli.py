@@ -38,25 +38,33 @@ CHECK_KINDS = ("schur", "logconvex", "weak", "muirhead")
 HO_ACTIONS = ("eval", "verify", "residual")
 
 
+def _bad_argument(kind: str, text: str, reason: str):
+    """The usage error for text, quoting a bounded prefix of it: arguments
+    may be of any length, and an exception's own text repeats them whole."""
+    shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+    return argparse.ArgumentTypeError(f"bad {kind} {shown}: {reason}")
+
+
 def _partition_arg(text: str) -> Partition:
     clean = text.strip().strip("()[]")
     try:
-        parts = tuple(int(tok) for tok in clean.split(",") if tok.strip())
-        return Partition(parts)
-    except (ValueError, OmegalabError) as e:
-        raise argparse.ArgumentTypeError(f"bad partition {text!r}: {e}")
+        return Partition(int(tok) for tok in clean.split(",") if tok.strip())
+    except ValueError as e:
+        reason = ("parts not nonnegative and weakly decreasing"
+                  if isinstance(e, OmegalabError)
+                  else "not a comma-separated list of integers")
+        raise _bad_argument("partition", text, reason)
 
 
 def _rational_arg(text: str) -> Fraction:
-    # integers and p/q of any length; the message quotes a bounded prefix,
-    # since the exception's own text repeats the whole argument
+    # integers and p/q of any length
     try:
         return _parse_rational(text.strip())
     except (ValueError, ZeroDivisionError) as e:
-        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
         reason = ("zero denominator" if isinstance(e, ZeroDivisionError)
+                  else str(e) if isinstance(e, OmegalabError)
                   else "not an integer, p/q or decimal")
-        raise argparse.ArgumentTypeError(f"bad rational {shown}: {reason}")
+        raise _bad_argument("rational", text, reason)
 
 
 def _point_arg(text: str) -> tuple:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DegeneracyError, DomainError, OperatorRowError
+from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
+                     OperatorRowError)
 from .partitions import majorizes, partitions_of
 from .sympoly import SymmetricPolynomial
 
@@ -89,7 +90,8 @@ def solve_linear_system(matrix: list[list[Fraction]],
     Raises DegeneracyError when the matrix is singular.
     """
     m = len(matrix)
-    assert all(len(row) == m for row in matrix) and len(rhs) == m
+    if any(len(row) != m for row in matrix) or len(rhs) != m:
+        raise DimensionMismatchError(f"linear system is not {m} x {m}")
     aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
            for i, row in enumerate(matrix)]
     for col in range(m):

@@ -227,7 +227,9 @@ def jack_limit_probe(lam, theta, x, ks: Sequence[int]):
         q = math.exp(-1.0 / k)
         t = math.exp(-th / k)
         mu = tuple(_floor_scaled_log(k, xj / a) for xj in x)
-        assert all(mu[i] >= mu[i + 1] for i in range(n - 1)), mu
+        if any(mu[i] < mu[i + 1] for i in range(n - 1)):
+            raise DegeneracyError(f"lattice label {mu} at scale {k} is not "
+                                  "weakly decreasing")
         xk = tuple(float(a) * q ** (-mu[j]) * t ** (n - 1 - j)
                    for j in range(n))
         params = MacdonaldParams(Fraction(q), Fraction(t), n)

@@ -25,7 +25,10 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
+        given = tuple(parts)
+        parts = tuple(map(int, given))
+        if parts != given:
+            raise DomainError(f"non-integral part in partition {given}")
         if any(p < 0 for p in parts):
             raise DomainError(f"negative part in partition {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

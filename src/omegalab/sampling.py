@@ -28,7 +28,8 @@ def mix64(z: int) -> int:
 
 def raw_draw(seed: int, counter: int) -> int:
     """64-bit value at position counter of the stream for seed."""
-    assert counter >= 0
+    if counter < 0:
+        raise DomainError(f"need counter >= 0; got {counter}")
     return mix64((seed & _MASK) + ((counter + 1) * _GOLDEN & _MASK))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -346,6 +347,10 @@ def poly_multiply(p: SymmetricPolynomial, q: SymmetricPolynomial) -> SymmetricPo
 # whole process.  Text under the limit is exactly what str() gives.
 _RATIONAL_TEXT = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
+# ten times past the digit limit, 10**MAX_EXPONENT still takes milliseconds
+MAX_EXPONENT = 10 * sys.int_info.default_max_str_digits
+_EXPONENT_TEXT = re.compile(r"[eE]([+-]?[0-9_]+)\s*\Z")
+
 
 def _decimal_text(v) -> str:
     """str(v) for an int or a Fraction of any size."""
@@ -355,9 +360,17 @@ def _decimal_text(v) -> str:
 
 
 def _parse_rational(text: str) -> Fraction:
-    """Fraction(text), with integer parts of any size."""
+    """Fraction(text), with integer parts of any size.
+
+    Fraction builds 10**exponent exactly, so 1e99999999999 would never
+    return: an exponent of magnitude past MAX_EXPONENT is refused.  Written
+    out in full, values of any length are read.
+    """
     match = _RATIONAL_TEXT.fullmatch(text)
     if match is None:
+        exponent = _EXPONENT_TEXT.search(text)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise DomainError(f"exponent magnitude past {MAX_EXPONENT}")
         return Fraction(text)
     num, den = match.groups()
     return Fraction(int(Decimal(num)), int(Decimal(den or "1")))

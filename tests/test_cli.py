@@ -326,14 +326,58 @@ def test_exact_arguments_of_any_length(capsys):
 
 
 def test_malformed_exact_argument_quotes_a_bounded_prefix(capsys):
-    for theta in ("1x" + "0" * 5000, "1/" + "0" * 5000, "1/2/3"):
+    theta = ["expand", "--family", "jack", "--lambda", "2,0", "--theta"]
+    lam = ["expand", "--family", "jack", "--theta", "1", "--lambda"]
+    for argv, kind in (
+            (theta + ["1x" + "0" * 5000], "bad rational"),
+            (theta + ["1/" + "0" * 5000], "bad rational"),
+            (theta + ["1/2/3"], "bad rational"),
+            (lam + ["1" + "0" * 5000 + ",0"], "bad partition"),
+            (lam + ["0," * 3000 + "1"], "bad partition")):
         with pytest.raises(SystemExit) as exc:
-            run(["expand", "--family", "jack", "--lambda", "2,0",
-                 "--theta", theta])
+            run(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "bad rational" in err and theta[:40] in err
+        assert kind in err and argv[-1][:40] in err
         assert len(err.splitlines()[-1]) < 200
+
+
+def test_huge_exponent_is_refused_at_once():
+    # Fraction(text) builds 10**exponent exactly; a subprocess bounds a hang
+    out, err = run_optimized("""
+        import contextlib, io
+        from fractions import Fraction
+        from omegalab import sympoly
+        from omegalab.cli import run
+        bound = sympoly.MAX_EXPONENT
+        print(sympoly._parse_rational(f"1e{bound}") == 10 ** bound,
+              sympoly._parse_rational(f"1e-{bound}")
+              == Fraction(1, 10 ** bound))
+        for theta in ("1e99999999999", "-2.5E-99999999999", f"1e{bound + 1}"):
+            stderr = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(stderr):
+                    code = run(["expand", "--family", "jack", "--lambda",
+                                "2,0", f"--theta={theta}"])
+            except SystemExit as e:
+                code = e.code
+            print(code, "exponent" in stderr.getvalue())
+    """, timeout=60)
+    assert out == ["True", "True"] + ["2", "True"] * 3, err
+
+
+def test_hunt_without_pairs_exits_zero():
+    # no comparable pair at n = 1; a subprocess bounds a hang
+    out, err = run_optimized("""
+        import contextlib, io, json
+        from omegalab.cli import run
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run(["hunt", "--q", "1/2", "--t", "1/3", "--n", "1",
+                        "--budget", "5"])
+        print(code, json.loads(stdout.getvalue())["pairs_checked"])
+    """, timeout=60)
+    assert out == ["0", "0"], err
 
 
 def test_cache_keys_hold_parameters_past_the_digit_limit(monkeypatch, capsys,

@@ -18,13 +18,13 @@ from omegalab.errors import CertificationError, DomainError, ParameterError
 from omegalab.heckman_opdam import QuadratureConfig
 from omegalab.jack import omega_jack_eval
 from omegalab.lab import (FAMILIES, NOISE_FLOOR, WITNESS_FAMILIES, Witness,
-                          _make_family, _ProbeState, _sample_points,
+                          _make_family, _sample_points,
                           check_log_convexity, check_schur_convexity,
                           check_weak_majorization, find_witness, hunt_report,
                           hunt_violation)
 from omegalab.macdonald import MacdonaldParams, lattice_point, omega_mac_eval
-from omegalab.partitions import (Partition, majorizes, partitions_of,
-                                 weakly_majorizes)
+from omegalab.partitions import (Partition, enumerate_pairs, majorizes,
+                                 partitions_of, weakly_majorizes)
 
 Q13 = dict(q=Fraction(1, 2), t=Fraction(1, 3))
 
@@ -172,9 +172,9 @@ def test_tied_points_are_skipped_and_counted():
 
 
 def test_heckman_opdam_probe_evaluates_each_node_count_once(monkeypatch):
-    # the first probe at a fresh point runs the quadrature once at m nodes
-    # and once at 2m for the error estimate, for every shape of the sweep
-    # at once, and a repeat runs none; each value is the one-at-a-time one
+    # one probe runs the quadrature once at m nodes and once at 2m for the
+    # error estimate, for every shape at once; each value is the
+    # one-at-a-time one
     cfg = QuadratureConfig(8)
     x = (1.5, 0.25)
     shapes = [Partition((2, 1)), Partition((1, 0)), Partition((3, 0))]
@@ -192,17 +192,14 @@ def test_heckman_opdam_probe_evaluates_each_node_count_once(monkeypatch):
         return original(params, svecs, x, cfg)
 
     monkeypatch.setattr(heckman_opdam, "_ho_eval_batch", counted)
-    state = _ProbeState(_make_family("heckman-opdam", 2, k=2, cfg=cfg),
-                        shapes)
-    assert state.probe((shapes[0],), 0, x) == [expected[0]]
-    assert calls == [(8, 3), (16, 3)]
-    assert (state.probe((shapes[2], shapes[1], shapes[2]), 0, x)
-            == [expected[2], expected[1], expected[2]])
+    probe = _make_family("heckman-opdam", 2, k=2, cfg=cfg).probe
+    assert probe(shapes, x) == expected
     assert calls == [(8, 3), (16, 3)]
 
 
 def test_sweep_probes_every_shape_at_a_point_in_one_batch(monkeypatch):
-    # five shapes at one n=3 point: one m-node and one 2m-node quadrature
+    # five shapes at each of two n=3 points: one m-node and one 2m-node
+    # quadrature per point
     calls = []
     original = heckman_opdam._ho_eval_batch
 
@@ -211,10 +208,25 @@ def test_sweep_probes_every_shape_at_a_point_in_one_batch(monkeypatch):
         return original(params, svecs, x, cfg)
 
     monkeypatch.setattr(heckman_opdam, "_ho_eval_batch", counted)
-    report = check_schur_convexity("heckman-opdam", 3, 3, samples=1, seed=0,
+    report = check_schur_convexity("heckman-opdam", 3, 3, samples=2, seed=0,
                                    k=2, cfg=QuadratureConfig(4))
     assert report.pairs_checked == 4 and report.passed
-    assert calls == [(4, 5), (8, 5)]
+    assert calls == [(4, 5), (8, 5)] * 2
+
+
+def test_sweep_lists_violations_pair_by_pair_point_by_point(monkeypatch):
+    # minus the sum of squared parts is strictly Schur-concave, so every
+    # (pair, point) of a Jack sweep violates; the family looks the
+    # evaluator up in lab at call time
+    monkeypatch.setattr(lab, "omega_jack_eval", lambda lam, th, x: Fraction(
+        -sum(p * p for p in lam.parts)))
+    report = check_schur_convexity("jack", 3, 4, samples=3, seed=5, theta=1)
+    pairs = list(enumerate_pairs(3, 4, "same-weight-comparable"))
+    points = _sample_points(3, 3, 0, 10, 5, as_float=False)
+    assert len(pairs) > 1 and len(set(points)) == 3
+    assert ([(w.lam, w.mu, w.x) for w in report.violations]
+            == [(lam, mu, x) for lam, mu in pairs for x in points])
+    assert report.near_misses == report.skipped == 0
 
 
 def test_witness_json_carries_values_past_the_digit_limit():
@@ -315,14 +327,14 @@ def test_hunt_withholds_uncertified_witness_under_optimization():
     assert out == ["CertificationError"], err
 
 
-def run_optimized(script):
+def run_optimized(script, timeout=300):
     """Standard output of script run under python -O, split into words."""
     src = os.path.dirname(os.path.dirname(omegalab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
                           env=env, capture_output=True, text=True,
-                          timeout=300)
+                          timeout=timeout)
     return proc.stdout.split(), proc.stderr
 
 
@@ -408,25 +420,40 @@ def test_certification_reads_no_memo_entry(monkeypatch):
 
 
 def test_last_soundness_checks_raise_under_optimization():
-    # a non-monic interpolation solve behind binomial_check, then a lattice
+    # a non-monic interpolation solve behind binomial_check, a lattice
     # scale k = 0 for the limit probe (a ZeroDivisionError once asserts
-    # are stripped)
+    # are stripped), a ragged linear system (silently truncated by zip),
+    # limit-probe labels that increase, and a negative sampler counter
     out, err = run_optimized("""
+        import math
         from fractions import Fraction
-        from omegalab import errors, jack, macdonald
+        from omegalab import eigensolve, errors, jack, macdonald, sampling
 
         solve = macdonald.solve_linear_system
         macdonald.solve_linear_system = lambda m, r: [2 * v
                                                       for v in solve(m, r)]
         mp = macdonald.MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 2)
+
+        def increasing_labels():
+            jack._floor_scaled_log = lambda k, ratio: -math.floor(ratio)
+            return jack.jack_limit_probe((2, 1), 1, (4, 1), (1,))
+
         for call in (lambda: macdonald.binomial_check((1, 0), mp, (2, 1)),
-                     lambda: jack.jack_limit_probe((2, 1), 1, (4, 1), (0,))):
+                     lambda: jack.jack_limit_probe((2, 1), 1, (4, 1), (0,)),
+                     lambda: eigensolve.solve_linear_system([[1, 2], [3]],
+                                                            [1, 1]),
+                     lambda: eigensolve.solve_linear_system([[1, 2], [3, 4]],
+                                                            [1]),
+                     increasing_labels,
+                     lambda: sampling.raw_draw(0, -1)):
             try:
                 print("returned", call())
             except errors.OmegalabError as e:
                 print(type(e).__name__)
     """)
-    assert out == ["DegeneracyError", "DomainError"], err
+    assert out == ["DegeneracyError", "DomainError", "DimensionMismatchError",
+                   "DimensionMismatchError", "DegeneracyError",
+                   "DomainError"], err
 
 
 def test_exact_identities_are_not_near_misses():
@@ -452,6 +479,37 @@ def test_hunt_on_lattice_finds_nothing():
                                      lattice_only=True, label_bound=2)
     assert witness is None
     assert 0 < probes <= 10 ** 4
+
+
+def test_hunt_without_pairs_returns():
+    # the off-lattice point stream never ends and, with no pair to compare,
+    # no probe spends the budget; a subprocess bounds a hang
+    out, err = run_optimized("""
+        from fractions import Fraction
+        from omegalab.lab import hunt_violation
+        print(hunt_violation(Fraction(1, 2), Fraction(1, 3), n=2,
+                             max_weight=1, budget=10))
+    """, timeout=60)
+    assert out == ["(None,", "0)"], err
+
+
+def test_off_lattice_hunt_solves_only_the_shapes_it_probes(monkeypatch):
+    # the hunt evaluates a shape only when a pair first needs it: at n=4,
+    # max_weight 8 its first probe is a violation, so two expansions are
+    # solved and two re-derived to certify it, out of 51 shapes
+    monkeypatch.setattr(cache, "_MEMO", {})
+    solved = []
+    original = macdonald._expand_uncached
+
+    def counted(lam, params):
+        solved.append(lam)
+        return original(lam, params)
+
+    monkeypatch.setattr(macdonald, "_expand_uncached", counted)
+    witness, probes = hunt_violation(Fraction(1, 2), Fraction(1, 3), n=4,
+                                     max_weight=8)
+    assert witness is not None and probes == 1
+    assert solved == [witness.lam.parts, witness.mu.parts] * 2
 
 
 def test_hunt_respects_budget():

@@ -1,11 +1,13 @@
 """Partition arithmetic, majorization orders, and pair enumeration."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from omegalab.errors import DimensionMismatchError, DomainError
+from omegalab.jack import omega_jack_eval
 from omegalab.partitions import (Partition, contains, enumerate_pairs,
                                  enumerate_partitions, majorizes, midpoint,
                                  partitions_of, weakly_majorizes)
@@ -25,6 +27,16 @@ def test_construction_and_validation():
         Partition((1, 2))
     with pytest.raises(DomainError):
         Partition((2, -1))
+
+
+def test_fractional_parts_are_refused():
+    # int() would truncate (2.5, 1) to (2, 1) and evaluate the wrong shape
+    for parts in ((2.5, 1), (2, Fraction(1, 2)), (3, 1.000001)):
+        with pytest.raises(DomainError):
+            Partition(parts)
+    with pytest.raises(DomainError):
+        omega_jack_eval((2.5, 1), 1, (2, 1))
+    assert Partition((2.0, Fraction(1))).parts == (2, 1)
 
 
 def test_pad_extends_with_zeros():
