@@ -5,9 +5,13 @@ such as ("macdonald", (n, q, t), lambda), maps to the polynomial and its
 normalizer, the value at the family's base point: (1,...,1) for Jack,
 t^delta for Macdonald, z(mu) for the interpolation polynomials S_mu.
 _memoized() returns both in one lookup and evaluates the normalizer the
-first time a caller asks for it.  The memo holds at most MEMO_SIZE entries
-and is emptied when full.  The disk layer, fetch(), is reached only on a
-memo miss.
+first time a caller asks for it.  The same memo holds the operator-row
+tables of the eigen-solves: under ("jack rows", n, weight, theta) or
+("macdonald rows", (n, q, t), weight) a dict nu -> row, filled as solves of
+that weight build rows, so each row is built once per parameter set.  Every
+table counts as one entry.  The memo holds at most MEMO_SIZE entries and is
+emptied when full.  The disk layer, fetch(), is reached only on a memo
+miss.
 
 Disk format: a header line "omegalab-cache v1", then one record per line,
 "key<TAB>serialized polynomial", append-only.  Keys are canonical strings
@@ -44,7 +48,8 @@ _active: "ExpansionCache | None" = None
 def _memoized(key: tuple, compute, base=None):
     """(polynomial, normalizer) for key, in one lookup of the memo.
 
-    On a miss compute() gives the polynomial.  base, when given, returns
+    On a miss compute() gives the polynomial (for a row table, dict gives
+    an empty table, and the normalizer stays None).  base, when given, returns
     the normalization point: the first lookup that passes it evaluates the
     polynomial there and keeps the value in the entry.  Until then the
     normalizer reads None.

@@ -14,6 +14,7 @@ carries the outcome.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -36,6 +37,11 @@ from .sympoly import _decimal_text, _parse_rational
 
 CHECK_KINDS = ("schur", "logconvex", "weak", "muirhead")
 HO_ACTIONS = ("eval", "verify", "residual")
+
+# a value that starts with "-" and a digit or a point; argparse reads only
+# plain numbers such as -1 or -1.5 as values, and "-1,1", "-1/2" or
+# "-2.5E-3" as an unknown option
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def _bad_argument(kind: str, text: str, reason: str):
@@ -395,8 +401,44 @@ def _cmd_ho(ns, seed, out, quiet) -> int:
     return 0 if ns.tol is None or res <= ns.tol else 1
 
 
+def _value_options(parser: argparse.ArgumentParser) -> set:
+    """Every option string, of parser and its subcommands, that takes a
+    value."""
+    out = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _value_options(sub)
+        elif action.nargs is None:
+            out.update(action.option_strings)
+    return out
+
+
+def _join_negative_values(argv: list, options: set) -> list:
+    """argv with each "--opt VALUE", VALUE a negative number or vector,
+    passed on as "--opt=VALUE"; --opt may be a prefix of an option, as
+    argparse allows.  Nothing after a bare "--" changes."""
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--":
+            return out + argv[i:]
+        if (tok.startswith("--") and i + 1 < len(argv)
+                and _NEGATIVE_VALUE.match(argv[i + 1])
+                and any(option.startswith(tok) for option in options)):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def run(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = parser.parse_args(_join_negative_values(argv,
+                                                 _value_options(parser)))
     seed = getattr(ns, "seed", 0)
     out = getattr(ns, "out", "json")
     quiet = getattr(ns, "quiet", False)

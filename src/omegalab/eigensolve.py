@@ -12,25 +12,50 @@ lexicographic-descending order is such an extension.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      OperatorRowError)
-from .partitions import majorizes, partitions_of
+from .partitions import partitions_of
 from .sympoly import SymmetricPolynomial
+
+
+@functools.lru_cache(maxsize=64)
+def _block(weight: int, n: int) -> tuple:
+    """(nu, prefix sums of nu) for every partition nu of weight with n
+    parts, lex-descending.  Shared by every ideal of this (weight, n)."""
+    return tuple((nu, tuple(itertools.accumulate(nu)))
+                 for nu in partitions_of(weight, n))
 
 
 def dominance_ideal(lam: Sequence[int], n: int) -> list[tuple]:
     """Partitions of |lam| with n parts dominated by lam, lex-descending.
 
-    lam itself comes first; every later element is strictly below it.
+    lam itself comes first; every later element is strictly below it.  A
+    shape that is not a partition with n parts raises DomainError.
     """
     lam = tuple(lam)
-    out = [nu for nu in partitions_of(sum(lam), n) if majorizes(lam, nu)]
-    if not out or out[0] != lam:
+    if (len(lam) != n or not all(isinstance(p, int) for p in lam)
+            or any(lam[i] < lam[i + 1] for i in range(n - 1))
+            or (lam and lam[-1] < 0)):
         raise DomainError(f"{lam} is not a partition with {n} parts")
-    return out
+    top = tuple(itertools.accumulate(lam))
+    return [nu for nu, sums in _block(sum(lam), n)
+            if all(s <= b for s, b in zip(sums, top))]
+
+
+def cached_rows(rows: dict, build: Callable[[tuple], dict]):
+    """A row callable that reads rows first and builds (and keeps) a row
+    only on a miss, so each nu is built once for all solves sharing rows."""
+    def row(nu):
+        got = rows.get(nu)
+        if got is None:
+            got = rows[nu] = build(nu)
+        return got
+    return row
 
 
 def solve_eigen_expansion(lam: Sequence[int], n: int,
@@ -40,32 +65,35 @@ def solve_eigen_expansion(lam: Sequence[int], n: int,
     """Back-substitute the triangular eigen system for the leading term m_lam.
 
     apply_to_monomial(nu) must return the monomial-basis row of the operator
-    applied to m_nu as a dict {partition key: coefficient}.  Uniqueness of
-    the solution needs eigenvalue(lam) != eigenvalue(nu) for every nu in the
+    applied to m_nu as a dict {partition key: coefficient}; the solver only
+    reads it, so rows may be shared between solves.  Uniqueness of the
+    solution needs eigenvalue(lam) != eigenvalue(nu) for every nu in the
     ideal; collisions raise DegeneracyError.  (Collisions between two
     non-leading ideal members are harmless: back-substitution never divides
-    by their difference.)
+    by their difference.)  Every row is checked at every use, shared or not.
     """
     lam = tuple(lam)
     ideal = dominance_ideal(lam, n)
     member = set(ideal)
     where = f" for {label}" if label else ""
-    e_top = eigenvalue(lam)
+    values = {nu: eigenvalue(nu) for nu in ideal}
+    e_top = values[lam]
     for nu in ideal[1:]:
-        if eigenvalue(nu) == e_top:
+        if values[nu] == e_top:
             raise DegeneracyError(
                 f"eigenvalue collision between {lam} and {nu}{where}")
 
     coeffs: dict[tuple, Fraction] = {}
-    rows: dict[tuple, dict] = {}
-    for pos, nu in enumerate(ideal):
-        if pos == 0:
-            coeffs[nu] = Fraction(1)
+    # pending[mu]: sum of c_rho * row_rho[mu] over the solved rho; each row
+    # is scattered once its coefficient is known, and lex-descending order
+    # puts every mu below nu after it
+    pending: dict[tuple, Fraction] = {}
+    for nu in ideal:
+        if nu == lam:
+            c = Fraction(1)
         else:
-            total = Fraction(0)
-            for rho, c in coeffs.items():
-                total += c * rows[rho].get(nu, Fraction(0))
-            coeffs[nu] = total / (e_top - eigenvalue(nu))
+            c = pending.pop(nu, Fraction(0)) / (e_top - values[nu])
+        coeffs[nu] = c
         row = apply_to_monomial(nu)
         # operator stability: the row must stay inside the dominance ideal,
         # with the eigenvalue itself on the diagonal
@@ -74,12 +102,14 @@ def solve_eigen_expansion(lam: Sequence[int], n: int,
             raise OperatorRowError(
                 f"row of {nu} leaves the dominance ideal of {lam} at "
                 f"{outside[0]}{where}")
-        diagonal, expected = row.get(nu, Fraction(0)), eigenvalue(nu)
-        if diagonal != expected:
+        diagonal = row.get(nu, Fraction(0))
+        if diagonal != values[nu]:
             raise OperatorRowError(
                 f"row of {nu} has diagonal {diagonal}, not the eigenvalue "
-                f"{expected}{where}")
-        rows[nu] = row
+                f"{values[nu]}{where}")
+        for mu, r in row.items():
+            if mu != nu:
+                pending[mu] = pending.get(mu, 0) + c * r
     return SymmetricPolynomial(n, coeffs)
 
 

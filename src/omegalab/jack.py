@@ -16,7 +16,8 @@ from typing import Sequence
 
 from . import cache
 from .classical import expand_classical
-from .eigensolve import dominance_ideal, solve_eigen_expansion
+from .eigensolve import (cached_rows, dominance_ideal,
+                         solve_eigen_expansion)
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      ParameterError)
 from .macdonald import MacdonaldParams, macdonald_expand, _as_key
@@ -102,12 +103,15 @@ def _jack_eigenvalue(nu: tuple, n: int, theta: Fraction) -> Fraction:
             + 2 * theta * sum((n - 1 - i) * nu[i] for i in range(n)))
 
 
-def _solve(lam: tuple, n: int, th: Fraction) -> SymmetricPolynomial:
+def _solve(lam: tuple, n: int, th: Fraction,
+           rows: dict) -> SymmetricPolynomial:
+    """The eigen-solve for P_lambda, reading and filling rows (nu -> operator
+    row of weight |lambda| at theta)."""
     if len(dominance_ideal(lam, n)) == 1:
         return SymmetricPolynomial.monomial(lam, n)
     return solve_eigen_expansion(
         lam, n,
-        lambda nu: _apply_jack_op(nu, n, th),
+        cached_rows(rows, lambda nu: _apply_jack_op(nu, n, th)),
         lambda nu: _jack_eigenvalue(nu, n, th),
         label=f"theta={_decimal_text(th)}")
 
@@ -122,6 +126,11 @@ def _entry(lam: tuple, theta: JackParam, base=None):
     n = len(lam)
     th = theta.theta
 
+    def solve():
+        # one row table per (n, weight, theta), shared by every lambda
+        rows = cache._memoized(("jack rows", n, sum(lam), th), dict)[0]
+        return _solve(lam, n, th, rows)
+
     def compute():
         if theta.is_infinite:
             conj = Partition(lam).conjugate(max(lam[0], 1))
@@ -130,8 +139,7 @@ def _entry(lam: tuple, theta: JackParam, base=None):
             # the operator is diagonal at theta = 0 (and has eigenvalue
             # collisions there); the eigenfunctions are the monomials
             return SymmetricPolynomial.monomial(lam, n)
-        return cache.fetch("jack", n, lam, lambda: _solve(lam, n, th),
-                           theta=th)
+        return cache.fetch("jack", n, lam, solve, theta=th)
 
     return cache._memoized(("jack", n, lam, th), compute, base)
 

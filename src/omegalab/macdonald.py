@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import cache
-from .eigensolve import (as_int_vector, dominance_ideal, solve_eigen_expansion,
-                         solve_linear_system)
+from .eigensolve import (as_int_vector, cached_rows, dominance_ideal,
+                         solve_eigen_expansion, solve_linear_system)
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      ParameterError)
 from .partitions import Partition, contains, partitions_of
@@ -202,26 +202,42 @@ def _apply_macdonald_op(nu: tuple, n: int, q: Fraction, t: Fraction) -> dict:
 
 
 def _mac_eigenvalue(nu: tuple, n: int, q: Fraction, t: Fraction) -> Fraction:
-    return sum((q ** nu[i]) * (t ** (n - 1 - i)) for i in range(n))
+    """sum_i q^(nu_i) t^(n-1-i), over the one common denominator
+    b^(nu_1) d^(n-1) for q = a/b, t = c/d."""
+    a, b, c, d = q.numerator, q.denominator, t.numerator, t.denominator
+    top = nu[0]
+    return Fraction(sum(a ** p * b ** (top - p) * c ** (n - 1 - i) * d ** i
+                        for i, p in enumerate(nu)),
+                    b ** top * d ** (n - 1))
 
 
-def _expand_uncached(lam: tuple, params: MacdonaldParams) -> SymmetricPolynomial:
+def _expand_uncached(lam: tuple, params: MacdonaldParams,
+                     rows: dict | None = None) -> SymmetricPolynomial:
+    """The eigen-solve for P_lambda, reading and filling rows (nu -> operator
+    row of weight |lambda| at params); None builds every row afresh, as
+    certification needs."""
     n, q, t = params.n, params.q, params.t
     if len(dominance_ideal(lam, n)) == 1:
         return SymmetricPolynomial.monomial(lam, n)
     return solve_eigen_expansion(
         lam, n,
-        lambda nu: _apply_macdonald_op(nu, n, q, t),
+        cached_rows({} if rows is None else rows,
+                    lambda nu: _apply_macdonald_op(nu, n, q, t)),
         lambda nu: _mac_eigenvalue(nu, n, q, t),
         label=f"q={_decimal_text(q)}, t={_decimal_text(t)}")
 
 
 def _entry(lam: tuple, params: MacdonaldParams, base=None):
     """(P_lambda, P_lambda(t^delta) or None) from the package memo."""
+    def solve():
+        # one row table per (params, weight), shared by every lambda
+        rows = cache._memoized(("macdonald rows", params.key(), sum(lam)),
+                               dict)[0]
+        return _expand_uncached(lam, params, rows)
+
     return cache._memoized(
         ("macdonald", params.key(), lam),
-        lambda: cache.fetch("macdonald", params.n, lam,
-                            lambda: _expand_uncached(lam, params),
+        lambda: cache.fetch("macdonald", params.n, lam, solve,
                             q=params.q, t=params.t),
         base)
 

@@ -1,14 +1,17 @@
 """The package's one in-process memo of expansions and normalizers, and the
 checks between it and the disk cache."""
 
+import tempfile
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegalab import cache
 from omegalab.cache import ExpansionCache, activate, cache_key
 from omegalab.errors import CacheFormatError
-from omegalab.jack import omega_jack_eval
+from omegalab.jack import jack_expand, omega_jack_eval
 from omegalab.macdonald import (MacdonaldParams, _expand_uncached,
                                 binomial_check, macdonald_expand,
                                 omega_mac_eval)
@@ -34,11 +37,13 @@ def test_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(cache, "_MEMO", {})
     expected = values()
     sizes = []
+    keys = set()
     memoized = cache._memoized
 
     def counted(*args):
         result = memoized(*args)
         sizes.append(len(cache._MEMO))
+        keys.update(cache._MEMO)
         return result
 
     monkeypatch.setattr(cache, "MEMO_SIZE", 3)
@@ -47,6 +52,8 @@ def test_memo_stays_within_its_bound(monkeypatch):
     for _ in range(2):
         assert values() == expected
     assert max(sizes) == 3
+    # the operator-row tables share the bound
+    assert {key[0] for key in keys} >= {"jack rows", "macdonald rows"}
 
 
 def test_memo_hit_reaches_no_disk_layer(monkeypatch, tmp_path):
@@ -137,3 +144,61 @@ def test_keys_that_would_corrupt_the_format_raise_under_optimization(
     """)
     assert out == ["CacheFormatError", "CacheFormatError", "True"], err
 
+
+
+parameters = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
+                          max_denominator=20)
+
+
+@st.composite
+def expansions(draw):
+    """(cache key, expansion call) for a drawn shape, family and parameter."""
+    n = draw(st.integers(1, 4))
+    lam = draw(st.sampled_from(list(partitions_of(draw(st.integers(0, 6)),
+                                                  n))))
+    if draw(st.booleans()):
+        theta = draw(st.fractions(min_value=Fraction(1, 10), max_value=10,
+                                  max_denominator=10))
+        return (cache_key("jack", n, lam, theta=theta),
+                lambda: jack_expand(lam, theta))
+    q, t = draw(parameters), draw(parameters)
+    mp = MacdonaldParams(q, t, n)
+    return (cache_key("macdonald", n, lam, q=q, t=t),
+            lambda: macdonald_expand(lam, mp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(expansions())
+def test_cold_disk_and_recomputed_expansions_agree(case):
+    key, expand = case
+    saved, prior = cache._MEMO, cache.active_cache()
+    cache._MEMO = {}
+    try:
+        activate(None)
+        cold = expand()
+        with tempfile.TemporaryDirectory() as tmp:
+            path, misfit_path = f"{tmp}/cache.txt", f"{tmp}/misfit.txt"
+            activate(ExpansionCache(path))
+            cache._MEMO.clear()
+            assert expand() == cold
+            # read back through a fresh object on the same file
+            disk = ExpansionCache(path)
+            assert disk.get(key) == cold
+            activate(disk)
+            cache._MEMO.clear()
+            assert expand() == cold
+            # a record that misfits its key is recomputed like a missing one
+            ExpansionCache(misfit_path).put(key, 2 * cold)
+            activate(ExpansionCache(misfit_path))
+            cache._MEMO.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert expand() == cold
+            assert any("recomputing" in str(w.message) for w in caught)
+            assert ExpansionCache(misfit_path).get(key) == cold
+        activate(None)
+        cache._MEMO.clear()
+        assert expand() == cold
+    finally:
+        cache._MEMO = saved
+        activate(prior)

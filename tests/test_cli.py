@@ -2,10 +2,14 @@
 cache and perturbation flags."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import omegalab
 from omegalab.cli import run
 from omegalab.classical import muirhead_eval
 from omegalab.jack import jack_expand
@@ -41,6 +45,46 @@ def test_bad_arguments_exit_two():
         run(["no-such-command"])
     with pytest.raises(SystemExit):
         run(["check", "schur", "--family", "muirhead"])  # missing --n
+    # a negative value does not make an unknown option known
+    with pytest.raises(SystemExit) as exc:
+        run(["ho", "eval", "--k", "1", "--bogus", "-1,1", "--x", "0,0"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["ho", "eval", "--k", "1", "--s", "-1,1", "--x", "0,0"],
+    ["ho", "eval", "--k", "1", "--s", "-1/2,0.5", "--x", "0,0"],
+    ["ho", "eval", "--k", "1", "--s", "1,-1", "--x", "-0.5,-1"],
+    ["eval", "--family", "classical", "--basis", "powersum", "--lambda", "2",
+     "--x", "-2.5E-3"],
+    # a prefix of --perturb, which argparse accepts for the option
+    ["ho", "eval", "--k", "1", "--s", "1,-1", "--x", "0.5,0.5",
+     "--pert", "-1e-3"],
+])
+def test_negative_values_need_no_equals_sign(args, capsys):
+    assert run(args[:-2] + [f"{args[-2]}={args[-1]}"]) == 0
+    expected = capsys.readouterr().out
+    assert run(args) == 0
+    assert capsys.readouterr().out == expected != ""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_module_entry_point_exits_like_run(flags, capsys):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(omegalab.__file__)),
+        os.environ.get("PYTHONPATH")))))
+    for args in (["majorize", "2,0", "1,1"], ["majorize", "1,1", "2,0"],
+                 ["majorize", "2,x", "1,1"],
+                 ["ho", "eval", "--k", "1", "--s", "-1,1", "--x", "0,0"]):
+        try:
+            code = run(args)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, *flags, "-m", "omegalab",
+                               *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
 
 
 def test_domain_errors_exit_two(capsys):

@@ -412,8 +412,24 @@ def test_certification_reads_no_memo_entry(monkeypatch):
     mp = MacdonaldParams(Fraction(2, 5), Fraction(3, 7), 2)
     monkeypatch.setattr(cache, "_MEMO", {})
     macdonald._normalized((1, 1), mp)
-    (entry,) = cache._MEMO.values()
+    entry = cache._MEMO[("macdonald", mp.key(), (1, 1))]
     entry[1] /= 10 ** 9
+    with pytest.raises(CertificationError):
+        hunt_violation(mp.q, mp.t, n=2, max_weight=2, lattice_only=True,
+                       label_bound=2)
+
+
+def test_certification_reads_no_row_table(monkeypatch):
+    # scale the m_(1,1) entry of the shared (2,0) operator row by -10^9: the
+    # lattice-only hunt, which finds nothing on sound rows, now solves a
+    # P_(2,0) with Omega_(2,0) < Omega_(1,1), and certification, which
+    # builds its rows afresh, must refuse it
+    mp = MacdonaldParams(Fraction(2, 5), Fraction(3, 7), 2)
+    monkeypatch.setattr(cache, "_MEMO", {})
+    row = macdonald._apply_macdonald_op((2, 0), 2, mp.q, mp.t)
+    row[(1, 1)] *= -10 ** 9
+    table = cache._memoized(("macdonald rows", mp.key(), 2), dict)[0]
+    table[(2, 0)] = row
     with pytest.raises(CertificationError):
         hunt_violation(mp.q, mp.t, n=2, max_weight=2, lattice_only=True,
                        label_bound=2)
@@ -501,9 +517,9 @@ def test_off_lattice_hunt_solves_only_the_shapes_it_probes(monkeypatch):
     solved = []
     original = macdonald._expand_uncached
 
-    def counted(lam, params):
+    def counted(lam, params, rows=None):
         solved.append(lam)
-        return original(lam, params)
+        return original(lam, params, rows)
 
     monkeypatch.setattr(macdonald, "_expand_uncached", counted)
     witness, probes = hunt_violation(Fraction(1, 2), Fraction(1, 3), n=4,
