@@ -2,19 +2,24 @@
 
 F_{k,s}(x) is evaluated numerically by peeling off one variable at a time:
 the n-variable value is an integral of the (n-1)-variable function over the
-box of points interlacing x, against an explicit positive weight.  Base
-cases (n = 1, k = 0, uniform x) are closed forms.  One recursion serves
-every n: it evaluates a batch of L spectral vectors at a batch of points,
-builds the tensor node grid of all n-1 interlacing dimensions, and calls
-itself once on the flattened grid.  Nodes and weights depend on x and k
-only, so the L vectors share them, and the inequality sweeps evaluate every
-shape they need at a point in one pass per node count.  Batches are split
-along rows at a fixed grid size of 2^13 elements, so memory per level is
-bounded by L times that size (or by L times one point's grid, when that is
-larger), and no value depends on the split or on the other vectors in its
-batch.  This is the only module in the package that works in floating
-point end to end; everything it is checked against (Jack evaluations)
-stays exact until the final comparison.
+box of points interlacing x, against an explicit positive weight.  The
+cases n = 1, k = 0 and uniform x are closed forms.  One recursion serves
+every other case: it evaluates a batch of L spectral vectors at a batch of
+points, builds the tensor node grid of all n-1 interlacing dimensions, and
+calls itself once on the flattened grid, down to two variables.  There a
+leaf integrates over the one remaining dimension with the one-variable
+base case exp(s0 * nu) folded into its node sum; factors that depend on
+the point alone are computed once per point, and each node's whole term is
+one exponential, so a weight that underflows gives 0, never 0 * inf.
+Nodes and weights depend on x and k only, so the L vectors share them, and
+the inequality sweeps evaluate every shape they need at a point in one
+pass per node count.  Batches are split along rows at a fixed grid size
+of 2^13 elements, so memory per level is bounded by L times that size (or
+by L times one point's grid, when that is larger), and no value depends
+on the split or on the other vectors in its batch.  A value out of
+floating range raises instead of being returned.  This is the only module
+in the package that works in floating point end to end; everything it is
+checked against (Jack evaluations) stays exact until the final comparison.
 
 Conventions: F is symmetric in x and in s separately, F(0) = 1, and
 F_{k, lam + k*rho}(x) = Omega_lam(e^x; k) ties the family to the Jack side.
@@ -38,6 +43,18 @@ from .sympoly import poly_eval_float
 SINGULARITY_RULES = ("plain-gauss", "endpoint-substitution")
 
 
+def _whole(value, what: str) -> int:
+    """value as an int; a count with a fractional part raises instead of
+    being truncated."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ParameterError(f"need an integral {what}; got {value!r}")
+    return whole
+
+
 class HOParams:
     """Multiplicity k >= 0 and variable count n, plus the derived vectors."""
 
@@ -47,7 +64,7 @@ class HOParams:
         k = float(k)
         if not math.isfinite(k) or k < 0:
             raise ParameterError(f"need multiplicity k >= 0; got {k}")
-        n = int(n)
+        n = _whole(n, "variable count")
         if n < 1:
             raise ParameterError(f"need at least one variable; got n={n}")
         self.k = k
@@ -86,7 +103,8 @@ class QuadratureConfig:
     def __init__(self, nodes_per_dimension: int = 64,
                  singularity_rule: str = "endpoint-substitution",
                  min_gap: float = 1e-8):
-        nodes_per_dimension = int(nodes_per_dimension)
+        nodes_per_dimension = _whole(nodes_per_dimension,
+                                     "nodes_per_dimension")
         if nodes_per_dimension < 4:
             raise ParameterError(
                 f"need nodes_per_dimension >= 4; got {nodes_per_dimension}")
@@ -122,7 +140,8 @@ def _unit_gauss(m: int):
 
 
 # floor for endpoint displacements: keeps 0^(k-1) out of the weight factors
-# on zero-width boxes (those nodes carry weight 0, so the value is unused)
+# on zero-width boxes (those nodes carry weight 0, so the value is unused);
+# the leaf floors the product of its two edge factors with it
 _TINY = 1e-300
 
 
@@ -211,17 +230,17 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig):
     """F_{k,s}(x) * exp(tilt * sum(x)) * V(e^x)^vpow for a batch of spectral
     vectors at a batch of points, as an array of shape (len(s), points).
 
-    s is an (L, n) array, one spectral vector per row, and tilt a scalar or
-    one value per row; x holds one array per coordinate, sorted decreasingly
-    at every point; V is the Vandermonde product.  The caller passes its
-    drift tilt and node Vandermonde down instead of spending passes over its
-    node grid on them; they fold into this level's prefactor.  Nodes and
-    weights depend on x and k only, so one tree serves every row of s, and
-    each row's value is the one it would get alone.
+    s is an (L, n) array with n >= 2, one spectral vector per row, and tilt
+    a scalar or one value per row; x holds one array per coordinate, sorted
+    decreasingly at every point; V is the Vandermonde product.  The caller
+    passes its drift tilt and node Vandermonde down instead of spending
+    passes over its node grid on them; they fold into this level's
+    prefactor.  Nodes and weights depend on x and k only, so one tree
+    serves every row of s, and each row's value is the one it would get
+    alone.  Two variables are the leaf, which also does the one-variable
+    base case.
     """
-    count, n = s.shape
-    if n == 1:
-        return np.exp((s[:, 0] + tilt)[:, None] * x[0])
+    n = s.shape[1]
     per_dim = cfg.nodes_per_dimension * (
         1 if cfg.singularity_rule == "plain-gauss" else 2)
     size = per_dim ** (n - 1)
@@ -233,7 +252,27 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig):
     # a node that rounded onto a shared endpoint leaves tied coordinates;
     # such a point is skipped and gets weight 0
     strict = np.logical_and.reduce([x[j] > x[j + 1] for j in range(n - 1)])
-    x = [v[strict] for v in x]
+    tied = not strict.all()
+    if tied:
+        x = [v[strict] for v in x]
+    value = (_leaf(k, s, x[0], x[1], tilt, vpow, cfg) if n == 2
+             else _level(k, s, x, tilt, vpow, cfg, per_dim, size))
+    if not tied:
+        return value
+    # most batches have no tied row; a gather and a scatter through the
+    # 2-d mask cost some 10 us, and an 8-node n=4 evaluation makes over
+    # 2,000 calls
+    padded = np.zeros((s.shape[0], strict.size))
+    padded[:, strict] = value
+    return padded
+
+
+def _level(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig,
+           per_dim: int, size: int):
+    """One level of _f_rec for n >= 3 at strictly decreasing points: the
+    tensor node grid of the n-1 interlacing dimensions, and one call on
+    the flattened grid for the level below."""
+    count, n = s.shape
     rows = x[0].size
     sn = s[:, -1]
     ex = [np.exp(v) for v in x]
@@ -265,15 +304,85 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig):
         nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
                                   shape).reshape(-1))
     inner = _f_rec(k, s[:, :-1], nu, 1.0 - n * k / 2.0 - sn, 1.0, cfg)
-    value = pref * np.sum(
+    return pref * np.sum(
         grid.reshape(rows, size) * inner.reshape(count, rows, size), axis=-1)
-    if rows == strict.size:
-        return value
-    # most batches have no tied row; a scatter through the 2-d mask costs
-    # some 5 us, and an 8-node n=4 evaluation makes over 4,000 calls
-    padded = np.zeros((count, strict.size))
-    padded[:, strict] = value
-    return padded
+
+
+@functools.lru_cache(maxsize=64)
+def _leaf_panels(m: int, k: float, rule: str):
+    """The leaf's per-node constants as read-only columns: the offsets
+    -(a, b) of _unit_panels per unit of box width, stacked into one
+    (2 * nodes, 1) column, and log(jac * w) plus the logs of the gamma
+    ratio and of the scale per unit width.  The log of jac is taken factor
+    by factor, so it stays finite where jac underflows (at small k,
+    u^(1/k - 1) does)."""
+    a, b, jac, w = _unit_panels(m, k, rule)
+    half = 1.0 if rule == "plain-gauss" else 0.5
+    logjw = (np.log(w) + math.log(half)
+             + (math.lgamma(2.0 * k) - 2.0 * math.lgamma(k)))
+    if jac is not None:
+        u = _unit_gauss(m)[0]
+        logjac = (1.0 / k - 1.0) * np.log(u) - math.log(k)
+        logjw = logjw + np.concatenate([logjac, logjac])
+    offsets = np.concatenate([a, b])[:, None] * -half
+    logjw = logjw[:, None]
+    offsets.setflags(write=False)
+    logjw.setflags(write=False)
+    return offsets, logjw
+
+
+def _leaf(k: float, s, x0, x1, tilt, vpow: float, cfg: QuadratureConfig):
+    """_f_rec's n = 2 level at strictly decreasing points (x0, x1), with the
+    base case F_{k,s0}(nu) = exp(s0 * nu) folded into its node sum.
+
+    With dlo = nu - x1 and dhi = x0 - nu, the node term
+        wts * (e^nu - e^x1)^(k-1) * (e^x0 - e^nu)^(k-1) * exp(c * nu),
+    where c = s0 + 1 - k - s1 is s0 plus the tilt the generic level would
+    pass down, splits into a row factor scale * e^((k-1)(x0 + x1) + c * x1)
+    and a node factor
+        jac * w * (m(dlo) * m(dhi))^(k-1) * e^((s0 - s1) * dlo),
+    where m(d) = 1 - e^-d, and e^((k-1) dlo) has joined e^(c dlo).  All of
+    it, with the prefactor and the Vandermonde power, is summed as one
+    exponent per node: a factor near an endpoint is large exactly where
+    the weight is small, so the exponent stays moderate, and a node whose
+    weight underflows gives 0, never 0 * inf.  m(dlo) * m(dhi) is floored
+    at _TINY, which only a box narrower than about 1e-150 or a node offset
+    that underflows reaches (u^(1/k) does for k below about 0.02 at 64
+    nodes).
+    """
+    offsets, logjw = _leaf_panels(cfg.nodes_per_dimension, k,
+                                  cfg.singularity_rule)
+    nodes = logjw.shape[0]
+    width = x0 - x1
+    if k == 1.0:
+        nlo = offsets[:nodes] * width
+        node = logjw
+    else:
+        offsets = offsets * width
+        nlo = offsets[:nodes]
+        edges = np.expm1(offsets)
+        node = np.multiply(edges[:nodes], edges[nodes:], out=edges[:nodes])
+        np.maximum(node, _TINY, out=node)
+        np.log(node, out=node)
+        node *= k - 1.0
+        node += logjw
+    # the row exponent: log width (which never rounds to 0), the
+    # Vandermonde power of e^x0 - e^x1 = e^x0 * m(width), and the
+    # coefficients of x0 and x1 that the prefactor, the edge factors and
+    # the base case add up to
+    s0, s1 = s[:, 0], s[:, 1]
+    row = (np.log(width)
+           + (vpow + 1.0 - 2.0 * k) * np.log(-np.expm1(-width)))
+    row = (row + (tilt + s1 + (vpow - k / 2.0))[:, None] * x0
+           + (tilt + s0 + k / 2.0)[:, None] * x1)
+    terms = np.multiply.outer(s1 - s0, nlo)
+    terms += node
+    terms += row[:, None, :]
+    np.exp(terms, out=terms)
+    if x0.size > 1:
+        # summed node by node; numpy sums a lone row pairwise instead
+        return terms.sum(axis=1)
+    return functools.reduce(np.add, terms.transpose(1, 0, 2))
 
 
 def _sorted_checked(x, min_gap: float):
@@ -294,8 +403,25 @@ def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
     """ho_eval at x for every spectral vector in svecs, from one tree.
 
     The checks, closed forms and shortcuts of ho_eval apply to each s, and
-    each value equals ho_eval(params, s, x, cfg) bit for bit.
+    each value equals ho_eval(params, s, x, cfg) bit for bit.  A value that
+    overflows or is lost to nan raises DegeneracyError.
     """
+    try:
+        values = _ho_values(params, svecs, x, cfg)
+    except OverflowError:
+        values = [math.inf]
+    for v in values:
+        if not math.isfinite(v):
+            raise DegeneracyError(
+                f"F_{{k,s}}(x) is {v} in floating point at k={params.k}, "
+                f"x={tuple(x)} with {cfg.nodes_per_dimension} nodes per "
+                f"panel; the value is out of floating range or the "
+                f"quadrature lost it")
+    return values
+
+
+def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
+    """_ho_eval_batch's values, before the finiteness check."""
     n = params.n
     svecs = [tuple(float(v) for v in s) for s in svecs]
     for s in svecs:
@@ -314,10 +440,10 @@ def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
     if uniform:
         return [math.exp(sum(s) * mean) for s in ss]
     if cfg.singularity_rule == "plain-gauss" and params.k < 1.0:
-        # stacklevel 3 names the line that called ho_eval or _ho_eval_and_gap
+        # stacklevel 4 names the line that called ho_eval or _ho_eval_and_gap
         warnings.warn("plain-gauss with k < 1 leaves the endpoint "
                       "singularity unresolved; expect degraded accuracy",
-                      stacklevel=3)
+                      stacklevel=4)
     centered = [np.array([v - mean]) for v in xs]
     values = _f_rec(params.k, np.array(ss), centered, 0.0, 0.0, cfg)[:, 0]
     return [math.exp(sum(s) * mean) * float(v) for s, v in zip(ss, values)]

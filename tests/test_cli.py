@@ -319,6 +319,27 @@ def test_underflowing_quadrature_checks_exit_two_under_optimization():
     assert_exit_two_under_optimization(UNDERFLOWING)
 
 
+# F is near e^1600 here; the quadrature used to print nan and exit 0
+OUT_OF_RANGE = ["ho", "eval", "--k", "1/2", "--s", "3,-1", "--x", "400,-400"]
+
+
+def test_quadrature_values_out_of_range_exit_two(capsys):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert_exit_two([OUT_OF_RANGE], capsys)
+
+
+def test_quadrature_values_out_of_range_exit_two_under_optimization():
+    # numpy's overflow warning precedes the error line on stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(omegalab.__file__)),
+        os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-O", "-m", "omegalab",
+                           *OUT_OF_RANGE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "\nerror: F_{k,s}(x) is inf" in proc.stderr
+
+
 # str() refuses integers of more than 4300 digits; each command prints
 # exact values of any size
 def test_eval_prints_values_past_the_digit_limit(capsys):

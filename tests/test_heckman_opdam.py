@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegalab.errors import DomainError, ParameterError, TieError
-from omegalab.heckman_opdam import (HOParams, QuadratureConfig, _f_rec,
-                                    _ho_eval_batch, _panel_nodes,
-                                    _unit_gauss, ho_closed_forms,
-                                    ho_direction_residual, ho_error_estimate,
-                                    ho_eval, ho_jack_consistency)
+from omegalab.errors import (DegeneracyError, DomainError, ParameterError,
+                             TieError)
+from omegalab.heckman_opdam import (_BATCH, HOParams, QuadratureConfig,
+                                    _f_rec, _ho_eval_batch, _panel_nodes,
+                                    _unit_gauss, _weighted_edges,
+                                    ho_closed_forms, ho_direction_residual,
+                                    ho_error_estimate, ho_eval,
+                                    ho_jack_consistency)
 
 
 def determinant_oracle(s, x):
@@ -44,6 +46,10 @@ def test_params_validation():
         HOParams(math.inf, 2)
     with pytest.raises(ParameterError):
         HOParams(1, 0)
+    # a fractional count is refused, not truncated
+    with pytest.raises(ParameterError):
+        HOParams(1, 2.5)
+    assert HOParams(1, 2.0).n == 2
     assert HOParams(0, 3).rho == (1, 0, -1)
 
 
@@ -61,6 +67,10 @@ def test_quadrature_config_validation():
         QuadratureConfig(16, "midpoint")
     with pytest.raises(ParameterError):
         QuadratureConfig(16, min_gap=0)
+    for nodes in (4.7, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            QuadratureConfig(nodes)
+    assert QuadratureConfig(8.0).nodes_per_dimension == 8
     assert QuadratureConfig(16).with_nodes(32).nodes_per_dimension == 32
 
 
@@ -185,6 +195,15 @@ def test_batch_split_leaves_values_unchanged():
             alone = _f_rec(k, s, [np.array([v]) for v in x], 0.0, 1.0, cfg)[0]
             assert value == alone[0], (k, x)
         assert batch[-1] == 0.0
+        # at two variables a point alone is a one-row node sum, which numpy
+        # would add up pairwise rather than node by node
+        pairs = [x[:2] for x in points[:-1]]
+        batch = _f_rec(k, s[:, :2], [np.array(c) for c in zip(*pairs)], 0.0,
+                       1.0, cfg)[0]
+        for value, x in zip(batch, pairs):
+            alone = _f_rec(k, s[:, :2], [np.array([v]) for v in x], 0.0, 1.0,
+                           cfg)[0]
+            assert value == alone[0], (k, x)
 
 
 def test_node_on_an_outside_coordinate_gets_weight_zero():
@@ -240,6 +259,11 @@ SPECTRA = [(1.3, 0.2, -0.9, -1.0), (2.0, 0.5, 0.5, -1.5),
            (0.0, 0.0, 0.0, 0.0), (3.5, -0.25, -1.0, -2.25),
            (-0.7, 1.1, 0.4, 0.2)]
 
+# n = 3 vectors whose first two coordinates differ by 1, so the two-variable
+# level below sees the same base-case exponent s0 + 1 - k - s1 for each,
+# while its prefactor differs; a batch must not mix up their rows
+SHARED_LEAF_EXPONENT = [(2.0, 1.0, 0.0), (2.0, 1.0, -1.0), (3.0, 2.0, 0.5)]
+
 
 @pytest.mark.parametrize("n, nodes", [(2, 16), (3, 8), (4, 4)])
 @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 1.5, 2.0])
@@ -247,6 +271,8 @@ def test_batched_values_equal_one_at_a_time_bitwise(n, nodes, k):
     p = HOParams(k, n)
     cfg = QuadratureConfig(nodes)
     svecs = [s[:n] for s in SPECTRA]
+    if n == 3:
+        svecs += SHARED_LEAF_EXPONENT
     x = (0.9, 0.3, -0.6, -1.1)[:n]
     assert (_ho_eval_batch(p, svecs, x, cfg)
             == [ho_eval(p, s, x, cfg) for s in svecs])
@@ -347,3 +373,149 @@ def test_positivity_on_a_strip(shift, gap):
     value = ho_eval(HOParams(1.5, 2), (1.0 + shift, -0.5), (gap, 0.0),
                     QuadratureConfig(16))
     assert value > 0.0
+
+
+def reference_f_rec(k, s, x, tilt, vpow, cfg):
+    """_f_rec as it was before the two-variable leaf: the generic level at
+    every n >= 2, down to the one-variable base case."""
+    count, n = s.shape
+    if n == 1:
+        return np.exp((s[:, 0] + tilt)[:, None] * x[0])
+    per_dim = cfg.nodes_per_dimension * (
+        1 if cfg.singularity_rule == "plain-gauss" else 2)
+    size = per_dim ** (n - 1)
+    step = max(1, _BATCH // size)
+    if x[0].size > step:
+        return np.concatenate([
+            reference_f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg)
+            for i in range(0, x[0].size, step)], axis=1)
+    strict = np.logical_and.reduce([x[j] > x[j + 1] for j in range(n - 1)])
+    x = [v[strict] for v in x]
+    rows = x[0].size
+    sn = s[:, -1]
+    ex = [np.exp(v) for v in x]
+    pref = (math.gamma(n * k) / math.gamma(k) ** n
+            * np.exp((tilt + sn + k * (n - 1) / 2.0)[:, None] * sum(x)))
+    expo = vpow + 1.0 - 2.0 * k
+    if expo != 0.0:
+        pref = pref * np.abs(math.prod(ex[i] - ex[j] for i in range(n)
+                                       for j in range(i + 1, n))) ** expo
+    shape = (rows,) + (per_dim,) * (n - 1)
+    nu = []
+    for j in range(n - 1):
+        tau, dlo, dhi, wts = _panel_nodes(x[j + 1], x[j], k, cfg)
+        if k != 1.0:
+            etau = np.exp(tau)
+            wts = _weighted_edges(wts, ex[j + 1][:, None], etau, dlo, dhi, k)
+            for i in range(n):
+                if i not in (j, j + 1):
+                    gap = np.abs(ex[i][:, None] - etau)
+                    live = gap > 0.0
+                    wts = np.where(live, wts * np.where(live, gap, 1.0)
+                                   ** (k - 1.0), 0.0)
+        dims = (rows,) + (1,) * j + (per_dim,)
+        grid = wts if j == 0 else grid[..., None] * wts.reshape(dims)
+        nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
+                                  shape).reshape(-1))
+    inner = reference_f_rec(k, s[:, :-1], nu, 1.0 - n * k / 2.0 - sn, 1.0,
+                            cfg)
+    value = pref * np.sum(
+        grid.reshape(rows, size) * inner.reshape(count, rows, size), axis=-1)
+    padded = np.zeros((count, strict.size))
+    padded[:, strict] = value
+    return padded
+
+
+def at_one_point(f_rec, k, s, x, cfg):
+    """f_rec's value for one spectral vector at one point."""
+    return f_rec(k, np.array([s]), [np.array([v]) for v in x], 0.0, 0.0,
+                 cfg)[0, 0]
+
+
+@pytest.mark.parametrize("rule", ["plain-gauss", "endpoint-substitution"])
+@pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0])
+def test_leaf_matches_the_generic_level_and_base_case(k, rule):
+    for n, nodes in ((2, 16), (3, 8), (4, 4)):
+        cfg = QuadratureConfig(nodes, rule)
+        x = (0.9, 0.3, -0.2, -1.0)[:n]
+        for s in ((1.3, 0.2, -0.9, -1.0), (2.5, 1.5, 0.25, -3.0)):
+            assert math.isclose(
+                at_one_point(_f_rec, k, s[:n], x, cfg),
+                at_one_point(reference_f_rec, k, s[:n], x, cfg),
+                rel_tol=1e-12), (n, s)
+
+
+@pytest.mark.parametrize("k", [0.01, 0.05])
+@pytest.mark.parametrize("nodes", [4, 64])
+def test_leaf_is_finite_wherever_the_reference_is(k, nodes):
+    # box widths from just above min_gap to 60.  At k = 0.01 and 64 nodes
+    # the reference's jacobian underflows to 0 against an edge factor that
+    # overflows, so it gives nan on the widest boxes and warns; the leaf
+    # must then be finite where the reference is, and quiet
+    cfg = QuadratureConfig(nodes)
+    for width in (2e-8, 1e-3, 1.0, 60.0):
+        for s, x in (((3.0, -1.0), (width / 2, -width / 2)),
+                     ((3.0, 0.0, -1.0), (width / 2, 0.0, -width / 2))):
+            with np.errstate(all="ignore"):
+                expected = at_one_point(reference_f_rec, k, s, x, cfg)
+            if math.isfinite(expected):
+                value = at_one_point(_f_rec, k, s, x, cfg)
+                assert math.isfinite(value), (width, s)
+
+
+def hyp2f1_pfaff(a, b, c, d):
+    """2F1(a, b; c; 1 - e^d) for d > 0, summed as a plain series after
+    Pfaff's transformation (DLMF 15.8.1): (1 - z)^-b 2F1(c - a, b; c; w)
+    with w = z / (z - 1) = 1 - e^-d in (0, 1)."""
+    w = -math.expm1(-d)
+    term = total = 1.0
+    i = 0
+    while i < 5 or abs(term) > 1e-17 * abs(total):
+        term *= (c - a + i) * (b + i) / ((c + i) * (i + 1)) * w
+        total += term
+        i += 1
+    return math.exp(-b * d) * total
+
+
+def euler_oracle(k, s, x):
+    """F_{k,s}(x1, x2) from Euler's integral (DLMF 15.6.1):
+    exp((s2 + k/2)(x1 + x2) + c x2) 2F1(-c, k; 2k; 1 - e^(x1 - x2)),
+    c = s1 - s2 - k, for x1 > x2."""
+    (s1, s2), (x1, x2) = s, x
+    c = s1 - s2 - k
+    return (math.exp((s2 + k / 2) * (x1 + x2) + c * x2)
+            * hyp2f1_pfaff(-c, k, 2 * k, x1 - x2))
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_two_variables_match_the_hypergeometric_oracle(k):
+    # spectral vectors off the lattice lam + k * rho, which the exact Jack
+    # comparison cannot reach
+    cfg = QuadratureConfig(64)
+    for s in ((1.3, -0.4), (0.37, 0.2), (2.71, -1.9), (-0.6, 0.45)):
+        for x in ((0.9, -0.6), (1.0, -1.0), (0.25, 0.1), (2.2, 0.3)):
+            value = ho_eval(HOParams(k, 2), s, x, cfg)
+            assert math.isclose(value, euler_oracle(k, s, x),
+                                rel_tol=1e-12), (s, x)
+
+
+def test_small_multiplicity_on_a_wide_box_is_finite():
+    # the generic level gave nan here: jac underflows to 0 where
+    # (e^nu - e^x2)^(k-1) overflows.  Euler's integral at 40 digits gives
+    # 4.744137004683850e51; 64 nodes resolve k = 0.01 to about 1e-3
+    value = ho_eval(HOParams(0.01, 2), (3.0, -1.0), (30.0, -30.0))
+    assert math.isclose(value, 4.744137004683850e51, rel_tol=2e-3)
+
+
+def test_values_out_of_floating_range_raise():
+    # F is near e^1600 at the first point; at the second the n = 3 level's
+    # edge factors overflow against weights that underflow, giving nan
+    cases = [(HOParams(0.5, 2), (3.0, -1.0), (400.0, -400.0)),
+             (HOParams(0.05, 3), (1.0, 0.0, -1.0), (200.0, 0.0, -200.0))]
+    for p, s, x in cases:
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(DegeneracyError) as caught:
+            ho_eval(p, s, x, QuadratureConfig(8))
+        message = str(caught.value)
+        assert f"k={p.k}" in message and f"x={x}" in message
+        assert "8 nodes" in message

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import omegalab
 from omegalab import cache, heckman_opdam, lab, macdonald, sympoly
 from omegalab.classical import muirhead_eval
-from omegalab.errors import CertificationError, DomainError, ParameterError
+from omegalab.errors import (CertificationError, DegeneracyError, DomainError,
+                             ParameterError)
 from omegalab.heckman_opdam import QuadratureConfig
 from omegalab.jack import omega_jack_eval
 from omegalab.lab import (FAMILIES, NOISE_FLOOR, WITNESS_FAMILIES, Witness,
@@ -85,6 +86,34 @@ def test_heckman_opdam_sweep_smoke():
                                    k=1)
     assert report.passed
     assert report.params["x_low"] == 0
+
+
+def test_heckman_opdam_sweep_out_of_range_raises():
+    # a probe value that is nan or inf compares false both ways and used to
+    # pass as no violation; at x_high = 400 some F values pass 1e308
+    with pytest.raises(DegeneracyError):
+        check_schur_convexity("heckman-opdam", 2, 2, samples=2, seed=1,
+                              k=0.05, x_high=400, cfg=QuadratureConfig(8))
+    # at x_high = 200 the two-variable values at k = 0.01 were nan, and
+    # are finite now
+    report = check_schur_convexity("heckman-opdam", 2, 2, samples=6, seed=1,
+                                   k=0.01, x_high=200)
+    assert report.passed and report.skipped == 0
+
+
+def test_heckman_opdam_sweep_out_of_range_raises_under_optimization():
+    out, err = run_optimized("""
+        from omegalab import errors, lab
+        from omegalab.heckman_opdam import QuadratureConfig
+
+        try:
+            print("returned", lab.check_schur_convexity(
+                "heckman-opdam", 2, 2, samples=2, seed=1, k=0.05,
+                x_high=400, cfg=QuadratureConfig(8)))
+        except errors.OmegalabError as e:
+            print(type(e).__name__)
+    """)
+    assert out == ["DegeneracyError"], err
 
 
 def test_weak_majorization_sweep_and_necessity():
