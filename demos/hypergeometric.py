@@ -1,12 +1,15 @@
 """Hypergeometric evaluation by recursive quadrature.
 
 The function F_{k,s}(x) is computed by peeling one variable at a time:
-an (n-1)-dimensional integral over interlacing points, with the boundary
-singularity for k < 1 absorbed by a power substitution.  At unit
-multiplicity there is an independent determinant formula, so we can watch
-the quadrature hit it to machine precision, then use the structural
-identities (value 1 at the origin, diagonal derivative, agreement with
-the exact expansions at integer spectral shifts) as accuracy probes.  Run:
+an (n-1)-dimensional integral over interlacing points.  For k >= 1 each
+dimension is one Gauss-Jacobi panel whose weight carries the boundary
+factor, and the node count is per dimension; for k < 1 the boundary
+singularity is absorbed by a power substitution on two panels per
+dimension, and the node count is per panel.  At unit multiplicity there
+is an independent determinant formula, so we can watch the quadrature hit
+it to machine precision, then use the structural identities (value 1 at
+the origin, diagonal derivative, agreement with the exact expansions at
+integer spectral shifts) as accuracy probes.  Run:
 
     python3 demos/hypergeometric.py
 """

@@ -120,7 +120,9 @@ def _add_globals(p: argparse.ArgumentParser):
 
 
 def _add_quadrature_flags(p: argparse.ArgumentParser):
-    p.add_argument("--nodes", type=int, help="quadrature nodes per panel")
+    p.add_argument("--nodes", type=int,
+                   help="quadrature nodes per dimension for k >= 1, per "
+                        "panel (two per dimension) for k < 1")
     p.add_argument("--rule", choices=SINGULARITY_RULES,
                    help="edge-singularity handling")
     p.add_argument("--min-gap", dest="min_gap", type=float,

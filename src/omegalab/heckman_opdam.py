@@ -11,15 +11,20 @@ leaf integrates over the one remaining dimension with the one-variable
 base case exp(s0 * nu) folded into its node sum; factors that depend on
 the point alone are computed once per point, and each node's whole term is
 one exponential, so a weight that underflows gives 0, never 0 * inf.
+Each interlacing dimension gets m nodes for k >= 1, one Gauss-Jacobi panel
+whose weight carries the edge factors' endpoint behaviour, and 2m for
+k < 1, two power-mapped Gauss-Legendre panels of m nodes each, one from
+either end (plain-gauss, a control, is one Gauss-Legendre panel of m).
 Nodes and weights depend on x and k only, so the L vectors share them, and
 the inequality sweeps evaluate every shape they need at a point in one
 pass per node count.  Batches are split along rows at a fixed grid size
 of 2^13 elements, so memory per level is bounded by L times that size (or
-by L times one point's grid, when that is larger), and no value depends
-on the split or on the other vectors in its batch.  A value out of
-floating range raises instead of being returned.  This is the only module
-in the package that works in floating point end to end; everything it is
-checked against (Jack evaluations) stays exact until the final comparison.
+by L times one point's grid, when that is larger; the leaf may take four
+times that size over all L), and no value depends on the split or on the
+other vectors in its batch.  A value out of floating range raises instead
+of being returned.  This is the only module in the package that works in
+floating point end to end; everything it is checked against (Jack
+evaluations) stays exact until the final comparison.
 
 Conventions: F is symmetric in x and in s separately, F(0) = 1, and
 F_{k, lam + k*rho}(x) = Omega_lam(e^x; k) ties the family to the Jack side.
@@ -90,12 +95,16 @@ class HOParams:
 
 
 class QuadratureConfig:
-    """Tensor Gauss-Legendre settings for the interlacing integrals.
+    """Tensor Gauss rule settings for the interlacing integrals.
 
-    nodes_per_dimension counts nodes per panel; the endpoint-substitution
-    rule splits every dimension into two panels at its midpoint and, for
-    k < 1, bends each panel with the power map u -> u^(1/k) so that the
-    boundary factor |e^{x_i} - e^{nu_j}|^(k-1) integrates exactly smoothly.
+    nodes_per_dimension counts nodes per dimension for k >= 1 and per panel
+    for k < 1.  The endpoint-substitution rule integrates the boundary
+    factor |e^{x_i} - e^{nu_j}|^(k-1) exactly: for k >= 1 with one
+    Gauss-Jacobi panel per dimension for the weight (1-z)^(k-1) (1+z)^(k-1),
+    and for k < 1 by splitting every dimension into two Gauss-Legendre
+    panels at its midpoint, each bent with the power map u -> u^(1/k) so
+    that the factor integrates smoothly.  plain-gauss, a control, is one
+    Gauss-Legendre panel per dimension at every k.
     """
 
     __slots__ = ("nodes_per_dimension", "singularity_rule", "min_gap")
@@ -139,6 +148,29 @@ def _unit_gauss(m: int):
     return u, w
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_jacobi(m: int, alpha: float):
+    """Gauss-Jacobi nodes and weights on [-1, 1] for the weight
+    (1 - z)^alpha (1 + z)^alpha, read-only.  Golub and Welsch (Math. Comp.
+    23, 1969): the nodes are the eigenvalues of the symmetric Jacobi matrix
+    of the orthonormal polynomials, and each weight is the total mass times
+    the squared first component of its eigenvector.  The weight is even, so
+    the matrix has a zero diagonal, and the rule is symmetrized as leggauss
+    symmetrizes its own."""
+    j = np.arange(1.0, m)
+    off = np.sqrt(j * (j + 2.0 * alpha)
+                  / ((2.0 * j + 2.0 * alpha) ** 2 - 1.0))
+    z, vectors = np.linalg.eigh(np.diag(off, -1))
+    mass = 2.0 ** (2.0 * alpha + 1.0) * math.exp(
+        2.0 * math.lgamma(alpha + 1.0) - math.lgamma(2.0 * alpha + 2.0))
+    w = mass * vectors[0] ** 2
+    z = (z - z[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w
+
+
 # floor for endpoint displacements: keeps 0^(k-1) out of the weight factors
 # on zero-width boxes (those nodes carry weight 0, so the value is unused);
 # the leaf floors the product of its two edge factors with it
@@ -151,17 +183,22 @@ def _unit_panels(m: int, k: float, rule: str):
     scale, read-only: (a, b, jac, w) gives dlo = scale * a, dhi = scale * b
     and wts = scale * jac * w, or scale * w where jac is None.  The scale is
     the box length under plain-gauss and half of it otherwise."""
-    u, w = _unit_gauss(m)
     if rule == "plain-gauss":
+        u, w = _unit_gauss(m)
         a, b, jac = u, 1.0 - u, None
     elif k >= 1.0:
-        # weight is bounded; two plain panels per dimension
-        a = np.concatenate([u, 1.0 + u])
-        b = np.concatenate([2.0 - u, 1.0 - u])
-        jac, w = None, np.concatenate([w, w])
+        # one Gauss-Jacobi panel for the weight (1-z)^(k-1) (1+z)^(k-1),
+        # the way the edge factors vanish at the box ends.  The callers
+        # apply those factors as (dlo * dhi)^(k-1), so the rule's weight
+        # is divided out here; they bring back the scale^(2(k-1)) with it
+        z, w = _unit_jacobi(m, k - 1.0)
+        a, b = 1.0 + z, 1.0 - z
+        jac, w = None, w / (a * b) ** (k - 1.0)
     else:
         # k < 1: nu = endpoint +- half * u^(1/k) turns the (nu-endpoint)^(k-1)
-        # factor into a constant; the Jacobian goes into the weights
+        # factor into a constant; the Jacobian goes into the weights.  Two
+        # panels per dimension, one from each end
+        u, w = _unit_gauss(m)
         g = u ** (1.0 / k)
         jac = (1.0 / k) * u ** (1.0 / k - 1.0)
         a = np.concatenate([g, 2.0 - g])
@@ -216,6 +253,12 @@ def _weighted_edges(wts, elo, etau, dlo, dhi, k: float):
 # into 12-row chunks and gave back half of the batching gain
 _BATCH = 2 ** 13
 
+# the leaf's calls are short, so a fixed cost per call (some 45 us) weighs
+# on them: a leaf batch may hold up to four times _BATCH elements over all
+# L vectors, which makes a one-vector evaluation's leaf calls four times
+# longer and leaves the sweeps' (L = 7) arrays as they are
+_LEAF_BATCH = 4 * _BATCH
+
 # A batch's temporaries are freed at the top of the heap, and glibc hands
 # such memory back to the system past a trim threshold (128 KiB at start),
 # then faults it in again for the next batch.  Whether that happens depends
@@ -240,11 +283,14 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig):
     alone.  Two variables are the leaf, which also does the one-variable
     base case.
     """
-    n = s.shape[1]
-    per_dim = cfg.nodes_per_dimension * (
-        1 if cfg.singularity_rule == "plain-gauss" else 2)
+    count, n = s.shape
+    per_dim = _unit_panels(cfg.nodes_per_dimension, k,
+                           cfg.singularity_rule)[0].size
     size = per_dim ** (n - 1)
-    step = max(1, _BATCH // size)
+    step = _BATCH // size
+    if n == 2:
+        step = max(step, _LEAF_BATCH // (count * size))
+    step = max(1, step)
     if x[0].size > step:
         return np.concatenate([
             _f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg)
@@ -354,13 +400,15 @@ def _leaf(k: float, s, x0, x1, tilt, vpow: float, cfg: QuadratureConfig):
                                   cfg.singularity_rule)
     nodes = logjw.shape[0]
     width = x0 - x1
+    s0, s1 = s[:, 0], s[:, 1]
     if k == 1.0:
-        nlo = offsets[:nodes] * width
+        terms = np.multiply.outer(s1 - s0, offsets[:nodes] * width)
         node = logjw
     else:
         offsets = offsets * width
-        nlo = offsets[:nodes]
-        edges = np.expm1(offsets)
+        terms = np.multiply.outer(s1 - s0, offsets[:nodes])
+        # the offsets are spent; their edge factors take their memory
+        edges = np.expm1(offsets, out=offsets)
         node = np.multiply(edges[:nodes], edges[nodes:], out=edges[:nodes])
         np.maximum(node, _TINY, out=node)
         np.log(node, out=node)
@@ -370,12 +418,10 @@ def _leaf(k: float, s, x0, x1, tilt, vpow: float, cfg: QuadratureConfig):
     # Vandermonde power of e^x0 - e^x1 = e^x0 * m(width), and the
     # coefficients of x0 and x1 that the prefactor, the edge factors and
     # the base case add up to
-    s0, s1 = s[:, 0], s[:, 1]
     row = (np.log(width)
            + (vpow + 1.0 - 2.0 * k) * np.log(-np.expm1(-width)))
     row = (row + (tilt + s1 + (vpow - k / 2.0))[:, None] * x0
            + (tilt + s0 + k / 2.0)[:, None] * x1)
-    terms = np.multiply.outer(s1 - s0, nlo)
     terms += node
     terms += row[:, None, :]
     np.exp(terms, out=terms)
@@ -410,12 +456,15 @@ def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
         values = _ho_values(params, svecs, x, cfg)
     except OverflowError:
         values = [math.inf]
+    # the count is per dimension for k >= 1; for k < 1 it is per panel,
+    # two per dimension under endpoint-substitution and one under plain-gauss
+    unit = "dimension" if params.k >= 1.0 else "panel"
     for v in values:
         if not math.isfinite(v):
             raise DegeneracyError(
                 f"F_{{k,s}}(x) is {v} in floating point at k={params.k}, "
                 f"x={tuple(x)} with {cfg.nodes_per_dimension} nodes per "
-                f"panel; the value is out of floating range or the "
+                f"{unit}; the value is out of floating range or the "
                 f"quadrature lost it")
     return values
 

@@ -12,7 +12,8 @@ from omegalab.errors import (DegeneracyError, DomainError, ParameterError,
                              TieError)
 from omegalab.heckman_opdam import (_BATCH, HOParams, QuadratureConfig,
                                     _f_rec, _ho_eval_batch, _panel_nodes,
-                                    _unit_gauss, _weighted_edges,
+                                    _unit_gauss, _unit_jacobi,
+                                    _weighted_edges,
                                     ho_closed_forms, ho_direction_residual,
                                     ho_error_estimate, ho_eval,
                                     ho_jack_consistency)
@@ -180,8 +181,9 @@ def test_plain_gauss_warns_once_at_the_caller():
 
 
 def test_batch_split_leaves_values_unchanged():
-    # 24 nodes per panel give a 48 x 48 grid per n=3 point, so a batch of
-    # seven points is split along rows at every level; the tied last point
+    # at k = 1/2, 24 nodes per panel give a 48 x 48 grid per n=3 point, so a
+    # batch of seven points is split along rows at every level (k >= 1:
+    # test_one_panel_batch_split_leaves_values_unchanged); the tied last point
     # stands for a node that rounded onto a shared endpoint
     cfg = QuadratureConfig(24)
     s = np.array([(1.3, 0.2, -0.9)])
@@ -206,6 +208,26 @@ def test_batch_split_leaves_values_unchanged():
             assert value == alone[0], (k, x)
 
 
+def test_one_panel_batch_split_leaves_values_unchanged():
+    # a k >= 1 dimension holds one panel of m nodes, so it takes 48 nodes
+    # to give the 48 x 48 grid per n=3 point that splits a batch of seven
+    # points along rows at every level
+    cfg = QuadratureConfig(48)
+    s = np.array([(1.3, 0.2, -0.9), (2.0, 0.5, -1.5), (0.4, 0.0, -0.4)])
+    points = [(0.9, 0.3, -0.6), (0.5, 0.1, -0.2), (0.2, -0.3, -0.9),
+              (1.0, -0.1, -0.4), (0.6, 0.5, -0.8), (0.3, 0.0, -1.0),
+              (0.4, 0.4, -0.7)]
+    for k in (1.0, 2.0):
+        batch = _f_rec(k, s, [np.array(c) for c in zip(*points)], 0.0, 1.0,
+                       cfg)
+        for i, x in enumerate(points):
+            for row, sv in zip(batch, s):
+                alone = _f_rec(k, sv[None], [np.array([v]) for v in x], 0.0,
+                               1.0, cfg)[0]
+                assert row[i] == alone[0], (k, x, sv)
+        assert batch[:, -1].tolist() == [0.0] * len(s)
+
+
 def test_node_on_an_outside_coordinate_gets_weight_zero():
     # the last two coordinates are one ulp apart, as a level of the n=4
     # recursion below produces them; the first box's lowest node rounds
@@ -220,7 +242,8 @@ def test_node_on_an_outside_coordinate_gets_weight_zero():
 
 
 def panel_nodes_reference(lo, hi, k, cfg):
-    """_panel_nodes rebuilt from the Gauss-Legendre rule on every call."""
+    """_panel_nodes rebuilt on every call: from the Gauss-Legendre rule,
+    and for k >= 1 from an uncached Gauss-Jacobi rule."""
     lo = np.asarray(lo, dtype=float)[..., None]
     hi = np.asarray(hi, dtype=float)[..., None]
     u, w = _unit_gauss(cfg.nodes_per_dimension)
@@ -230,10 +253,11 @@ def panel_nodes_reference(lo, hi, k, cfg):
         return lo + dlo, dlo, length * (1.0 - u), length * w
     half = (hi - lo) / 2.0
     if k >= 1.0:
-        dlo = np.concatenate([half * u, half * (1.0 + u)], axis=-1)
-        dhi = np.concatenate([half * (2.0 - u), half * (1.0 - u)], axis=-1)
-        wts = half * w
-        return lo + dlo, dlo, dhi, np.concatenate([wts, wts], axis=-1)
+        # one panel; the rule's weight (1 - z^2)^(k-1) is divided out
+        z, w = _unit_jacobi.__wrapped__(cfg.nodes_per_dimension, k - 1.0)
+        dlo = half * (1.0 + z)
+        wts = half * (w / ((1.0 + z) * (1.0 - z)) ** (k - 1.0))
+        return lo + dlo, dlo, half * (1.0 - z), wts
     g = u ** (1.0 / k)
     jac = (1.0 / k) * u ** (1.0 / k - 1.0)
     dlo = np.concatenate([half * g, half * (2.0 - g)], axis=-1)
@@ -251,6 +275,21 @@ def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(rule, k):
     for got, want in zip(_panel_nodes(lo, hi, k, cfg),
                          panel_nodes_reference(lo, hi, k, cfg)):
         assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("m", [4, 8, 24, 128])
+@pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 5.0])
+def test_gauss_jacobi_rule_integrates_even_moments(k, m):
+    # m nodes are exact up to degree 2m - 1 against (1 - z^2)^(k-1), whose
+    # even moments are B(j + 1/2, k); the odd ones vanish by symmetry
+    z, w = _unit_jacobi(m, k - 1.0)
+    assert z.size == m and (w > 0).all() and (np.abs(z) < 1).all()
+    assert z.tolist() == (-z[::-1]).tolist()
+    for j in range(m):
+        want = math.exp(math.lgamma(j + 0.5) + math.lgamma(k)
+                        - math.lgamma(j + 0.5 + k))
+        got = float(np.sum(w * z ** (2 * j)))
+        assert math.isclose(got, want, rel_tol=1e-12), j
 
 
 # spectral vectors for the batch tests, cut to n coordinates; the third
@@ -279,8 +318,8 @@ def test_batched_values_equal_one_at_a_time_bitwise(n, nodes, k):
 
 
 def test_batched_rows_split_like_single_rows():
-    # at 24 nodes an n=3 batch is split along rows at every level; the
-    # tied last point gets 0 for every spectral vector
+    # at 24 nodes and k = 1/2 an n=3 batch is split along rows at every
+    # level; the tied last point gets 0 for every spectral vector
     cfg = QuadratureConfig(24)
     s = np.array([v[:3] for v in SPECTRA[:3]])
     points = [(0.9, 0.3, -0.6), (0.5, 0.1, -0.2), (1.0, -0.1, -0.4),
@@ -381,8 +420,7 @@ def reference_f_rec(k, s, x, tilt, vpow, cfg):
     count, n = s.shape
     if n == 1:
         return np.exp((s[:, 0] + tilt)[:, None] * x[0])
-    per_dim = cfg.nodes_per_dimension * (
-        1 if cfg.singularity_rule == "plain-gauss" else 2)
+    per_dim = _panel_nodes(0.0, 1.0, k, cfg)[0].shape[-1]
     size = per_dim ** (n - 1)
     step = max(1, _BATCH // size)
     if x[0].size > step:
@@ -497,6 +535,28 @@ def test_two_variables_match_the_hypergeometric_oracle(k):
             value = ho_eval(HOParams(k, 2), s, x, cfg)
             assert math.isclose(value, euler_oracle(k, s, x),
                                 rel_tol=1e-12), (s, x)
+
+
+@pytest.mark.parametrize("nodes", [16, 64])
+@pytest.mark.parametrize("k", [1.5, 2.5])
+def test_half_integer_multiplicity_matches_the_hypergeometric_oracle(k, nodes):
+    # the edge factors (e^nu - e^x2)^(k-1) are not polynomial here, so a
+    # Gauss-Legendre rule converges only algebraically; the Gauss-Jacobi
+    # panel takes their endpoint behaviour into its weight
+    cfg = QuadratureConfig(nodes)
+    for s in ((1.3, -0.4), (0.37, 0.2), (2.71, -1.9), (-0.6, 0.45)):
+        for x in ((0.9, -0.6), (1.0, -1.0), (0.25, 0.1), (2.2, 0.3)):
+            value = ho_eval(HOParams(k, 2), s, x, cfg)
+            assert math.isclose(value, euler_oracle(k, s, x),
+                                rel_tol=1e-12), (s, x)
+
+
+@pytest.mark.parametrize("n, lam, bound", [(3, (2, 1, 0), 1e-10),
+                                           (4, (2, 1, 0, 0), 1e-8)])
+def test_half_integer_multiplicity_matches_exact_expansions(n, lam, bound):
+    gap = ho_jack_consistency(lam, HOParams(1.5, n),
+                              (0.9, 0.3, -0.2, -1.0)[:n], QuadratureConfig(8))
+    assert gap <= bound
 
 
 def test_small_multiplicity_on_a_wide_box_is_finite():
