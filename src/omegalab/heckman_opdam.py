@@ -6,11 +6,14 @@ box of points interlacing x, against an explicit positive weight.  The
 cases n = 1, k = 0 and uniform x are closed forms.  One recursion serves
 every other case: it evaluates a batch of L spectral vectors at a batch of
 points, builds the tensor node grid of all n-1 interlacing dimensions, and
-calls itself once on the flattened grid, down to two variables.  There a
-leaf integrates over the one remaining dimension with the one-variable
-base case exp(s0 * nu) folded into its node sum; factors that depend on
-the point alone are computed once per point, and each node's whole term is
-one exponential, so a weight that underflows gives 0, never 0 * inf.
+calls itself once on the flattened grid, down to two variables.  Each
+level works in logs: it adds its node weights, edge factors and prefactor
+as exponents, each difference of exponentials taken from the gap of its
+exponents, and passes the sum down.  There a leaf integrates over the one
+remaining dimension with the one-variable base case exp(s0 * nu) folded
+into its node sum; factors that depend on the point alone are computed
+once per point, and each node's whole term, from every level above, is one
+exponential, so a weight that underflows gives 0, never 0 * inf.
 Each interlacing dimension gets m nodes for k >= 1, one Gauss-Jacobi panel
 whose weight carries the edge factors' endpoint behaviour, and 2m for
 k < 1, two power-mapped Gauss-Legendre panels of m nodes each, one from
@@ -171,79 +174,56 @@ def _unit_jacobi(m: int, alpha: float):
     return z, w
 
 
-# floor for endpoint displacements: keeps 0^(k-1) out of the weight factors
-# on zero-width boxes (those nodes carry weight 0, so the value is unused);
-# the leaf floors the product of its two edge factors with it
+# floor for the levels' node offsets and the leaf's product of two edge
+# factors: an offset that underflows to 0 (u^(1/k) does for k below about
+# 0.02 at 64 nodes), or at the leaf a box narrower than about 1e-150,
+# would put log 0 into an edge factor's exponent
 _TINY = 1e-300
 
 
 @functools.lru_cache(maxsize=64)
 def _unit_panels(m: int, k: float, rule: str):
-    """One dimension's node offsets and weight factors per unit of box
-    scale, read-only: (a, b, jac, w) gives dlo = scale * a, dhi = scale * b
-    and wts = scale * jac * w, or scale * w where jac is None.  The scale is
-    the box length under plain-gauss and half of it otherwise."""
+    """One dimension's nodes per unit of box width, read-only: (ab, logw),
+    where ab[0] and ab[1] are the node offsets from the box's lower and
+    upper ends, dlo = width * ab[0] and dhi = width * ab[1], and logw is
+    the log of each node's weight per unit width, so a node's weight is
+    width * exp(logw).  The panels of endpoint-substitution are laid out
+    on half the width; that halving is folded into both."""
     if rule == "plain-gauss":
         u, w = _unit_gauss(m)
-        a, b, jac = u, 1.0 - u, None
+        ab = np.stack([u, 1.0 - u])
+        logw = np.log(w)
     elif k >= 1.0:
         # one Gauss-Jacobi panel for the weight (1-z)^(k-1) (1+z)^(k-1),
-        # the way the edge factors vanish at the box ends.  The callers
-        # apply those factors as (dlo * dhi)^(k-1), so the rule's weight
-        # is divided out here; they bring back the scale^(2(k-1)) with it
+        # the way the edge factors vanish at the box ends.  The levels
+        # apply those factors themselves, so the rule's weight is divided
+        # out here; they bring back the half width's 2(k-1)th power with it
         z, w = _unit_jacobi(m, k - 1.0)
         a, b = 1.0 + z, 1.0 - z
-        jac, w = None, w / (a * b) ** (k - 1.0)
+        ab = np.stack([a, b]) * 0.5
+        logw = np.log(w) - (k - 1.0) * np.log(a * b) + math.log(0.5)
     else:
         # k < 1: nu = endpoint +- half * u^(1/k) turns the (nu-endpoint)^(k-1)
-        # factor into a constant; the Jacobian goes into the weights.  Two
+        # factor into a constant, and the Jacobian (1/k) u^(1/k - 1) goes
+        # into the weights.  Its log is taken factor by factor, so it stays
+        # finite where the Jacobian underflows (at small k it does).  Two
         # panels per dimension, one from each end
         u, w = _unit_gauss(m)
         g = u ** (1.0 / k)
-        jac = (1.0 / k) * u ** (1.0 / k - 1.0)
-        a = np.concatenate([g, 2.0 - g])
-        b = np.concatenate([2.0 - g, g])
-        jac, w = np.concatenate([jac, jac]), np.concatenate([w, w])
-    for v in (a, b, jac, w):
-        if v is not None:
-            v.setflags(write=False)
-    return a, b, jac, w
+        ab = np.stack([np.concatenate([g, 2.0 - g]),
+                       np.concatenate([2.0 - g, g])]) * 0.5
+        logw = (np.log(w) + (1.0 / k - 1.0) * np.log(u) - math.log(k)
+                + math.log(0.5))
+        logw = np.concatenate([logw, logw])
+    ab.setflags(write=False)
+    logw.setflags(write=False)
+    return ab, logw
 
 
-def _panel_nodes(lo, hi, k: float, cfg: QuadratureConfig):
-    """Quadrature nodes for one interlacing dimension.
-
-    lo and hi may be scalars or broadcastable arrays; the node axis is
-    appended last.  Returns (tau, dlo, dhi, wts) where dlo = tau - lo and
-    dhi = hi - tau are taken from the map itself, so they stay accurate
-    even when tau is within rounding distance of an endpoint.  Weights
-    absorb the affine and power-map Jacobians; the per-unit factors come
-    from _unit_panels, built once per node count, k and rule.
-    """
-    lo = np.asarray(lo, dtype=float)[..., None]
-    hi = np.asarray(hi, dtype=float)[..., None]
-    a, b, jac, w = _unit_panels(cfg.nodes_per_dimension, k,
-                                cfg.singularity_rule)
-    scale = hi - lo
-    if cfg.singularity_rule != "plain-gauss":
-        scale = scale / 2.0
-    dlo = scale * a
-    wts = scale * w if jac is None else scale * jac * w
-    return lo + dlo, dlo, scale * b, wts
-
-
-def _weighted_edges(wts, elo, etau, dlo, dhi, k: float):
-    """wts * (e^tau - e^lo)^(k-1) * (e^hi - e^tau)^(k-1), stably.
-
-    e^tau - e^lo is written e^lo * expm1(dlo) so a node that rounds onto
-    its endpoint still produces the true small difference instead of 0.
-    The weight is folded in between the two factors: each near-endpoint
-    factor is large exactly where wts is small, and the running product
-    stays near unit scale instead of overflowing.
-    """
-    glo = elo * np.expm1(np.maximum(dlo, _TINY))
-    ghi = etau * np.expm1(np.maximum(dhi, _TINY))
-    return (wts * glo ** (k - 1.0)) * ghi ** (k - 1.0)
+def _log_m(d):
+    """log m(d), m(d) = 1 - e^-d, for gaps d > 0: e^a - e^b = e^a m(a - b)
+    in logs, from the gap alone, never from two rounded exponentials."""
+    return np.log(-np.expm1(-d))
 
 
 # elements in one level's node grid; larger batches are split along rows,
@@ -269,31 +249,39 @@ _LEAF_BATCH = 4 * _BATCH
 np.empty(_BATCH * 32)
 
 
-def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig):
-    """F_{k,s}(x) * exp(tilt * sum(x)) * V(e^x)^vpow for a batch of spectral
-    vectors at a batch of points, as an array of shape (len(s), points).
+def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig,
+           logc=0.0):
+    """F_{k,s}(x) * exp(tilt * sum(x) + logc) * V(e^x)^vpow for a batch of
+    spectral vectors at a batch of points, as an array of shape
+    (len(s), points).
 
     s is an (L, n) array with n >= 2, one spectral vector per row, and tilt
     a scalar or one value per row; x holds one array per coordinate, sorted
-    decreasingly at every point; V is the Vandermonde product.  The caller
-    passes its drift tilt and node Vandermonde down instead of spending
-    passes over its node grid on them; they fold into this level's
-    prefactor.  Nodes and weights depend on x and k only, so one tree
-    serves every row of s, and each row's value is the one it would get
-    alone.  Two variables are the leaf, which also does the one-variable
-    base case.
+    decreasingly at every point; V is the Vandermonde product; logc is a
+    scalar or an (L, points) array.  A level passes its drift tilt,
+    its node Vandermonde and, as logc, the log of its prefactor and node
+    weights down instead of spending passes over its node grid on them, so
+    only the leaf takes exponentials: one per node term.  Nodes and weights
+    depend on x and k only, so one tree serves every row of s, and each
+    row's value is the one it would get alone.  Two variables are the leaf,
+    which also does the one-variable base case.
     """
     count, n = s.shape
     per_dim = _unit_panels(cfg.nodes_per_dimension, k,
-                           cfg.singularity_rule)[0].size
+                           cfg.singularity_rule)[1].size
     size = per_dim ** (n - 1)
     step = _BATCH // size
     if n == 2:
         step = max(step, _LEAF_BATCH // (count * size))
     step = max(1, step)
+    if np.ndim(logc) == 0:
+        # once per tree: every level below passes an array, and a
+        # broadcast view per call cost some 5% of an n=3 sweep
+        logc = np.full((count, x[0].size), logc)
     if x[0].size > step:
         return np.concatenate([
-            _f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg)
+            _f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg,
+                   logc[:, i:i + step])
             for i in range(0, x[0].size, step)], axis=1)
     # a node that rounded onto a shared endpoint leaves tied coordinates;
     # such a point is skipped and gets weight 0
@@ -301,8 +289,9 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig):
     tied = not strict.all()
     if tied:
         x = [v[strict] for v in x]
-    value = (_leaf(k, s, x[0], x[1], tilt, vpow, cfg) if n == 2
-             else _level(k, s, x, tilt, vpow, cfg, per_dim, size))
+        logc = logc[:, strict]
+    value = (_leaf(k, s, x[0], x[1], tilt, vpow, logc, cfg) if n == 2
+             else _level(k, s, x, tilt, vpow, logc, cfg, per_dim, size))
     if not tied:
         return value
     # most batches have no tied row; a gather and a scatter through the
@@ -313,99 +302,86 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig):
     return padded
 
 
-def _level(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig,
-           per_dim: int, size: int):
+def _level(k: float, s, x: list, tilt, vpow: float, logc,
+           cfg: QuadratureConfig, per_dim: int, size: int):
     """One level of _f_rec for n >= 3 at strictly decreasing points: the
-    tensor node grid of the n-1 interlacing dimensions, and one call on
-    the flattened grid for the level below."""
+    tensor node grid of the n-1 interlacing dimensions, one call on the
+    flattened grid for the level below, and the sum of what it returns.
+
+    The level's prefactor Gamma(nk)/Gamma(k)^n * e^((tilt + sn + k(n-1)/2)
+    sum(x)) * V(e^x)^(vpow+1-2k) and each node's weight
+        width * exp(logw) * prod_{i != j} |e^x_i - e^nu_j|^(k-1)
+    go down in logs, added to logc.  Each difference e^a - e^b is taken as
+    e^a m(a - b), and each gap a - b is a coordinate gap plus a node offset:
+    x_j - nu_j = dhi and nu_j - x_{j+1} = dlo at the box's ends, and
+    x_i - nu_j = (x_i - x_j) + dhi above it, nu_j - x_i = (x_{j+1} - x_i)
+    + dlo below it.  So a node near a coordinate outside its box gets its
+    true large factor, and a near tie loses no digits to two rounded
+    exponentials.  A factor near an endpoint is large exactly where the
+    weight is small, and their exponents cancel before the leaf takes
+    the one exponential.
+    """
     count, n = s.shape
     rows = x[0].size
     sn = s[:, -1]
-    ex = [np.exp(v) for v in x]
-    pref = (math.gamma(n * k) / math.gamma(k) ** n
-            * np.exp((tilt + sn + k * (n - 1) / 2.0)[:, None] * sum(x)))
-    expo = vpow + 1.0 - 2.0 * k
-    if expo != 0.0:
-        pref = pref * np.abs(math.prod(ex[i] - ex[j] for i in range(n)
-                                       for j in range(i + 1, n))) ** expo
+    ab, logw = _unit_panels(cfg.nodes_per_dimension, k, cfg.singularity_rule)
+    gap = {(i, j): x[i] - x[j] for i in range(n) for j in range(i + 1, n)}
+    logv = sum(x[i] + _log_m(d) for (i, _), d in gap.items())
+    pref = (logc + (math.lgamma(n * k) - n * math.lgamma(k))
+            + (tilt + sn + k * (n - 1) / 2.0)[:, None] * sum(x)
+            + (vpow + 1.0 - 2.0 * k) * logv)
     shape = (rows,) + (per_dim,) * (n - 1)
     nu = []
     for j in range(n - 1):
-        tau, dlo, dhi, wts = _panel_nodes(x[j + 1], x[j], k, cfg)
+        width = gap[j, j + 1][:, None]
+        dlo, dhi = width * ab[0], width * ab[1]
+        tau = x[j + 1][:, None] + dlo
+        lw = np.log(width) + logw
         if k != 1.0:
-            # each nu_j sees its two box endpoints (stable form) plus the
-            # other coordinates of x; a node whose exponential rounds onto
-            # such a coordinate's (one an ulp outside the box) gets weight
-            # 0, as a tied point does, instead of 0 ** (k - 1)
-            etau = np.exp(tau)
-            wts = _weighted_edges(wts, ex[j + 1][:, None], etau, dlo, dhi, k)
-            for i in range(n):
-                if i not in (j, j + 1):
-                    gap = np.abs(ex[i][:, None] - etau)
-                    live = gap > 0.0
-                    wts = np.where(live, wts * np.where(live, gap, 1.0)
-                                   ** (k - 1.0), 0.0)
+            edges = (tau + _log_m(np.maximum(dlo, _TINY))
+                     + x[j][:, None] + _log_m(np.maximum(dhi, _TINY)))
+            for i in range(j):
+                edges += x[i][:, None] + _log_m(gap[i, j][:, None] + dhi)
+            for i in range(j + 2, n):
+                edges += tau + _log_m(gap[j + 1, i][:, None] + dlo)
+            lw += (k - 1.0) * edges
         dims = (rows,) + (1,) * j + (per_dim,)
-        grid = wts if j == 0 else grid[..., None] * wts.reshape(dims)
+        grid = lw if j == 0 else grid[..., None] + lw.reshape(dims)
         nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
                                   shape).reshape(-1))
-    inner = _f_rec(k, s[:, :-1], nu, 1.0 - n * k / 2.0 - sn, 1.0, cfg)
-    return pref * np.sum(
-        grid.reshape(rows, size) * inner.reshape(count, rows, size), axis=-1)
+    below = (pref[:, :, None] + grid.reshape(rows, size)).reshape(count, -1)
+    inner = _f_rec(k, s[:, :-1], nu, 1.0 - n * k / 2.0 - sn, 1.0, cfg, below)
+    return inner.reshape(count, rows, size).sum(axis=-1)
 
 
-@functools.lru_cache(maxsize=64)
-def _leaf_panels(m: int, k: float, rule: str):
-    """The leaf's per-node constants as read-only columns: the offsets
-    -(a, b) of _unit_panels per unit of box width, stacked into one
-    (2 * nodes, 1) column, and log(jac * w) plus the logs of the gamma
-    ratio and of the scale per unit width.  The log of jac is taken factor
-    by factor, so it stays finite where jac underflows (at small k,
-    u^(1/k - 1) does)."""
-    a, b, jac, w = _unit_panels(m, k, rule)
-    half = 1.0 if rule == "plain-gauss" else 0.5
-    logjw = (np.log(w) + math.log(half)
-             + (math.lgamma(2.0 * k) - 2.0 * math.lgamma(k)))
-    if jac is not None:
-        u = _unit_gauss(m)[0]
-        logjac = (1.0 / k - 1.0) * np.log(u) - math.log(k)
-        logjw = logjw + np.concatenate([logjac, logjac])
-    offsets = np.concatenate([a, b])[:, None] * -half
-    logjw = logjw[:, None]
-    offsets.setflags(write=False)
-    logjw.setflags(write=False)
-    return offsets, logjw
-
-
-def _leaf(k: float, s, x0, x1, tilt, vpow: float, cfg: QuadratureConfig):
+def _leaf(k: float, s, x0, x1, tilt, vpow: float, logc,
+          cfg: QuadratureConfig):
     """_f_rec's n = 2 level at strictly decreasing points (x0, x1), with the
     base case F_{k,s0}(nu) = exp(s0 * nu) folded into its node sum.
 
     With dlo = nu - x1 and dhi = x0 - nu, the node term
         wts * (e^nu - e^x1)^(k-1) * (e^x0 - e^nu)^(k-1) * exp(c * nu),
     where c = s0 + 1 - k - s1 is s0 plus the tilt the generic level would
-    pass down, splits into a row factor scale * e^((k-1)(x0 + x1) + c * x1)
+    pass down, splits into a row factor width * e^((k-1)(x0 + x1) + c * x1)
     and a node factor
-        jac * w * (m(dlo) * m(dhi))^(k-1) * e^((s0 - s1) * dlo),
+        exp(logw) * (m(dlo) * m(dhi))^(k-1) * e^((s0 - s1) * dlo),
     where m(d) = 1 - e^-d, and e^((k-1) dlo) has joined e^(c dlo).  All of
-    it, with the prefactor and the Vandermonde power, is summed as one
-    exponent per node: a factor near an endpoint is large exactly where
+    it, with the prefactor, the Vandermonde power and logc, is summed as
+    one exponent per node: a factor near an endpoint is large exactly where
     the weight is small, so the exponent stays moderate, and a node whose
     weight underflows gives 0, never 0 * inf.  m(dlo) * m(dhi) is floored
-    at _TINY, which only a box narrower than about 1e-150 or a node offset
-    that underflows reaches (u^(1/k) does for k below about 0.02 at 64
-    nodes).
+    at _TINY.
     """
-    offsets, logjw = _leaf_panels(cfg.nodes_per_dimension, k,
-                                  cfg.singularity_rule)
-    nodes = logjw.shape[0]
+    ab, logw = _unit_panels(cfg.nodes_per_dimension, k, cfg.singularity_rule)
+    nodes = logw.size
     width = x0 - x1
     s0, s1 = s[:, 0], s[:, 1]
     if k == 1.0:
-        terms = np.multiply.outer(s1 - s0, offsets[:nodes] * width)
-        node = logjw
+        terms = np.multiply.outer(s1 - s0, np.multiply.outer(ab[0], -width))
+        node = logw[:, None]
     else:
-        offsets = offsets * width
+        # the offsets -(dlo, dhi), stacked
+        offsets = np.multiply.outer(ab.reshape(-1), -width)
         terms = np.multiply.outer(s1 - s0, offsets[:nodes])
         # the offsets are spent; their edge factors take their memory
         edges = np.expm1(offsets, out=offsets)
@@ -413,15 +389,16 @@ def _leaf(k: float, s, x0, x1, tilt, vpow: float, cfg: QuadratureConfig):
         np.maximum(node, _TINY, out=node)
         np.log(node, out=node)
         node *= k - 1.0
-        node += logjw
-    # the row exponent: log width (which never rounds to 0), the
-    # Vandermonde power of e^x0 - e^x1 = e^x0 * m(width), and the
+        node += logw[:, None]
+    # the row exponent: log width (which never rounds to 0), the gamma
+    # ratio, the Vandermonde power of e^x0 - e^x1 = e^x0 * m(width), and the
     # coefficients of x0 and x1 that the prefactor, the edge factors and
     # the base case add up to
-    row = (np.log(width)
-           + (vpow + 1.0 - 2.0 * k) * np.log(-np.expm1(-width)))
+    row = (np.log(width) + (math.lgamma(2.0 * k) - 2.0 * math.lgamma(k))
+           + (vpow + 1.0 - 2.0 * k) * _log_m(width))
     row = (row + (tilt + s1 + (vpow - k / 2.0))[:, None] * x0
            + (tilt + s0 + k / 2.0)[:, None] * x1)
+    row += logc
     terms += node
     terms += row[:, None, :]
     np.exp(terms, out=terms)

@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 from omegalab.errors import (DegeneracyError, DomainError, ParameterError,
                              TieError)
 from omegalab.heckman_opdam import (_BATCH, HOParams, QuadratureConfig,
-                                    _f_rec, _ho_eval_batch, _panel_nodes,
-                                    _unit_gauss, _unit_jacobi,
-                                    _weighted_edges,
+                                    _f_rec, _ho_eval_batch, _unit_gauss,
+                                    _unit_jacobi, _unit_panels,
                                     ho_closed_forms, ho_direction_residual,
                                     ho_error_estimate, ho_eval,
                                     ho_jack_consistency)
@@ -228,22 +227,36 @@ def test_one_panel_batch_split_leaves_values_unchanged():
         assert batch[:, -1].tolist() == [0.0] * len(s)
 
 
-def test_node_on_an_outside_coordinate_gets_weight_zero():
+def test_node_near_an_outside_coordinate_is_continuous():
     # the last two coordinates are one ulp apart, as a level of the n=4
-    # recursion below produces them; the first box's lowest node rounds
-    # onto x_2 and its factor |e^x_3 - e^nu|^(k-1) would be 0 ** -0.9
+    # recursion below produces them; the first box's lowest node lies within
+    # rounding of x_2, and its factor |e^x_3 - e^nu|^(k-1) must come from
+    # the gap (x_2 - x_3) + dlo, not from two rounded exponentials.  Divided
+    # by V(e^x), the value must be F at a nearby point, where F is smooth
     x = (0.275, -0.42499999999999993, -0.42500000000000004)
+    s = (1.3, 0.2, -0.9)
+    cfg = QuadratureConfig(16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = _f_rec(0.1, np.array([(1.3, 0.2, -0.9)]),
-                       [np.array([v]) for v in x], 0.0, 1.0,
-                       QuadratureConfig(16))[0]
-    assert value[0] == 0.0
+        value = _f_rec(0.1, np.array([s]), [np.array([v]) for v in x], 0.0,
+                       1.0, cfg)[0, 0]
+    vandermonde = math.prod(math.exp(x[j]) * math.expm1(x[i] - x[j])
+                            for i in range(3) for j in range(i + 1, 3))
+    nearby = ho_eval(HOParams(0.1, 3), s, (0.275, -0.425 + 5e-5,
+                                           -0.425 - 5e-5), cfg)
+    assert math.isclose(value / vandermonde, nearby, rel_tol=1e-5)
 
 
 def panel_nodes_reference(lo, hi, k, cfg):
-    """_panel_nodes rebuilt on every call: from the Gauss-Legendre rule,
-    and for k >= 1 from an uncached Gauss-Jacobi rule."""
+    """One interlacing dimension's nodes, rebuilt on every call: from the
+    Gauss-Legendre rule, and for k >= 1 from an uncached Gauss-Jacobi rule.
+
+    lo and hi may be scalars or broadcastable arrays; the node axis is
+    appended last.  Returns (tau, dlo, dhi, wts) with dlo = tau - lo and
+    dhi = hi - tau taken from the map itself, and weights that absorb the
+    affine and power-map Jacobians (the recursion's node table as it was
+    before the node weights went into logs).
+    """
     lo = np.asarray(lo, dtype=float)[..., None]
     hi = np.asarray(hi, dtype=float)[..., None]
     u, w = _unit_gauss(cfg.nodes_per_dimension)
@@ -266,15 +279,41 @@ def panel_nodes_reference(lo, hi, k, cfg):
     return lo + dlo, dlo, dhi, np.concatenate([wts, wts], axis=-1)
 
 
+# floor for endpoint displacements in weighted_edges_reference
+_TINY = 1e-300
+
+
+def weighted_edges_reference(wts, elo, etau, dlo, dhi, k):
+    """wts * (e^tau - e^lo)^(k-1) * (e^hi - e^tau)^(k-1), multiplied out
+    as the recursion did before its node weights went into logs.
+
+    e^tau - e^lo is written e^lo * expm1(dlo) so a node that rounds onto
+    its endpoint still produces the true small difference instead of 0.
+    The weight is folded in between the two factors: each near-endpoint
+    factor is large exactly where wts is small, and the running product
+    stays near unit scale instead of overflowing.
+    """
+    glo = elo * np.expm1(np.maximum(dlo, _TINY))
+    ghi = etau * np.expm1(np.maximum(dhi, _TINY))
+    return (wts * glo ** (k - 1.0)) * ghi ** (k - 1.0)
+
+
 @pytest.mark.parametrize("rule", ["plain-gauss", "endpoint-substitution"])
 @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 1.5, 2.0])
 def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(rule, k):
+    # the offsets bitwise; the weights, which the table keeps as logs, to
+    # rounding
     cfg = QuadratureConfig(6, rule)
     lo = np.array([-0.7, 0.1, 0.3])
     hi = np.array([0.2, 0.1 + 1e-9, 2.9])
-    for got, want in zip(_panel_nodes(lo, hi, k, cfg),
-                         panel_nodes_reference(lo, hi, k, cfg)):
-        assert got.tolist() == want.tolist()
+    ab, logw = _unit_panels(6, k, rule)
+    width = (hi - lo)[:, None]
+    tau, dlo, dhi, wts = panel_nodes_reference(lo, hi, k, cfg)
+    assert (width * ab[0]).tolist() == dlo.tolist()
+    assert (width * ab[1]).tolist() == dhi.tolist()
+    assert (lo[:, None] + width * ab[0]).tolist() == tau.tolist()
+    np.testing.assert_allclose(np.exp(np.log(width) + logw), wts,
+                               rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("m", [4, 8, 24, 128])
@@ -415,12 +454,13 @@ def test_positivity_on_a_strip(shift, gap):
 
 
 def reference_f_rec(k, s, x, tilt, vpow, cfg):
-    """_f_rec as it was before the two-variable leaf: the generic level at
-    every n >= 2, down to the one-variable base case."""
+    """_f_rec as it was before the two-variable leaf and the log weights:
+    the generic level at every n >= 2, with weights and edge factors
+    multiplied out, down to the one-variable base case."""
     count, n = s.shape
     if n == 1:
         return np.exp((s[:, 0] + tilt)[:, None] * x[0])
-    per_dim = _panel_nodes(0.0, 1.0, k, cfg)[0].shape[-1]
+    per_dim = panel_nodes_reference(0.0, 1.0, k, cfg)[0].shape[-1]
     size = per_dim ** (n - 1)
     step = max(1, _BATCH // size)
     if x[0].size > step:
@@ -441,10 +481,11 @@ def reference_f_rec(k, s, x, tilt, vpow, cfg):
     shape = (rows,) + (per_dim,) * (n - 1)
     nu = []
     for j in range(n - 1):
-        tau, dlo, dhi, wts = _panel_nodes(x[j + 1], x[j], k, cfg)
+        tau, dlo, dhi, wts = panel_nodes_reference(x[j + 1], x[j], k, cfg)
         if k != 1.0:
             etau = np.exp(tau)
-            wts = _weighted_edges(wts, ex[j + 1][:, None], etau, dlo, dhi, k)
+            wts = weighted_edges_reference(wts, ex[j + 1][:, None], etau,
+                                           dlo, dhi, k)
             for i in range(n):
                 if i not in (j, j + 1):
                     gap = np.abs(ex[i][:, None] - etau)
@@ -488,17 +529,17 @@ def test_leaf_matches_the_generic_level_and_base_case(k, rule):
 def test_leaf_is_finite_wherever_the_reference_is(k, nodes):
     # box widths from just above min_gap to 60.  At k = 0.01 and 64 nodes
     # the reference's jacobian underflows to 0 against an edge factor that
-    # overflows, so it gives nan on the widest boxes and warns; the leaf
-    # must then be finite where the reference is, and quiet
+    # overflows, so it gives nan on the widest boxes and warns (at n = 3 on
+    # the widest only); the recursion, which adds the two in logs, must be
+    # finite and quiet at every point
     cfg = QuadratureConfig(nodes)
     for width in (2e-8, 1e-3, 1.0, 60.0):
         for s, x in (((3.0, -1.0), (width / 2, -width / 2)),
                      ((3.0, 0.0, -1.0), (width / 2, 0.0, -width / 2))):
-            with np.errstate(all="ignore"):
-                expected = at_one_point(reference_f_rec, k, s, x, cfg)
-            if math.isfinite(expected):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 value = at_one_point(_f_rec, k, s, x, cfg)
-                assert math.isfinite(value), (width, s)
+            assert math.isfinite(value) and value > 0, (width, s)
 
 
 def hyp2f1_pfaff(a, b, c, d):
@@ -568,10 +609,9 @@ def test_small_multiplicity_on_a_wide_box_is_finite():
 
 
 def test_values_out_of_floating_range_raise():
-    # F is near e^1600 at the first point; at the second the n = 3 level's
-    # edge factors overflow against weights that underflow, giving nan
+    # F is near e^1600 at the first point and near 3e328 at the second
     cases = [(HOParams(0.5, 2), (3.0, -1.0), (400.0, -400.0)),
-             (HOParams(0.05, 3), (1.0, 0.0, -1.0), (200.0, 0.0, -200.0))]
+             (HOParams(0.05, 3), (1.0, 0.0, -1.0), (400.0, 0.0, -400.0))]
     for p, s, x in cases:
         with pytest.warns(RuntimeWarning), \
                 pytest.raises(DegeneracyError) as caught:
@@ -579,3 +619,35 @@ def test_values_out_of_floating_range_raise():
         message = str(caught.value)
         assert f"k={p.k}" in message and f"x={x}" in message
         assert "8 nodes" in message
+
+
+@pytest.mark.parametrize("k, s, x", [
+    # about 1.73e164, in floating range: the edge factors of the n = 3
+    # level, multiplied out, overflowed against weights that underflow
+    (0.05, (1.0, 0.0, -1.0), (200.0, 0.0, -200.0)),
+    # the power map's offsets underflow to 0 from 64 nodes on, where the
+    # multiplied-out factors gave 0 * inf
+    (0.01, (3.0, 0.0, -1.0), (30.0, 0.0, -30.0))])
+def test_small_multiplicity_on_a_wide_three_variable_box_converges(k, s, x):
+    # finite and quiet at 16, 32 and 64 nodes, and the step from 32 to 64
+    # nodes is within the gap from 16 to 32, ho_error_estimate at 16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [ho_eval(HOParams(k, 3), s, x, QuadratureConfig(m))
+                  for m in (16, 32, 64)]
+    assert all(math.isfinite(v) and v > 0 for v in values), values
+    assert abs(values[2] - values[1]) <= abs(values[1] - values[0]), values
+
+
+def test_near_tie_keeps_its_digits_at_three_variables():
+    # sum(x) = 0, so F = 1 + O(|x|^2); the Vandermonde and the edge factors
+    # taken as differences of exponentials gave 1 + 4.7e-8
+    value = ho_eval(HOParams(2, 3), (3.0, 0.0, -1.0), (1e-8, 0.0, -1e-8))
+    assert abs(value - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [0.5, 1.5, 2.0])
+def test_near_tie_matches_exact_expansions(k):
+    gap = ho_jack_consistency((2, 1, 0), HOParams(k, 3), (1e-8, 0.0, -1e-8),
+                              QuadratureConfig(16))
+    assert gap <= 1e-13
