@@ -18,6 +18,10 @@ Each interlacing dimension gets m nodes for k >= 1, one Gauss-Jacobi panel
 whose weight carries the edge factors' endpoint behaviour, and 2m for
 k < 1, two power-mapped Gauss-Legendre panels of m nodes each, one from
 either end (plain-gauss, a control, is one Gauss-Legendre panel of m).
+Every rule's nodes are mirror-symmetric bit for bit: a node's offset from
+its box's upper end, and its weight, are its mirror's offset from the lower
+end and weight, so each level and the leaf compute the box-end edge factors
+once per mirror pair, for both its nodes.
 Nodes and weights depend on x and k only, so the L vectors share them, and
 the inequality sweeps evaluate every shape they need at a point in one
 pass per node count.  Batches are split along rows at a fixed grid size
@@ -159,10 +163,13 @@ def _unit_jacobi(m: int, alpha: float):
     of the orthonormal polynomials, and each weight is the total mass times
     the squared first component of its eigenvector.  The weight is even, so
     the matrix has a zero diagonal, and the rule is symmetrized as leggauss
-    symmetrizes its own."""
-    j = np.arange(1.0, m)
+    symmetrizes its own.  The first off-diagonal entry is taken in its
+    cancelled form, sqrt(1/(3 + 2 alpha)): the general one is 0/0 at
+    alpha = -1/2."""
+    j = np.arange(2.0, m)
     off = np.sqrt(j * (j + 2.0 * alpha)
                   / ((2.0 * j + 2.0 * alpha) ** 2 - 1.0))
+    off = np.concatenate([[math.sqrt(1.0 / (3.0 + 2.0 * alpha))], off])
     z, vectors = np.linalg.eigh(np.diag(off, -1))
     mass = 2.0 ** (2.0 * alpha + 1.0) * math.exp(
         2.0 * math.lgamma(alpha + 1.0) - math.lgamma(2.0 * alpha + 2.0))
@@ -183,15 +190,28 @@ _TINY = 1e-300
 
 @functools.lru_cache(maxsize=64)
 def _unit_panels(m: int, k: float, rule: str):
-    """One dimension's nodes per unit of box width, read-only: (ab, logw),
-    where ab[0] and ab[1] are the node offsets from the box's lower and
-    upper ends, dlo = width * ab[0] and dhi = width * ab[1], and logw is
+    """One dimension's nodes per unit of box width, read-only: (ab, logw,
+    mirror), where ab[0] and ab[1] are the node offsets from the box's lower
+    and upper ends, dlo = width * ab[0] and dhi = width * ab[1], and logw is
     the log of each node's weight per unit width, so a node's weight is
     width * exp(logw).  The panels of endpoint-substitution are laid out
-    on half the width; that halving is folded into both."""
+    on half the width; that halving is folded into both.
+
+    Every rule is mirror-symmetric bit for bit: a node's ab[1] and logw are
+    its mirror's ab[0] and logw, so its dhi is its mirror's dlo, and one
+    edge-factor computation serves both nodes of a pair.  mirror holds
+    three slices of the node axis, (lower, centre, upper): the nodes of
+    upper are, in order, the mirrors of the nodes of lower, the one node an
+    odd count leaves in centre is its own mirror, and lower and centre
+    together are the first nodes."""
+    # one panel, mirrored end to end; an odd count leaves a centre node
+    half = m // 2
+    mirror = (slice(0, half), slice(half, m - half),
+              slice(m - 1, m - 1 - half, -1))
     if rule == "plain-gauss":
+        # u[::-1] is 1 - u without the rounding of the subtraction
         u, w = _unit_gauss(m)
-        ab = np.stack([u, 1.0 - u])
+        ab = np.stack([u, u[::-1]])
         logw = np.log(w)
     elif k >= 1.0:
         # one Gauss-Jacobi panel for the weight (1-z)^(k-1) (1+z)^(k-1),
@@ -215,9 +235,11 @@ def _unit_panels(m: int, k: float, rule: str):
         logw = (np.log(w) + (1.0 / k - 1.0) * np.log(u) - math.log(k)
                 + math.log(0.5))
         logw = np.concatenate([logw, logw])
+        # each panel is the other's mirror, node for node
+        mirror = (slice(0, m), slice(m, m), slice(m, 2 * m))
     ab.setflags(write=False)
     logw.setflags(write=False)
-    return ab, logw
+    return ab, logw, mirror
 
 
 def _log_m(d):
@@ -324,7 +346,8 @@ def _level(k: float, s, x: list, tilt, vpow: float, logc,
     count, n = s.shape
     rows = x[0].size
     sn = s[:, -1]
-    ab, logw = _unit_panels(cfg.nodes_per_dimension, k, cfg.singularity_rule)
+    ab, logw, (lower, centre, upper) = _unit_panels(
+        cfg.nodes_per_dimension, k, cfg.singularity_rule)
     gap = {(i, j): x[i] - x[j] for i in range(n) for j in range(i + 1, n)}
     logv = sum(x[i] + _log_m(d) for (i, _), d in gap.items())
     pref = (logc + (math.lgamma(n * k) - n * math.lgamma(k))
@@ -338,8 +361,14 @@ def _level(k: float, s, x: list, tilt, vpow: float, logc,
         tau = x[j + 1][:, None] + dlo
         lw = np.log(width) + logw
         if k != 1.0:
-            edges = (tau + _log_m(np.maximum(dlo, _TINY))
-                     + x[j][:, None] + _log_m(np.maximum(dhi, _TINY)))
+            # the box-end factors: log m(dhi) at a node is log m(dlo) at
+            # its mirror
+            mlo = _log_m(np.maximum(dlo, _TINY))
+            edges = tau + mlo
+            edges += x[j][:, None]
+            edges[:, lower] += mlo[:, upper]
+            edges[:, centre] += mlo[:, centre]
+            edges[:, upper] += mlo[:, lower]
             for i in range(j):
                 edges += x[i][:, None] + _log_m(gap[i, j][:, None] + dhi)
             for i in range(j + 2, n):
@@ -371,25 +400,34 @@ def _leaf(k: float, s, x0, x1, tilt, vpow: float, logc,
     the weight is small, so the exponent stays moderate, and a node whose
     weight underflows gives 0, never 0 * inf.  m(dlo) * m(dhi) is floored
     at _TINY.
+
+    A node's dhi is its mirror's dlo, so m(dlo) * m(dhi) is one number for
+    both nodes of a mirror pair: expm1 runs on -dlo alone, each pair's
+    product is formed once in the first half of that array, and the log of
+    the half, with its weights, is added to the terms of both halves.
     """
-    ab, logw = _unit_panels(cfg.nodes_per_dimension, k, cfg.singularity_rule)
-    nodes = logw.size
+    ab, logw, (lower, centre, upper) = _unit_panels(
+        cfg.nodes_per_dimension, k, cfg.singularity_rule)
     width = x0 - x1
     s0, s1 = s[:, 0], s[:, 1]
     if k == 1.0:
         terms = np.multiply.outer(s1 - s0, np.multiply.outer(ab[0], -width))
-        node = logw[:, None]
+        node = logw[:centre.stop, None]
     else:
-        # the offsets -(dlo, dhi), stacked
-        offsets = np.multiply.outer(ab.reshape(-1), -width)
-        terms = np.multiply.outer(s1 - s0, offsets[:nodes])
-        # the offsets are spent; their edge factors take their memory
+        # -dlo at every node; a node's -dhi is its mirror's -dlo
+        offsets = np.multiply.outer(ab[0], -width)
+        terms = np.multiply.outer(s1 - s0, offsets)
+        # the offsets are spent; their edge factors take their memory, and
+        # each pair's product, which both its nodes share, goes into the
+        # first half
         edges = np.expm1(offsets, out=offsets)
-        node = np.multiply(edges[:nodes], edges[nodes:], out=edges[:nodes])
+        edges[lower] *= edges[upper]
+        edges[centre] *= edges[centre]
+        node = edges[:centre.stop]
         np.maximum(node, _TINY, out=node)
         np.log(node, out=node)
         node *= k - 1.0
-        node += logw[:, None]
+        node += logw[:centre.stop, None]
     # the row exponent: log width (which never rounds to 0), the gamma
     # ratio, the Vandermonde power of e^x0 - e^x1 = e^x0 * m(width), and the
     # coefficients of x0 and x1 that the prefactor, the edge factors and
@@ -399,7 +437,10 @@ def _leaf(k: float, s, x0, x1, tilt, vpow: float, logc,
     row = (row + (tilt + s1 + (vpow - k / 2.0))[:, None] * x0
            + (tilt + s0 + k / 2.0)[:, None] * x1)
     row += logc
-    terms += node
+    # the half's node exponents, weights included, serve both nodes of
+    # each pair
+    terms[:, :centre.stop] += node
+    terms[:, upper] += node[lower]
     terms += row[:, None, :]
     np.exp(terms, out=terms)
     if x0.size > 1:

@@ -1,6 +1,7 @@
 """Recursive-quadrature hypergeometric evaluation: determinant and
 permanent oracles, structural identities, and the failure modes."""
 
+import functools
 import math
 import warnings
 
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegalab import heckman_opdam
 from omegalab.errors import (DegeneracyError, DomainError, ParameterError,
                              TieError)
 from omegalab.heckman_opdam import (_BATCH, HOParams, QuadratureConfig,
-                                    _f_rec, _ho_eval_batch, _unit_gauss,
-                                    _unit_jacobi, _unit_panels,
+                                    _f_rec, _ho_eval_batch, _log_m,
+                                    _unit_gauss, _unit_jacobi, _unit_panels,
                                     ho_closed_forms, ho_direction_residual,
                                     ho_error_estimate, ho_eval,
                                     ho_jack_consistency)
@@ -263,7 +265,7 @@ def panel_nodes_reference(lo, hi, k, cfg):
     if cfg.singularity_rule == "plain-gauss":
         length = hi - lo
         dlo = length * u
-        return lo + dlo, dlo, length * (1.0 - u), length * w
+        return lo + dlo, dlo, length * u[::-1], length * w
     half = (hi - lo) / 2.0
     if k >= 1.0:
         # one panel; the rule's weight (1 - z^2)^(k-1) is divided out
@@ -306,7 +308,7 @@ def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(rule, k):
     cfg = QuadratureConfig(6, rule)
     lo = np.array([-0.7, 0.1, 0.3])
     hi = np.array([0.2, 0.1 + 1e-9, 2.9])
-    ab, logw = _unit_panels(6, k, rule)
+    ab, logw, _ = _unit_panels(6, k, rule)
     width = (hi - lo)[:, None]
     tau, dlo, dhi, wts = panel_nodes_reference(lo, hi, k, cfg)
     assert (width * ab[0]).tolist() == dlo.tolist()
@@ -317,7 +319,7 @@ def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(rule, k):
 
 
 @pytest.mark.parametrize("m", [4, 8, 24, 128])
-@pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 5.0])
+@pytest.mark.parametrize("k", [0.1, 0.7, 1.0, 1.5, 2.0, 5.0])
 def test_gauss_jacobi_rule_integrates_even_moments(k, m):
     # m nodes are exact up to degree 2m - 1 against (1 - z^2)^(k-1), whose
     # even moments are B(j + 1/2, k); the odd ones vanish by symmetry
@@ -329,6 +331,42 @@ def test_gauss_jacobi_rule_integrates_even_moments(k, m):
                         - math.lgamma(j + 0.5 + k))
         got = float(np.sum(w * z ** (2 * j)))
         assert math.isclose(got, want, rel_tol=1e-12), j
+
+
+@pytest.mark.parametrize("m", [4, 5, 8, 24, 64])
+def test_gauss_jacobi_rule_at_alpha_minus_one_half_is_gauss_chebyshev(m):
+    # k = 1/2, where the first off-diagonal entry of the Jacobi matrix in
+    # its general form is 0/0; the rule is rebuilt, not read from the cache,
+    # so a RuntimeWarning would fail the test
+    z, w = _unit_jacobi.__wrapped__(m, -0.5)
+    i = np.arange(m, 0, -1)
+    np.testing.assert_allclose(z, np.cos((2 * i - 1) * math.pi / (2 * m)),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, math.pi / m, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [4, 5, 8, 24, 64])
+@pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 5.0])
+@pytest.mark.parametrize("rule", ["plain-gauss", "endpoint-substitution"])
+def test_unit_panels_are_mirror_symmetric_bitwise(rule, k, m):
+    # the leaf and the levels take each node's upper edge factor from its
+    # mirror's lower one: one power-mapped panel mirrors the other node for
+    # node, and a single panel mirrors itself end to end
+    ab, logw, (lower, centre, upper) = _unit_panels(m, k, rule)
+    index = np.arange(logw.size)
+    if rule == "endpoint-substitution" and k < 1.0:
+        mirror = np.roll(index, m)
+    else:
+        mirror = index[::-1]
+    assert ab[1].tobytes() == ab[0][mirror].tobytes()
+    assert logw.tobytes() == logw[mirror].tobytes()
+    # the table's slices say the same: lower and centre are the first
+    # nodes, and the three cover every node once
+    assert index[upper].tolist() == mirror[lower].tolist()
+    assert mirror[centre].tolist() == index[centre].tolist()
+    assert (lower.start, lower.stop) == (0, centre.start)
+    assert sorted(index[lower].tolist() + index[centre].tolist()
+                  + index[upper].tolist()) == index.tolist()
 
 
 # spectral vectors for the batch tests, cut to n coordinates; the third
@@ -540,6 +578,94 @@ def test_leaf_is_finite_wherever_the_reference_is(k, nodes):
                 warnings.simplefilter("error")
                 value = at_one_point(_f_rec, k, s, x, cfg)
             assert math.isfinite(value) and value > 0, (width, s)
+
+
+def level_reference(k, s, x, tilt, vpow, logc, cfg, per_dim, size):
+    """_level as it was before each mirror pair's box-end edge factors were
+    computed once: log m at both offsets of every node."""
+    count, n = s.shape
+    rows = x[0].size
+    sn = s[:, -1]
+    ab, logw = _unit_panels(cfg.nodes_per_dimension, k,
+                            cfg.singularity_rule)[:2]
+    gap = {(i, j): x[i] - x[j] for i in range(n) for j in range(i + 1, n)}
+    logv = sum(x[i] + _log_m(d) for (i, _), d in gap.items())
+    pref = (logc + (math.lgamma(n * k) - n * math.lgamma(k))
+            + (tilt + sn + k * (n - 1) / 2.0)[:, None] * sum(x)
+            + (vpow + 1.0 - 2.0 * k) * logv)
+    shape = (rows,) + (per_dim,) * (n - 1)
+    nu = []
+    for j in range(n - 1):
+        width = gap[j, j + 1][:, None]
+        dlo, dhi = width * ab[0], width * ab[1]
+        tau = x[j + 1][:, None] + dlo
+        lw = np.log(width) + logw
+        if k != 1.0:
+            edges = (tau + _log_m(np.maximum(dlo, _TINY))
+                     + x[j][:, None] + _log_m(np.maximum(dhi, _TINY)))
+            for i in range(j):
+                edges += x[i][:, None] + _log_m(gap[i, j][:, None] + dhi)
+            for i in range(j + 2, n):
+                edges += tau + _log_m(gap[j + 1, i][:, None] + dlo)
+            lw += (k - 1.0) * edges
+        dims = (rows,) + (1,) * j + (per_dim,)
+        grid = lw if j == 0 else grid[..., None] + lw.reshape(dims)
+        nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
+                                  shape).reshape(-1))
+    below = (pref[:, :, None] + grid.reshape(rows, size)).reshape(count, -1)
+    inner = _f_rec(k, s[:, :-1], nu, 1.0 - n * k / 2.0 - sn, 1.0, cfg, below)
+    return inner.reshape(count, rows, size).sum(axis=-1)
+
+
+def leaf_reference(k, s, x0, x1, tilt, vpow, logc, cfg):
+    """_leaf as it was before each mirror pair's box-end edge factors were
+    computed once: expm1 at both offsets of every node, and one product
+    per node."""
+    ab, logw = _unit_panels(cfg.nodes_per_dimension, k,
+                            cfg.singularity_rule)[:2]
+    nodes = logw.size
+    width = x0 - x1
+    s0, s1 = s[:, 0], s[:, 1]
+    if k == 1.0:
+        terms = np.multiply.outer(s1 - s0, np.multiply.outer(ab[0], -width))
+        node = logw[:, None]
+    else:
+        offsets = np.multiply.outer(ab.reshape(-1), -width)
+        terms = np.multiply.outer(s1 - s0, offsets[:nodes])
+        edges = np.expm1(offsets, out=offsets)
+        node = np.multiply(edges[:nodes], edges[nodes:], out=edges[:nodes])
+        np.maximum(node, _TINY, out=node)
+        np.log(node, out=node)
+        node *= k - 1.0
+        node += logw[:, None]
+    row = (np.log(width) + (math.lgamma(2.0 * k) - 2.0 * math.lgamma(k))
+           + (vpow + 1.0 - 2.0 * k) * _log_m(width))
+    row = (row + (tilt + s1 + (vpow - k / 2.0))[:, None] * x0
+           + (tilt + s0 + k / 2.0)[:, None] * x1)
+    row += logc
+    terms += node
+    terms += row[:, None, :]
+    np.exp(terms, out=terms)
+    if x0.size > 1:
+        return terms.sum(axis=1)
+    return functools.reduce(np.add, terms.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("m", [4, 5, 8])
+@pytest.mark.parametrize("k", [0.05, 0.5, 1.0, 1.5, 2.0])
+def test_mirror_paired_edge_factors_leave_values_bitwise(k, m, monkeypatch):
+    # an odd m has a Gauss-Jacobi centre node, its own mirror; the n = 4
+    # point has a near tie at each end
+    cfg = QuadratureConfig(m)
+    cases = [(n, s[:n], x[:n])
+             for n, s, x in ((2, SPECTRA[0], (0.9, -0.6)),
+                             (3, SPECTRA[3], (0.9, 0.3, -0.6)),
+                             (4, SPECTRA[0], (0.997, 0.916, -0.719, -0.953)))]
+    paired = [ho_eval(HOParams(k, n), s, x, cfg) for n, s, x in cases]
+    monkeypatch.setattr(heckman_opdam, "_level", level_reference)
+    monkeypatch.setattr(heckman_opdam, "_leaf", leaf_reference)
+    unpaired = [ho_eval(HOParams(k, n), s, x, cfg) for n, s, x in cases]
+    assert [v.hex() for v in paired] == [v.hex() for v in unpaired]
 
 
 def hyp2f1_pfaff(a, b, c, d):
