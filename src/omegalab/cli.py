@@ -24,7 +24,7 @@ from .cache import ExpansionCache
 from .classical import FAMILIES as CLASSICAL_BASES
 from .classical import expand_classical
 from .errors import OmegalabError, ParameterError
-from .heckman_opdam import (SINGULARITY_RULES, HOParams, QuadratureConfig,
+from .heckman_opdam import (HOParams, QuadratureConfig,
                             ho_direction_residual, ho_eval,
                             ho_jack_consistency)
 from .jack import jack_expand
@@ -120,23 +120,20 @@ def _add_globals(p: argparse.ArgumentParser):
 
 
 def _add_quadrature_flags(p: argparse.ArgumentParser):
-    p.add_argument("--nodes", type=int,
+    p.add_argument("--nodes", dest="nodes_per_dimension", type=int,
                    help="quadrature nodes per dimension for k >= 1, per "
                         "panel (two per dimension) for k < 1")
-    p.add_argument("--rule", choices=SINGULARITY_RULES,
-                   help="edge-singularity handling")
     p.add_argument("--min-gap", dest="min_gap", type=float,
                    help="tie threshold on coordinates")
 
 
 def _quadrature_config(ns) -> QuadratureConfig | None:
-    if ns.nodes is None and ns.rule is None and ns.min_gap is None:
-        return None
-    base = QuadratureConfig()
-    return QuadratureConfig(
-        nodes_per_dimension=ns.nodes or base.nodes_per_dimension,
-        singularity_rule=ns.rule or base.singularity_rule,
-        min_gap=ns.min_gap or base.min_gap)
+    # every flag given, 0 included, goes to the constructor, which refuses
+    # what it must; the others keep its defaults
+    given = {name: getattr(ns, name)
+             for name in ("nodes_per_dimension", "min_gap")
+             if getattr(ns, name) is not None}
+    return QuadratureConfig(**given) if given else None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,11 +17,10 @@ exponential, so a weight that underflows gives 0, never 0 * inf.
 Each interlacing dimension gets m nodes for k >= 1, one Gauss-Jacobi panel
 whose weight carries the edge factors' endpoint behaviour, and 2m for
 k < 1, two power-mapped Gauss-Legendre panels of m nodes each, one from
-either end (plain-gauss, a control, is one Gauss-Legendre panel of m).
-Every rule's nodes are mirror-symmetric bit for bit: a node's offset from
-its box's upper end, and its weight, are its mirror's offset from the lower
-end and weight, so each level and the leaf compute the box-end edge factors
-once per mirror pair, for both its nodes.
+either end.  Both layouts are mirror-symmetric bit for bit: a node's offset
+from its box's upper end, and its weight, are its mirror's offset from the
+lower end and weight, so each level and the leaf compute the box-end edge
+factors once per mirror pair, for both its nodes.
 Nodes and weights depend on x and k only, so the L vectors share them, and
 the inequality sweeps evaluate every shape they need at a point in one
 pass per node count.  Batches are split along rows at a fixed grid size
@@ -42,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -51,8 +49,6 @@ from .errors import DegeneracyError, DomainError, ParameterError, TieError
 from .jack import JackParam, _normalized as _jack_normalized
 from .macdonald import _as_key
 from .sympoly import poly_eval_float
-
-SINGULARITY_RULES = ("plain-gauss", "endpoint-substitution")
 
 
 def _whole(value, what: str) -> int:
@@ -67,13 +63,24 @@ def _whole(value, what: str) -> int:
     return whole
 
 
+def _real(value, what: str) -> float:
+    """value as a float; a value that is not a number, or is out of
+    floating range, raises instead of leaking float()'s own error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{what} is out of floating range") from None
+    except (TypeError, ValueError):
+        raise ParameterError(f"need a real {what}; got {value!r}") from None
+
+
 class HOParams:
     """Multiplicity k >= 0 and variable count n, plus the derived vectors."""
 
     __slots__ = ("k", "n")
 
     def __init__(self, k, n: int):
-        k = float(k)
+        k = _real(k, "multiplicity k")
         if not math.isfinite(k) or k < 0:
             raise ParameterError(f"need multiplicity k >= 0; got {k}")
         n = _whole(n, "variable count")
@@ -105,43 +112,42 @@ class QuadratureConfig:
     """Tensor Gauss rule settings for the interlacing integrals.
 
     nodes_per_dimension counts nodes per dimension for k >= 1 and per panel
-    for k < 1.  The endpoint-substitution rule integrates the boundary
-    factor |e^{x_i} - e^{nu_j}|^(k-1) exactly: for k >= 1 with one
-    Gauss-Jacobi panel per dimension for the weight (1-z)^(k-1) (1+z)^(k-1),
-    and for k < 1 by splitting every dimension into two Gauss-Legendre
-    panels at its midpoint, each bent with the power map u -> u^(1/k) so
-    that the factor integrates smoothly.  plain-gauss, a control, is one
-    Gauss-Legendre panel per dimension at every k.
+    for k < 1.  The rule integrates the boundary factor
+    |e^{x_i} - e^{nu_j}|^(k-1) exactly: for k >= 1 with one Gauss-Jacobi
+    panel per dimension for the weight (1-z)^(k-1) (1+z)^(k-1), and for
+    k < 1 by splitting every dimension into two Gauss-Legendre panels at
+    its midpoint, each bent with the power map u -> u^(1/k) so that the
+    factor integrates smoothly.  min_gap is the tie threshold: coordinates
+    closer than it are refused.
     """
 
-    __slots__ = ("nodes_per_dimension", "singularity_rule", "min_gap")
+    __slots__ = ("nodes_per_dimension", "min_gap")
 
-    def __init__(self, nodes_per_dimension: int = 64,
-                 singularity_rule: str = "endpoint-substitution",
-                 min_gap: float = 1e-8):
+    # endpoint-substitution is the only rule, so this is no setting, and
+    # instances cannot set it.  The benchmark's span tracer (bench/tracer.py,
+    # _ho_meta) reads it from every config an ho_eval call passes and fails
+    # without it; it goes when the tracer moves onto the package's own
+    # counts (ROADMAP item 1)
+    singularity_rule = "endpoint-substitution"
+
+    def __init__(self, nodes_per_dimension: int = 64, min_gap: float = 1e-8):
         nodes_per_dimension = _whole(nodes_per_dimension,
                                      "nodes_per_dimension")
         if nodes_per_dimension < 4:
             raise ParameterError(
                 f"need nodes_per_dimension >= 4; got {nodes_per_dimension}")
-        if singularity_rule not in SINGULARITY_RULES:
-            raise ParameterError(f"unknown singularity rule "
-                                 f"{singularity_rule!r}; "
-                                 f"choose from {SINGULARITY_RULES}")
-        min_gap = float(min_gap)
+        min_gap = _real(min_gap, "min_gap")
         if not min_gap > 0:
             raise ParameterError(f"need min_gap > 0; got {min_gap}")
         self.nodes_per_dimension = nodes_per_dimension
-        self.singularity_rule = singularity_rule
         self.min_gap = min_gap
 
     def with_nodes(self, nodes: int) -> "QuadratureConfig":
-        return QuadratureConfig(nodes, self.singularity_rule, self.min_gap)
+        return QuadratureConfig(nodes, self.min_gap)
 
     def __repr__(self):
         return (f"QuadratureConfig(nodes_per_dimension="
-                f"{self.nodes_per_dimension}, singularity_rule="
-                f"{self.singularity_rule!r}, min_gap={self.min_gap})")
+                f"{self.nodes_per_dimension}, min_gap={self.min_gap})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,15 +195,15 @@ _TINY = 1e-300
 
 
 @functools.lru_cache(maxsize=64)
-def _unit_panels(m: int, k: float, rule: str):
+def _unit_panels(m: int, k: float):
     """One dimension's nodes per unit of box width, read-only: (ab, logw,
     mirror), where ab[0] and ab[1] are the node offsets from the box's lower
     and upper ends, dlo = width * ab[0] and dhi = width * ab[1], and logw is
     the log of each node's weight per unit width, so a node's weight is
-    width * exp(logw).  The panels of endpoint-substitution are laid out
-    on half the width; that halving is folded into both.
+    width * exp(logw).  The panels are laid out on half the width; that
+    halving is folded into both.
 
-    Every rule is mirror-symmetric bit for bit: a node's ab[1] and logw are
+    Both layouts are mirror-symmetric bit for bit: a node's ab[1] and logw are
     its mirror's ab[0] and logw, so its dhi is its mirror's dlo, and one
     edge-factor computation serves both nodes of a pair.  mirror holds
     three slices of the node axis, (lower, centre, upper): the nodes of
@@ -208,12 +214,7 @@ def _unit_panels(m: int, k: float, rule: str):
     half = m // 2
     mirror = (slice(0, half), slice(half, m - half),
               slice(m - 1, m - 1 - half, -1))
-    if rule == "plain-gauss":
-        # u[::-1] is 1 - u without the rounding of the subtraction
-        u, w = _unit_gauss(m)
-        ab = np.stack([u, u[::-1]])
-        logw = np.log(w)
-    elif k >= 1.0:
+    if k >= 1.0:
         # one Gauss-Jacobi panel for the weight (1-z)^(k-1) (1+z)^(k-1),
         # the way the edge factors vanish at the box ends.  The levels
         # apply those factors themselves, so the rule's weight is divided
@@ -289,8 +290,7 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig,
     which also does the one-variable base case.
     """
     count, n = s.shape
-    per_dim = _unit_panels(cfg.nodes_per_dimension, k,
-                           cfg.singularity_rule)[1].size
+    per_dim = _unit_panels(cfg.nodes_per_dimension, k)[1].size
     size = per_dim ** (n - 1)
     step = _BATCH // size
     if n == 2:
@@ -347,7 +347,7 @@ def _level(k: float, s, x: list, tilt, vpow: float, logc,
     rows = x[0].size
     sn = s[:, -1]
     ab, logw, (lower, centre, upper) = _unit_panels(
-        cfg.nodes_per_dimension, k, cfg.singularity_rule)
+        cfg.nodes_per_dimension, k)
     gap = {(i, j): x[i] - x[j] for i in range(n) for j in range(i + 1, n)}
     logv = sum(x[i] + _log_m(d) for (i, _), d in gap.items())
     pref = (logc + (math.lgamma(n * k) - n * math.lgamma(k))
@@ -407,7 +407,7 @@ def _leaf(k: float, s, x0, x1, tilt, vpow: float, logc,
     the half, with its weights, is added to the terms of both halves.
     """
     ab, logw, (lower, centre, upper) = _unit_panels(
-        cfg.nodes_per_dimension, k, cfg.singularity_rule)
+        cfg.nodes_per_dimension, k)
     width = x0 - x1
     s0, s1 = s[:, 0], s[:, 1]
     if k == 1.0:
@@ -474,8 +474,8 @@ def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
         values = _ho_values(params, svecs, x, cfg)
     except OverflowError:
         values = [math.inf]
-    # the count is per dimension for k >= 1; for k < 1 it is per panel,
-    # two per dimension under endpoint-substitution and one under plain-gauss
+    # the count is per dimension for k >= 1, per panel (two per dimension)
+    # for k < 1
     unit = "dimension" if params.k >= 1.0 else "panel"
     for v in values:
         if not math.isfinite(v):
@@ -506,11 +506,6 @@ def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
     mean = sum(xs) / n
     if uniform:
         return [math.exp(sum(s) * mean) for s in ss]
-    if cfg.singularity_rule == "plain-gauss" and params.k < 1.0:
-        # stacklevel 4 names the line that called ho_eval or _ho_eval_and_gap
-        warnings.warn("plain-gauss with k < 1 leaves the endpoint "
-                      "singularity unresolved; expect degraded accuracy",
-                      stacklevel=4)
     centered = [np.array([v - mean]) for v in xs]
     values = _f_rec(params.k, np.array(ss), centered, 0.0, 0.0, cfg)[:, 0]
     return [math.exp(sum(s) * mean) * float(v) for s, v in zip(ss, values)]

@@ -51,6 +51,14 @@ def test_bad_arguments_exit_two():
     assert exc.value.code == 2
 
 
+def test_quadrature_rule_is_not_an_option():
+    # endpoint-substitution is the only rule; argparse refuses the old flag
+    with pytest.raises(SystemExit) as exc:
+        run(["ho", "eval", "--k", "1/2", "--s", "1,0", "--x", "1,0",
+             "--rule", "plain-gauss"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("args", [
     ["ho", "eval", "--k", "1", "--s", "-1,1", "--x", "0,0"],
     ["ho", "eval", "--k", "1", "--s", "-1/2,0.5", "--x", "0,0"],
@@ -269,6 +277,11 @@ HOSTILE = [
     ["check", "weak", "--theta", "1", "--n", "2", "--max-weight", "3",
      "--samples", "-2"],
     ["hunt", "--q", "1/2", "--t", "1/3", "--budget", "-3"],
+    # a quadrature flag given as 0 is refused, not read as "use the default"
+    ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1,0", "--nodes", "0"],
+    ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1,0", "--min-gap", "0"],
+    ["check", "schur", "--family", "heckman-opdam", "--k", "3/2", "--n", "2",
+     "--max-weight", "2", "--nodes", "0"],
 ]
 
 

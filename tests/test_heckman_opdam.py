@@ -51,6 +51,11 @@ def test_params_validation():
     # a fractional count is refused, not truncated
     with pytest.raises(ParameterError):
         HOParams(1, 2.5)
+    # a multiplicity that is not a number, or is out of floating range, is
+    # refused as a parameter
+    for k in ("x", None, 10 ** 400):
+        with pytest.raises(ParameterError):
+            HOParams(k, 2)
     assert HOParams(1, 2.0).n == 2
     assert HOParams(0, 3).rho == (1, 0, -1)
 
@@ -65,15 +70,23 @@ def test_basis_index_out_of_range_raises():
 def test_quadrature_config_validation():
     with pytest.raises(ParameterError):
         QuadratureConfig(3)
+    # the second argument is min_gap, so a rule name passed there is refused
     with pytest.raises(ParameterError):
         QuadratureConfig(16, "midpoint")
-    with pytest.raises(ParameterError):
-        QuadratureConfig(16, min_gap=0)
+    for gap in (0, "x", None, math.nan, 10 ** 400):
+        with pytest.raises(ParameterError):
+            QuadratureConfig(16, min_gap=gap)
     for nodes in (4.7, math.inf, math.nan):
         with pytest.raises(ParameterError):
             QuadratureConfig(nodes)
     assert QuadratureConfig(8.0).nodes_per_dimension == 8
-    assert QuadratureConfig(16).with_nodes(32).nodes_per_dimension == 32
+    cfg = QuadratureConfig(16, 1e-6).with_nodes(32)
+    assert (cfg.nodes_per_dimension, cfg.min_gap) == (32, 1e-6)
+    # the rule is fixed: no argument, and no instance, can set it
+    with pytest.raises(TypeError):
+        QuadratureConfig(16, 1e-8, "endpoint-substitution")
+    with pytest.raises(AttributeError):
+        cfg.singularity_rule = "endpoint-substitution"
 
 
 def test_single_variable_is_exponential():
@@ -166,21 +179,6 @@ def test_tied_coordinates_raise():
     assert ho_eval(p, (1.0, 0.0, -1.0), (0.5, 0.5, 0.5)) == 1.0
 
 
-def test_plain_gauss_warns_below_unit_multiplicity():
-    cfg = QuadratureConfig(16, "plain-gauss")
-    with pytest.warns(UserWarning):
-        ho_eval(HOParams(0.5, 2), (1.0, -1.0), (1.0, 0.0), cfg)
-
-
-def test_plain_gauss_warns_once_at_the_caller():
-    cfg = QuadratureConfig(16, "plain-gauss")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ho_eval(HOParams(0.5, 3), (1.0, 0.0, -1.0), (0.7, 0.1, -0.5), cfg)
-    assert len(caught) == 1
-    assert caught[0].filename == __file__
-
-
 def test_batch_split_leaves_values_unchanged():
     # at k = 1/2, 24 nodes per panel give a 48 x 48 grid per n=3 point, so a
     # batch of seven points is split along rows at every level (k >= 1:
@@ -262,10 +260,6 @@ def panel_nodes_reference(lo, hi, k, cfg):
     lo = np.asarray(lo, dtype=float)[..., None]
     hi = np.asarray(hi, dtype=float)[..., None]
     u, w = _unit_gauss(cfg.nodes_per_dimension)
-    if cfg.singularity_rule == "plain-gauss":
-        length = hi - lo
-        dlo = length * u
-        return lo + dlo, dlo, length * u[::-1], length * w
     half = (hi - lo) / 2.0
     if k >= 1.0:
         # one panel; the rule's weight (1 - z^2)^(k-1) is divided out
@@ -300,15 +294,14 @@ def weighted_edges_reference(wts, elo, etau, dlo, dhi, k):
     return (wts * glo ** (k - 1.0)) * ghi ** (k - 1.0)
 
 
-@pytest.mark.parametrize("rule", ["plain-gauss", "endpoint-substitution"])
 @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 1.5, 2.0])
-def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(rule, k):
+def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(k):
     # the offsets bitwise; the weights, which the table keeps as logs, to
     # rounding
-    cfg = QuadratureConfig(6, rule)
+    cfg = QuadratureConfig(6)
     lo = np.array([-0.7, 0.1, 0.3])
     hi = np.array([0.2, 0.1 + 1e-9, 2.9])
-    ab, logw, _ = _unit_panels(6, k, rule)
+    ab, logw, _ = _unit_panels(6, k)
     width = (hi - lo)[:, None]
     tau, dlo, dhi, wts = panel_nodes_reference(lo, hi, k, cfg)
     assert (width * ab[0]).tolist() == dlo.tolist()
@@ -347,14 +340,13 @@ def test_gauss_jacobi_rule_at_alpha_minus_one_half_is_gauss_chebyshev(m):
 
 @pytest.mark.parametrize("m", [4, 5, 8, 24, 64])
 @pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 5.0])
-@pytest.mark.parametrize("rule", ["plain-gauss", "endpoint-substitution"])
-def test_unit_panels_are_mirror_symmetric_bitwise(rule, k, m):
+def test_unit_panels_are_mirror_symmetric_bitwise(k, m):
     # the leaf and the levels take each node's upper edge factor from its
     # mirror's lower one: one power-mapped panel mirrors the other node for
     # node, and a single panel mirrors itself end to end
-    ab, logw, (lower, centre, upper) = _unit_panels(m, k, rule)
+    ab, logw, (lower, centre, upper) = _unit_panels(m, k)
     index = np.arange(logw.size)
-    if rule == "endpoint-substitution" and k < 1.0:
+    if k < 1.0:
         mirror = np.roll(index, m)
     else:
         mirror = index[::-1]
@@ -549,11 +541,10 @@ def at_one_point(f_rec, k, s, x, cfg):
                  cfg)[0, 0]
 
 
-@pytest.mark.parametrize("rule", ["plain-gauss", "endpoint-substitution"])
 @pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0])
-def test_leaf_matches_the_generic_level_and_base_case(k, rule):
+def test_leaf_matches_the_generic_level_and_base_case(k):
     for n, nodes in ((2, 16), (3, 8), (4, 4)):
-        cfg = QuadratureConfig(nodes, rule)
+        cfg = QuadratureConfig(nodes)
         x = (0.9, 0.3, -0.2, -1.0)[:n]
         for s in ((1.3, 0.2, -0.9, -1.0), (2.5, 1.5, 0.25, -3.0)):
             assert math.isclose(
@@ -586,8 +577,7 @@ def level_reference(k, s, x, tilt, vpow, logc, cfg, per_dim, size):
     count, n = s.shape
     rows = x[0].size
     sn = s[:, -1]
-    ab, logw = _unit_panels(cfg.nodes_per_dimension, k,
-                            cfg.singularity_rule)[:2]
+    ab, logw = _unit_panels(cfg.nodes_per_dimension, k)[:2]
     gap = {(i, j): x[i] - x[j] for i in range(n) for j in range(i + 1, n)}
     logv = sum(x[i] + _log_m(d) for (i, _), d in gap.items())
     pref = (logc + (math.lgamma(n * k) - n * math.lgamma(k))
@@ -621,8 +611,7 @@ def leaf_reference(k, s, x0, x1, tilt, vpow, logc, cfg):
     """_leaf as it was before each mirror pair's box-end edge factors were
     computed once: expm1 at both offsets of every node, and one product
     per node."""
-    ab, logw = _unit_panels(cfg.nodes_per_dimension, k,
-                            cfg.singularity_rule)[:2]
+    ab, logw = _unit_panels(cfg.nodes_per_dimension, k)[:2]
     nodes = logw.size
     width = x0 - x1
     s0, s1 = s[:, 0], s[:, 1]

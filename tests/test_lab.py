@@ -1,6 +1,7 @@
 """Sweep drivers, witness construction, and the targeted parameter hunt."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -606,3 +607,34 @@ def test_missing_parameters_rejected():
 def test_negative_sample_window_rejected():
     with pytest.raises(DomainError):
         check_schur_convexity("muirhead", 2, 3, x_low=-1)
+
+
+def load_benchmark_tracer():
+    """bench/tracer.py as a module of its own, read from the checkout."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_wraps_and_restores_the_package():
+    # the benchmark's tracer patches names the package must keep (lab's own
+    # ho_eval binding among them) and reads each config it sees; a traced
+    # run must work and leave every patched attribute as it found it
+    tracer = load_benchmark_tracer().Tracer("test")
+    try:
+        tracer.install(omegalab)
+        patched = list(tracer._patched)
+        omegalab.ho_eval(omegalab.HOParams(1.5, 3), (1.3, 0.2, -0.9),
+                         (0.9, 0.3, -0.6), QuadratureConfig(8))
+        omegalab.check_schur_convexity("heckman-opdam", 2, 2, samples=2,
+                                       seed=1, k=1, cfg=QuadratureConfig(8))
+    finally:
+        tracer.uninstall()
+    assert tracer.names == ["heckman_opdam.ho_eval", "lab.sweep",
+                            "partitions.enumerate_pairs"]
+    assert tracer.metas[0]["n"] == 3 and tracer.metas[0]["nodes"] == 8
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, (owner, attr)
