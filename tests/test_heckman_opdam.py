@@ -247,7 +247,7 @@ def test_node_near_an_outside_coordinate_is_continuous():
     assert math.isclose(value / vandermonde, nearby, rel_tol=1e-5)
 
 
-def panel_nodes_reference(lo, hi, k, cfg):
+def panel_nodes_reference(lo, hi, k, cfg, table="endpoint-substitution"):
     """One interlacing dimension's nodes, rebuilt on every call: from the
     Gauss-Legendre rule, and for k >= 1 from an uncached Gauss-Jacobi rule.
 
@@ -255,11 +255,16 @@ def panel_nodes_reference(lo, hi, k, cfg):
     appended last.  Returns (tau, dlo, dhi, wts) with dlo = tau - lo and
     dhi = hi - tau taken from the map itself, and weights that absorb the
     affine and power-map Jacobians (the recursion's node table as it was
-    before the node weights went into logs).
+    before the node weights went into logs).  table="plain-gauss" gives
+    the nodes of plain_gauss_panels instead.
     """
     lo = np.asarray(lo, dtype=float)[..., None]
     hi = np.asarray(hi, dtype=float)[..., None]
     u, w = _unit_gauss(cfg.nodes_per_dimension)
+    if table == "plain-gauss":
+        length = hi - lo
+        dlo = length * u
+        return lo + dlo, dlo, length * u[::-1], length * w
     half = (hi - lo) / 2.0
     if k >= 1.0:
         # one panel; the rule's weight (1 - z^2)^(k-1) is divided out
@@ -294,7 +299,9 @@ def weighted_edges_reference(wts, elo, etau, dlo, dhi, k):
     return (wts * glo ** (k - 1.0)) * ghi ** (k - 1.0)
 
 
-@pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 1.5, 2.0])
+# the case ids of the table tests name the node table they check
+@pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 1.5, 2.0],
+                         ids=lambda k: f"{k}-endpoint-substitution")
 def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(k):
     # the offsets bitwise; the weights, which the table keeps as logs, to
     # rounding
@@ -339,7 +346,8 @@ def test_gauss_jacobi_rule_at_alpha_minus_one_half_is_gauss_chebyshev(m):
 
 
 @pytest.mark.parametrize("m", [4, 5, 8, 24, 64])
-@pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 5.0])
+@pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 5.0],
+                         ids=lambda k: f"endpoint-substitution-{k}")
 def test_unit_panels_are_mirror_symmetric_bitwise(k, m):
     # the leaf and the levels take each node's upper edge factor from its
     # mirror's lower one: one power-mapped panel mirrors the other node for
@@ -483,19 +491,21 @@ def test_positivity_on_a_strip(shift, gap):
     assert value > 0.0
 
 
-def reference_f_rec(k, s, x, tilt, vpow, cfg):
+def reference_f_rec(k, s, x, tilt, vpow, cfg, table="endpoint-substitution"):
     """_f_rec as it was before the two-variable leaf and the log weights:
     the generic level at every n >= 2, with weights and edge factors
-    multiplied out, down to the one-variable base case."""
+    multiplied out, down to the one-variable base case, on the nodes of
+    panel_nodes_reference's table."""
     count, n = s.shape
     if n == 1:
         return np.exp((s[:, 0] + tilt)[:, None] * x[0])
-    per_dim = panel_nodes_reference(0.0, 1.0, k, cfg)[0].shape[-1]
+    per_dim = panel_nodes_reference(0.0, 1.0, k, cfg, table)[0].shape[-1]
     size = per_dim ** (n - 1)
     step = max(1, _BATCH // size)
     if x[0].size > step:
         return np.concatenate([
-            reference_f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg)
+            reference_f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg,
+                            table)
             for i in range(0, x[0].size, step)], axis=1)
     strict = np.logical_and.reduce([x[j] > x[j + 1] for j in range(n - 1)])
     x = [v[strict] for v in x]
@@ -511,7 +521,8 @@ def reference_f_rec(k, s, x, tilt, vpow, cfg):
     shape = (rows,) + (per_dim,) * (n - 1)
     nu = []
     for j in range(n - 1):
-        tau, dlo, dhi, wts = panel_nodes_reference(x[j + 1], x[j], k, cfg)
+        tau, dlo, dhi, wts = panel_nodes_reference(x[j + 1], x[j], k, cfg,
+                                                   table)
         if k != 1.0:
             etau = np.exp(tau)
             wts = weighted_edges_reference(wts, ex[j + 1][:, None], etau,
@@ -527,7 +538,7 @@ def reference_f_rec(k, s, x, tilt, vpow, cfg):
         nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
                                   shape).reshape(-1))
     inner = reference_f_rec(k, s[:, :-1], nu, 1.0 - n * k / 2.0 - sn, 1.0,
-                            cfg)
+                            cfg, table)
     value = pref * np.sum(
         grid.reshape(rows, size) * inner.reshape(count, rows, size), axis=-1)
     padded = np.zeros((count, strict.size))
@@ -541,15 +552,41 @@ def at_one_point(f_rec, k, s, x, cfg):
                  cfg)[0, 0]
 
 
+@functools.lru_cache(maxsize=None)
+def plain_gauss_panels(m, k):
+    """A second node table with _unit_panels' layout: one Gauss-Legendre
+    panel on the whole width at every k, its weights and the edge factors'
+    endpoint behaviour left as they are.  u[::-1] is 1 - u without the
+    rounding of the subtraction, so the table is mirror-symmetric bit for
+    bit, as the leaf and the levels need."""
+    u, w = _unit_gauss(m)
+    half = m // 2
+    mirror = (slice(0, half), slice(half, m - half),
+              slice(m - 1, m - 1 - half, -1))
+    ab = np.stack([u, u[::-1]])
+    logw = np.log(w)
+    ab.setflags(write=False)
+    logw.setflags(write=False)
+    return ab, logw, mirror
+
+
+@pytest.mark.parametrize("table", ["plain-gauss", "endpoint-substitution"])
 @pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0])
-def test_leaf_matches_the_generic_level_and_base_case(k):
+def test_leaf_matches_the_generic_level_and_base_case(k, table, monkeypatch):
+    # the leaf and the levels read their nodes only through _unit_panels'
+    # table, so they must match the reference on any table of its layout:
+    # the package's own, and a plain Gauss-Legendre one, which puts a single
+    # panel under k < 1 where the package's table has two
+    if table == "plain-gauss":
+        monkeypatch.setattr(heckman_opdam, "_unit_panels", plain_gauss_panels)
+    reference = functools.partial(reference_f_rec, table=table)
     for n, nodes in ((2, 16), (3, 8), (4, 4)):
         cfg = QuadratureConfig(nodes)
         x = (0.9, 0.3, -0.2, -1.0)[:n]
         for s in ((1.3, 0.2, -0.9, -1.0), (2.5, 1.5, 0.25, -3.0)):
             assert math.isclose(
                 at_one_point(_f_rec, k, s[:n], x, cfg),
-                at_one_point(reference_f_rec, k, s[:n], x, cfg),
+                at_one_point(reference, k, s[:n], x, cfg),
                 rel_tol=1e-12), (n, s)
 
 
