@@ -1,11 +1,11 @@
 """Hypergeometric evaluation by recursive quadrature.
 
 The function F_{k,s}(x) is computed by peeling one variable at a time:
-an (n-1)-dimensional integral over interlacing points.  For k >= 1 each
-dimension is one Gauss-Jacobi panel whose weight carries the boundary
-factor, and the node count is per dimension; for k < 1 the boundary
-singularity is absorbed by a power substitution on two panels per
-dimension, and the node count is per panel.  At unit multiplicity there
+an (n-1)-dimensional integral over interlacing points.  Each dimension is
+one Gauss-Jacobi panel whose weight carries the boundary factor, and the
+node count is per panel; for k < 1 a dimension whose box lies near a
+coordinate outside it absorbs the boundary singularity by a power
+substitution on two panels instead.  At unit multiplicity there
 is an independent determinant formula, so we can watch the quadrature hit
 it to machine precision, then use the structural identities (value 1 at
 the origin, diagonal derivative, agreement with the exact expansions at

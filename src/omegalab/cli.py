@@ -121,8 +121,9 @@ def _add_globals(p: argparse.ArgumentParser):
 
 def _add_quadrature_flags(p: argparse.ArgumentParser):
     p.add_argument("--nodes", dest="nodes_per_dimension", type=int,
-                   help="quadrature nodes per dimension for k >= 1, per "
-                        "panel (two per dimension) for k < 1")
+                   help="quadrature nodes per panel, 4 to 1024: one "
+                        "panel per dimension, two for a k < 1 box near "
+                        "an outside coordinate")
     p.add_argument("--min-gap", dest="min_gap", type=float,
                    help="tie threshold on coordinates")
 

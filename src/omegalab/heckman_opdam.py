@@ -14,23 +14,27 @@ remaining dimension with the one-variable base case exp(s0 * nu) folded
 into its node sum; factors that depend on the point alone are computed
 once per point, and each node's whole term, from every level above, is one
 exponential, so a weight that underflows gives 0, never 0 * inf.
-Each interlacing dimension gets m nodes for k >= 1, one Gauss-Jacobi panel
-whose weight carries the edge factors' endpoint behaviour, and 2m for
-k < 1, two power-mapped Gauss-Legendre panels of m nodes each, one from
-either end.  Both layouts are mirror-symmetric bit for bit: a node's offset
-from its box's upper end, and its weight, are its mirror's offset from the
-lower end and weight, so each level and the leaf compute the box-end edge
-factors once per mirror pair, for both its nodes.
+Each interlacing dimension gets m nodes, one Gauss-Jacobi panel whose
+weight carries the edge factors' endpoint behaviour.  For k < 1 a box whose
+nearest outside coordinate lies within R0 box widths of it gets 2m instead,
+two power-mapped Gauss-Legendre panels of m nodes each, one from either
+end: only the power map resolves the near singularity there.  The choice is
+made per point and dimension, and a level groups its points by it.  Both
+layouts are mirror-symmetric bit for bit: a node's offset from its box's
+upper end, and its weight, are its mirror's offset from the lower end and
+weight, so each level and the leaf compute the box-end edge factors once
+per mirror pair, for both its nodes.
 Nodes and weights depend on x and k only, so the L vectors share them, and
 the inequality sweeps evaluate every shape they need at a point in one
 pass per node count.  Batches are split along rows at a fixed grid size
 of 2^13 elements, so memory per level is bounded by L times that size (or
 by L times one point's grid, when that is larger; the leaf may take four
 times that size over all L), and no value depends on the split or on the
-other vectors in its batch.  A value out of floating range raises instead
-of being returned.  This is the only module in the package that works in
-floating point end to end; everything it is checked against (Jack
-evaluations) stays exact until the final comparison.
+other vectors in its batch.  The work of one evaluation is capped before
+any node is built (MAX_NODES, MAX_NODE_TERMS).  A value out of floating
+range raises instead of being returned.  This is the only module in the
+package that works in floating point end to end; everything it is checked
+against (Jack evaluations) stays exact until the final comparison.
 
 Conventions: F is symmetric in x and in s separately, F(0) = 1, and
 F_{k, lam + k*rho}(x) = Omega_lam(e^x; k) ties the family to the Jack side.
@@ -108,17 +112,28 @@ class HOParams:
         return f"HOParams(k={self.k}, n={self.n})"
 
 
+# ceilings on the work of one evaluation.  A node table of m nodes costs a
+# dense m x m eigen-solve, some 0.3 s at 1024 (so ho_error_estimate, which
+# doubles m, takes m up to 512).  An evaluation sums at most
+# per_dim^(n(n-1)/2) node terms per spectral vector, per_dim = 2m for k < 1
+# (every dimension near an outside coordinate) and m for k >= 1; 2^32 of
+# them take about a minute.  The workloads, criteria and sweeps stay far
+# below both: an n = 4 call at 8 nodes and k = 1/2 sums at most 16^6
+MAX_NODES = 1024
+MAX_NODE_TERMS = 2 ** 32
+
+
 class QuadratureConfig:
     """Tensor Gauss rule settings for the interlacing integrals.
 
-    nodes_per_dimension counts nodes per dimension for k >= 1 and per panel
-    for k < 1.  The rule integrates the boundary factor
-    |e^{x_i} - e^{nu_j}|^(k-1) exactly: for k >= 1 with one Gauss-Jacobi
-    panel per dimension for the weight (1-z)^(k-1) (1+z)^(k-1), and for
-    k < 1 by splitting every dimension into two Gauss-Legendre panels at
-    its midpoint, each bent with the power map u -> u^(1/k) so that the
-    factor integrates smoothly.  min_gap is the tie threshold: coordinates
-    closer than it are refused.
+    nodes_per_dimension, at most MAX_NODES, counts nodes per panel.  The
+    rule integrates the boundary factor |e^{x_i} - e^{nu_j}|^(k-1) exactly:
+    with one Gauss-Jacobi panel per dimension for the weight
+    (1-z)^(k-1) (1+z)^(k-1), and for k < 1, on a box with an outside
+    coordinate within R0 box widths, by splitting the box into two
+    Gauss-Legendre panels at its midpoint, each bent with the power map
+    u -> u^(1/k) so that the factor integrates smoothly.  min_gap is the
+    tie threshold: coordinates closer than it are refused.
     """
 
     __slots__ = ("nodes_per_dimension", "min_gap")
@@ -136,6 +151,10 @@ class QuadratureConfig:
         if nodes_per_dimension < 4:
             raise ParameterError(
                 f"need nodes_per_dimension >= 4; got {nodes_per_dimension}")
+        if nodes_per_dimension > MAX_NODES:
+            raise ParameterError(
+                f"nodes_per_dimension={nodes_per_dimension} is above the "
+                f"ceiling of {MAX_NODES}")
         min_gap = _real(min_gap, "min_gap")
         if not min_gap > 0:
             raise ParameterError(f"need min_gap > 0; got {min_gap}")
@@ -200,11 +219,18 @@ def _unit_panels(m: int, k: float):
     mirror), where ab[0] and ab[1] are the node offsets from the box's lower
     and upper ends, dlo = width * ab[0] and dhi = width * ab[1], and logw is
     the log of each node's weight per unit width, so a node's weight is
-    width * exp(logw).  The panels are laid out on half the width; that
+    width * exp(logw).  The panel is laid out on half the width; that
     halving is folded into both.
 
-    Both layouts are mirror-symmetric bit for bit: a node's ab[1] and logw are
-    its mirror's ab[0] and logw, so its dhi is its mirror's dlo, and one
+    The table is one Gauss-Jacobi panel of m nodes for the weight
+    (1-z)^(k-1) (1+z)^(k-1), the way the edge factors vanish (k > 1) or
+    blow up (k < 1) at the box ends.  The levels apply those factors
+    themselves, so the rule's weight is divided out here; they bring back
+    the half width's 2(k-1)th power with it.  _power_panels gives the other
+    table, for boxes near an outside coordinate at k < 1.
+
+    Both tables are mirror-symmetric bit for bit: a node's ab[1] and logw
+    are its mirror's ab[0] and logw, so its dhi is its mirror's dlo, and one
     edge-factor computation serves both nodes of a pair.  mirror holds
     three slices of the node axis, (lower, centre, upper): the nodes of
     upper are, in order, the mirrors of the nodes of lower, the one node an
@@ -214,33 +240,46 @@ def _unit_panels(m: int, k: float):
     half = m // 2
     mirror = (slice(0, half), slice(half, m - half),
               slice(m - 1, m - 1 - half, -1))
-    if k >= 1.0:
-        # one Gauss-Jacobi panel for the weight (1-z)^(k-1) (1+z)^(k-1),
-        # the way the edge factors vanish at the box ends.  The levels
-        # apply those factors themselves, so the rule's weight is divided
-        # out here; they bring back the half width's 2(k-1)th power with it
-        z, w = _unit_jacobi(m, k - 1.0)
-        a, b = 1.0 + z, 1.0 - z
-        ab = np.stack([a, b]) * 0.5
-        logw = np.log(w) - (k - 1.0) * np.log(a * b) + math.log(0.5)
-    else:
-        # k < 1: nu = endpoint +- half * u^(1/k) turns the (nu-endpoint)^(k-1)
-        # factor into a constant, and the Jacobian (1/k) u^(1/k - 1) goes
-        # into the weights.  Its log is taken factor by factor, so it stays
-        # finite where the Jacobian underflows (at small k it does).  Two
-        # panels per dimension, one from each end
-        u, w = _unit_gauss(m)
-        g = u ** (1.0 / k)
-        ab = np.stack([np.concatenate([g, 2.0 - g]),
-                       np.concatenate([2.0 - g, g])]) * 0.5
-        logw = (np.log(w) + (1.0 / k - 1.0) * np.log(u) - math.log(k)
-                + math.log(0.5))
-        logw = np.concatenate([logw, logw])
-        # each panel is the other's mirror, node for node
-        mirror = (slice(0, m), slice(m, m), slice(m, 2 * m))
+    z, w = _unit_jacobi(m, k - 1.0)
+    a, b = 1.0 + z, 1.0 - z
+    ab = np.stack([a, b]) * 0.5
+    logw = np.log(w) - (k - 1.0) * np.log(a * b) + math.log(0.5)
     ab.setflags(write=False)
     logw.setflags(write=False)
     return ab, logw, mirror
+
+
+@functools.lru_cache(maxsize=64)
+def _power_panels(m: int, k: float):
+    """_unit_panels' table for a box near an outside coordinate at k < 1:
+    2m nodes, two power-mapped Gauss-Legendre panels of m nodes each, one
+    from either end.
+
+    nu = endpoint +- half * u^(1/k) turns the (nu-endpoint)^(k-1) factor
+    into a constant, and the Jacobian (1/k) u^(1/k - 1) goes into the
+    weights.  Its log is taken factor by factor, so it stays finite where
+    the Jacobian underflows (at small k it does).  An outside coordinate at
+    relative gap g from the box's end puts a singularity at distance g in
+    the box and at about g^k in u, which the panel resolves where
+    Gauss-Jacobi does not."""
+    u, w = _unit_gauss(m)
+    g = u ** (1.0 / k)
+    ab = np.stack([np.concatenate([g, 2.0 - g]),
+                   np.concatenate([2.0 - g, g])]) * 0.5
+    logw = (np.log(w) + (1.0 / k - 1.0) * np.log(u) - math.log(k)
+            + math.log(0.5))
+    logw = np.concatenate([logw, logw])
+    # each panel is the other's mirror, node for node
+    mirror = (slice(0, m), slice(m, m), slice(m, 2 * m))
+    ab.setflags(write=False)
+    logw.setflags(write=False)
+    return ab, logw, mirror
+
+
+# a k < 1 box whose nearest outside coordinate lies closer than R0 times its
+# width takes _power_panels' table.  Gauss-Jacobi alone read 1.0585 for
+# 1.0313 on the continuity test's near tie at 16 nodes (k = 0.1)
+R0 = 0.1
 
 
 def _log_m(d):
@@ -290,8 +329,8 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig,
     which also does the one-variable base case.
     """
     count, n = s.shape
-    per_dim = _unit_panels(cfg.nodes_per_dimension, k)[1].size
-    size = per_dim ** (n - 1)
+    # a level with near boxes splits its groups further
+    size = cfg.nodes_per_dimension ** (n - 1)
     step = _BATCH // size
     if n == 2:
         step = max(step, _LEAF_BATCH // (count * size))
@@ -313,7 +352,7 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig,
         x = [v[strict] for v in x]
         logc = logc[:, strict]
     value = (_leaf(k, s, x[0], x[1], tilt, vpow, logc, cfg) if n == 2
-             else _level(k, s, x, tilt, vpow, logc, cfg, per_dim, size))
+             else _level(k, s, x, tilt, vpow, logc, cfg))
     if not tied:
         return value
     # most batches have no tied row; a gather and a scatter through the
@@ -325,15 +364,67 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig,
 
 
 def _level(k: float, s, x: list, tilt, vpow: float, logc,
-           cfg: QuadratureConfig, per_dim: int, size: int):
+           cfg: QuadratureConfig):
     """One level of _f_rec for n >= 3 at strictly decreasing points: the
-    tensor node grid of the n-1 interlacing dimensions, one call on the
-    flattened grid for the level below, and the sum of what it returns.
+    level's prefactor, and _nodes' sum over each point's node grid.
 
-    The level's prefactor Gamma(nk)/Gamma(k)^n * e^((tilt + sn + k(n-1)/2)
-    sum(x)) * V(e^x)^(vpow+1-2k) and each node's weight
+    The prefactor Gamma(nk)/Gamma(k)^n * e^((tilt + sn + k(n-1)/2) sum(x))
+    * V(e^x)^(vpow+1-2k) goes down in logs, added to logc.  Each dimension
+    takes _unit_panels' table, but for k < 1 a box with an outside
+    coordinate closer than R0 times its width takes _power_panels'.  The
+    points are grouped by which of their boxes are near, and each group is
+    split so that its node grid holds at most _BATCH elements per vector
+    (or one point's grid).  A point's value is the one it gets alone.
+    """
+    count, n = s.shape
+    sn = s[:, -1]
+    gap = {(i, j): x[i] - x[j] for i in range(n) for j in range(i + 1, n)}
+    logv = sum(x[i] + _log_m(d) for (i, _), d in gap.items())
+    pref = (logc + (math.lgamma(n * k) - n * math.lgamma(k))
+            + (tilt + sn + k * (n - 1) / 2.0)[:, None] * sum(x)
+            + (vpow + 1.0 - 2.0 * k) * logv)
+    m = cfg.nodes_per_dimension
+    table = _unit_panels(m, k)
+    if k >= 1.0 or not (near := _near_boxes(gap, n)).any():
+        return _nodes(k, s, x, gap, pref, [table] * (n - 1), cfg)
+    value = np.empty((count, x[0].size))
+    for code in np.unique(near):
+        tables = [_power_panels(m, k) if code >> j & 1 else table
+                  for j in range(n - 1)]
+        step = max(1, _BATCH // math.prod(t[1].size for t in tables))
+        group = np.flatnonzero(near == code)
+        for i in range(0, group.size, step):
+            r = group[i:i + step]
+            value[:, r] = _nodes(k, s, [v[r] for v in x],
+                                 {key: d[r] for key, d in gap.items()},
+                                 pref[:, r], tables, cfg)
+    return value
+
+
+def _near_boxes(gap: dict, n: int):
+    """One int per point whose bit j is set where box j, from x_{j+1} to
+    x_j, has an outside coordinate (x_{j-1} or x_{j+2}) closer than R0
+    times its width."""
+    near = 0
+    for j in range(n - 1):
+        reach = R0 * gap[j, j + 1]
+        if j > 0:
+            near = near | (gap[j - 1, j] < reach) << j
+        if j + 2 < n:
+            near = near | (gap[j + 1, j + 2] < reach) << j
+    return near
+
+
+def _nodes(k: float, s, x: list, gap: dict, pref, tables: list,
+           cfg: QuadratureConfig):
+    """_level's node sum at its points x, with coordinate gaps gap and log
+    prefactor pref, on one node table per dimension: the tensor node grid,
+    one call on the flattened grid for the level below, and the sum of what
+    it returns, times the prefactor.
+
+    Each node's weight
         width * exp(logw) * prod_{i != j} |e^x_i - e^nu_j|^(k-1)
-    go down in logs, added to logc.  Each difference e^a - e^b is taken as
+    goes down in logs, added to pref.  Each difference e^a - e^b is taken as
     e^a m(a - b), and each gap a - b is a coordinate gap plus a node offset:
     x_j - nu_j = dhi and nu_j - x_{j+1} = dlo at the box's ends, and
     x_i - nu_j = (x_i - x_j) + dhi above it, nu_j - x_i = (x_{j+1} - x_i)
@@ -346,16 +437,11 @@ def _level(k: float, s, x: list, tilt, vpow: float, logc,
     count, n = s.shape
     rows = x[0].size
     sn = s[:, -1]
-    ab, logw, (lower, centre, upper) = _unit_panels(
-        cfg.nodes_per_dimension, k)
-    gap = {(i, j): x[i] - x[j] for i in range(n) for j in range(i + 1, n)}
-    logv = sum(x[i] + _log_m(d) for (i, _), d in gap.items())
-    pref = (logc + (math.lgamma(n * k) - n * math.lgamma(k))
-            + (tilt + sn + k * (n - 1) / 2.0)[:, None] * sum(x)
-            + (vpow + 1.0 - 2.0 * k) * logv)
-    shape = (rows,) + (per_dim,) * (n - 1)
+    sizes = [t[1].size for t in tables]
+    size = math.prod(sizes)
+    shape = (rows,) + tuple(sizes)
     nu = []
-    for j in range(n - 1):
+    for j, (ab, logw, (lower, centre, upper)) in enumerate(tables):
         width = gap[j, j + 1][:, None]
         dlo, dhi = width * ab[0], width * ab[1]
         tau = x[j + 1][:, None] + dlo
@@ -374,7 +460,7 @@ def _level(k: float, s, x: list, tilt, vpow: float, logc,
             for i in range(j + 2, n):
                 edges += tau + _log_m(gap[j + 1, i][:, None] + dlo)
             lw += (k - 1.0) * edges
-        dims = (rows,) + (1,) * j + (per_dim,)
+        dims = (rows,) + (1,) * j + (sizes[j],)
         grid = lw if j == 0 else grid[..., None] + lw.reshape(dims)
         nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
                                   shape).reshape(-1))
@@ -468,23 +554,40 @@ def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
 
     The checks, closed forms and shortcuts of ho_eval apply to each s, and
     each value equals ho_eval(params, s, x, cfg) bit for bit.  A value that
-    overflows or is lost to nan raises DegeneracyError.
+    overflows or is lost to nan raises DegeneracyError, and a batch whose
+    worst case exceeds MAX_NODE_TERMS raises ParameterError before any node
+    is built.
     """
+    _check_work(params, len(svecs), cfg)
     try:
         values = _ho_values(params, svecs, x, cfg)
     except OverflowError:
         values = [math.inf]
-    # the count is per dimension for k >= 1, per panel (two per dimension)
-    # for k < 1
-    unit = "dimension" if params.k >= 1.0 else "panel"
     for v in values:
         if not math.isfinite(v):
             raise DegeneracyError(
                 f"F_{{k,s}}(x) is {v} in floating point at k={params.k}, "
                 f"x={tuple(x)} with {cfg.nodes_per_dimension} nodes per "
-                f"{unit}; the value is out of floating range or the "
+                f"panel; the value is out of floating range or the "
                 f"quadrature lost it")
     return values
+
+
+def _check_work(params: HOParams, count: int, cfg: QuadratureConfig):
+    """Refuse a batch of count spectral vectors whose node terms could
+    exceed MAX_NODE_TERMS: per_dim^(n(n-1)/2) per vector, with per_dim the
+    2m nodes of a near box for k < 1, as if every box were near, and m for
+    k >= 1.  k = 0 is a closed form and builds no nodes."""
+    if params.k == 0.0:
+        return
+    m = cfg.nodes_per_dimension
+    per_dim = 2 * m if params.k < 1.0 else m
+    terms = per_dim ** (params.n * (params.n - 1) // 2) * count
+    if terms > MAX_NODE_TERMS:
+        raise ParameterError(
+            f"{terms} node terms for {count} spectral vectors at n="
+            f"{params.n}, k={params.k} with {m} nodes per panel are above "
+            f"the ceiling of {MAX_NODE_TERMS}; use fewer nodes or variables")
 
 
 def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
@@ -586,11 +689,13 @@ def ho_direction_residual(params: HOParams, s, x, h: float,
 def _ho_eval_and_gap(params: HOParams, svecs, x,
                      cfg: QuadratureConfig = None) -> list:
     """(F at m nodes, ho_error_estimate's gap) for every s in svecs, from
-    one quadrature pass at m nodes and one at 2m."""
+    one quadrature pass at m nodes and one at 2m.  The 2m pass's work is
+    checked before the m pass runs."""
     cfg = cfg or QuadratureConfig()
+    doubled = cfg.with_nodes(2 * cfg.nodes_per_dimension)
+    _check_work(params, len(svecs), doubled)
     coarse = _ho_eval_batch(params, svecs, x, cfg)
-    fine = _ho_eval_batch(params, svecs, x,
-                          cfg.with_nodes(2 * cfg.nodes_per_dimension))
+    fine = _ho_eval_batch(params, svecs, x, doubled)
     return [(c, abs(f - c)) for c, f in zip(coarse, fine)]
 
 

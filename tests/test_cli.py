@@ -282,6 +282,13 @@ HOSTILE = [
     ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1,0", "--min-gap", "0"],
     ["check", "schur", "--family", "heckman-opdam", "--k", "3/2", "--n", "2",
      "--max-weight", "2", "--nodes", "0"],
+    # work past the quadrature's ceilings is refused before it starts: a
+    # 401-digit and a 100,000-node rule, and 64^10 node terms at n = 5
+    ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1,0",
+     "--nodes", "1" + "0" * 400],
+    ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1,0",
+     "--nodes", "100000"],
+    ["ho", "eval", "--k", "1", "--s", "4,3,2,1,0", "--x", "5,4,3,2,1"],
 ]
 
 

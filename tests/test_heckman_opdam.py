@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 from omegalab import heckman_opdam
 from omegalab.errors import (DegeneracyError, DomainError, ParameterError,
                              TieError)
-from omegalab.heckman_opdam import (_BATCH, HOParams, QuadratureConfig,
-                                    _f_rec, _ho_eval_batch, _log_m,
-                                    _unit_gauss, _unit_jacobi, _unit_panels,
-                                    ho_closed_forms, ho_direction_residual,
-                                    ho_error_estimate, ho_eval,
-                                    ho_jack_consistency)
+from omegalab.heckman_opdam import (MAX_NODE_TERMS, MAX_NODES, R0, HOParams,
+                                    QuadratureConfig, _f_rec,
+                                    _ho_eval_and_gap, _ho_eval_batch, _log_m,
+                                    _power_panels, _unit_gauss, _unit_jacobi,
+                                    _unit_panels, ho_closed_forms,
+                                    ho_direction_residual, ho_error_estimate,
+                                    ho_eval, ho_jack_consistency)
 
 
 def determinant_oracle(s, x):
@@ -180,8 +181,9 @@ def test_tied_coordinates_raise():
 
 
 def test_batch_split_leaves_values_unchanged():
-    # at k = 1/2, 24 nodes per panel give a 48 x 48 grid per n=3 point, so a
-    # batch of seven points is split along rows at every level (k >= 1:
+    # at k = 1/2 and 24 nodes the fifth point's lower box is near x_0, so
+    # the n=3 level groups it apart on a 48 x 24 grid, and the leaf splits
+    # along rows (k >= 1, split at every level:
     # test_one_panel_batch_split_leaves_values_unchanged); the tied last point
     # stands for a node that rounded onto a shared endpoint
     cfg = QuadratureConfig(24)
@@ -247,9 +249,11 @@ def test_node_near_an_outside_coordinate_is_continuous():
     assert math.isclose(value / vandermonde, nearby, rel_tol=1e-5)
 
 
-def panel_nodes_reference(lo, hi, k, cfg, table="endpoint-substitution"):
-    """One interlacing dimension's nodes, rebuilt on every call: from the
-    Gauss-Legendre rule, and for k >= 1 from an uncached Gauss-Jacobi rule.
+def panel_nodes_reference(lo, hi, k, cfg, table="gauss-jacobi"):
+    """One interlacing dimension's nodes, rebuilt on every call: from an
+    uncached Gauss-Jacobi rule, the table of _unit_panels, or with
+    table="power" from the power-mapped Gauss-Legendre rule, the table of
+    _power_panels.
 
     lo and hi may be scalars or broadcastable arrays; the node axis is
     appended last.  Returns (tau, dlo, dhi, wts) with dlo = tau - lo and
@@ -266,7 +270,7 @@ def panel_nodes_reference(lo, hi, k, cfg, table="endpoint-substitution"):
         dlo = length * u
         return lo + dlo, dlo, length * u[::-1], length * w
     half = (hi - lo) / 2.0
-    if k >= 1.0:
+    if table == "gauss-jacobi":
         # one panel; the rule's weight (1 - z^2)^(k-1) is divided out
         z, w = _unit_jacobi.__wrapped__(cfg.nodes_per_dimension, k - 1.0)
         dlo = half * (1.0 + z)
@@ -299,7 +303,17 @@ def weighted_edges_reference(wts, elo, etau, dlo, dhi, k):
     return (wts * glo ** (k - 1.0)) * ghi ** (k - 1.0)
 
 
-# the case ids of the table tests name the node table they check
+def node_tables(k):
+    """The cached node tables the recursion uses at k, with the name
+    panel_nodes_reference gives each: Gauss-Jacobi at every k, and the
+    power map too for k < 1."""
+    tables = [(_unit_panels, "gauss-jacobi")]
+    if k < 1.0:
+        tables.append((_power_panels, "power"))
+    return tables
+
+
+# the case ids of the table tests name the quadrature rule they check
 @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 1.5, 2.0],
                          ids=lambda k: f"{k}-endpoint-substitution")
 def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(k):
@@ -308,14 +322,15 @@ def test_cached_unit_panels_give_the_rebuilt_nodes_bitwise(k):
     cfg = QuadratureConfig(6)
     lo = np.array([-0.7, 0.1, 0.3])
     hi = np.array([0.2, 0.1 + 1e-9, 2.9])
-    ab, logw, _ = _unit_panels(6, k)
     width = (hi - lo)[:, None]
-    tau, dlo, dhi, wts = panel_nodes_reference(lo, hi, k, cfg)
-    assert (width * ab[0]).tolist() == dlo.tolist()
-    assert (width * ab[1]).tolist() == dhi.tolist()
-    assert (lo[:, None] + width * ab[0]).tolist() == tau.tolist()
-    np.testing.assert_allclose(np.exp(np.log(width) + logw), wts,
-                               rtol=1e-13, atol=0)
+    for panels, table in node_tables(k):
+        ab, logw, _ = panels(6, k)
+        tau, dlo, dhi, wts = panel_nodes_reference(lo, hi, k, cfg, table)
+        assert (width * ab[0]).tolist() == dlo.tolist(), table
+        assert (width * ab[1]).tolist() == dhi.tolist(), table
+        assert (lo[:, None] + width * ab[0]).tolist() == tau.tolist(), table
+        np.testing.assert_allclose(np.exp(np.log(width) + logw), wts,
+                                   rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("m", [4, 8, 24, 128])
@@ -352,21 +367,22 @@ def test_unit_panels_are_mirror_symmetric_bitwise(k, m):
     # the leaf and the levels take each node's upper edge factor from its
     # mirror's lower one: one power-mapped panel mirrors the other node for
     # node, and a single panel mirrors itself end to end
-    ab, logw, (lower, centre, upper) = _unit_panels(m, k)
-    index = np.arange(logw.size)
-    if k < 1.0:
-        mirror = np.roll(index, m)
-    else:
-        mirror = index[::-1]
-    assert ab[1].tobytes() == ab[0][mirror].tobytes()
-    assert logw.tobytes() == logw[mirror].tobytes()
-    # the table's slices say the same: lower and centre are the first
-    # nodes, and the three cover every node once
-    assert index[upper].tolist() == mirror[lower].tolist()
-    assert mirror[centre].tolist() == index[centre].tolist()
-    assert (lower.start, lower.stop) == (0, centre.start)
-    assert sorted(index[lower].tolist() + index[centre].tolist()
-                  + index[upper].tolist()) == index.tolist()
+    for panels, table in node_tables(k):
+        ab, logw, (lower, centre, upper) = panels(m, k)
+        index = np.arange(logw.size)
+        if table == "power":
+            mirror = np.roll(index, m)
+        else:
+            mirror = index[::-1]
+        assert ab[1].tobytes() == ab[0][mirror].tobytes(), table
+        assert logw.tobytes() == logw[mirror].tobytes(), table
+        # the table's slices say the same: lower and centre are the first
+        # nodes, and the three cover every node once
+        assert index[upper].tolist() == mirror[lower].tolist(), table
+        assert mirror[centre].tolist() == index[centre].tolist(), table
+        assert (lower.start, lower.stop) == (0, centre.start), table
+        assert sorted(index[lower].tolist() + index[centre].tolist()
+                      + index[upper].tolist()) == index.tolist(), table
 
 
 # spectral vectors for the batch tests, cut to n coordinates; the third
@@ -395,8 +411,8 @@ def test_batched_values_equal_one_at_a_time_bitwise(n, nodes, k):
 
 
 def test_batched_rows_split_like_single_rows():
-    # at 24 nodes and k = 1/2 an n=3 batch is split along rows at every
-    # level; the tied last point gets 0 for every spectral vector
+    # at 24 nodes an n=3 batch is split along rows at the leaf; the tied
+    # last point gets 0 for every spectral vector
     cfg = QuadratureConfig(24)
     s = np.array([v[:3] for v in SPECTRA[:3]])
     points = [(0.9, 0.3, -0.6), (0.5, 0.1, -0.2), (1.0, -0.1, -0.4),
@@ -491,24 +507,50 @@ def test_positivity_on_a_strip(shift, gap):
     assert value > 0.0
 
 
+def near_boxes(x, k):
+    """Each point's near boxes, one bit per dimension, as the recursion
+    reads them: for k < 1, box j is near where an outside coordinate lies
+    closer than R0 times its width.  Taken point by point."""
+    n = len(x)
+    codes = []
+    for i in range(x[0].size):
+        code = 0
+        for j in range(n - 1 if k < 1.0 else 0):
+            reach = R0 * (x[j][i] - x[j + 1][i])
+            if ((j > 0 and x[j - 1][i] - x[j][i] < reach)
+                    or (j + 2 < n and x[j + 1][i] - x[j + 2][i] < reach)):
+                code |= 1 << j
+        codes.append(code)
+    return np.array(codes, dtype=int)
+
+
 def reference_f_rec(k, s, x, tilt, vpow, cfg, table="endpoint-substitution"):
     """_f_rec as it was before the two-variable leaf and the log weights:
     the generic level at every n >= 2, with weights and edge factors
     multiplied out, down to the one-variable base case, on the nodes of
-    panel_nodes_reference's table."""
+    panel_nodes_reference's tables: per point and dimension, the power map
+    on a near box and Gauss-Jacobi elsewhere, or table="plain-gauss" on
+    every box."""
     count, n = s.shape
     if n == 1:
         return np.exp((s[:, 0] + tilt)[:, None] * x[0])
-    per_dim = panel_nodes_reference(0.0, 1.0, k, cfg, table)[0].shape[-1]
-    size = per_dim ** (n - 1)
-    step = max(1, _BATCH // size)
-    if x[0].size > step:
-        return np.concatenate([
-            reference_f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg,
-                            table)
-            for i in range(0, x[0].size, step)], axis=1)
     strict = np.logical_and.reduce([x[j] > x[j + 1] for j in range(n - 1)])
     x = [v[strict] for v in x]
+    near = near_boxes(x, k)
+    value = np.empty((count, x[0].size))
+    for code in np.unique(near):
+        rows = near == code
+        value[:, rows] = reference_level(k, s, [v[rows] for v in x], tilt,
+                                         vpow, cfg, table, code)
+    padded = np.zeros((count, strict.size))
+    padded[:, strict] = value
+    return padded
+
+
+def reference_level(k, s, x, tilt, vpow, cfg, table, code):
+    """reference_f_rec's level at strictly decreasing points x whose near
+    boxes are the bits of code."""
+    count, n = s.shape
     rows = x[0].size
     sn = s[:, -1]
     ex = [np.exp(v) for v in x]
@@ -518,11 +560,16 @@ def reference_f_rec(k, s, x, tilt, vpow, cfg, table="endpoint-substitution"):
     if expo != 0.0:
         pref = pref * np.abs(math.prod(ex[i] - ex[j] for i in range(n)
                                        for j in range(i + 1, n))) ** expo
-    shape = (rows,) + (per_dim,) * (n - 1)
+    nodes = [panel_nodes_reference(
+        x[j + 1], x[j], k, cfg,
+        table if table == "plain-gauss"
+        else "power" if code >> j & 1 else "gauss-jacobi")
+        for j in range(n - 1)]
+    sizes = [tau.shape[-1] for tau, *_ in nodes]
+    size = math.prod(sizes)
+    shape = (rows,) + tuple(sizes)
     nu = []
-    for j in range(n - 1):
-        tau, dlo, dhi, wts = panel_nodes_reference(x[j + 1], x[j], k, cfg,
-                                                   table)
+    for j, (tau, dlo, dhi, wts) in enumerate(nodes):
         if k != 1.0:
             etau = np.exp(tau)
             wts = weighted_edges_reference(wts, ex[j + 1][:, None], etau,
@@ -533,17 +580,14 @@ def reference_f_rec(k, s, x, tilt, vpow, cfg, table="endpoint-substitution"):
                     live = gap > 0.0
                     wts = np.where(live, wts * np.where(live, gap, 1.0)
                                    ** (k - 1.0), 0.0)
-        dims = (rows,) + (1,) * j + (per_dim,)
+        dims = (rows,) + (1,) * j + (sizes[j],)
         grid = wts if j == 0 else grid[..., None] * wts.reshape(dims)
         nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
                                   shape).reshape(-1))
     inner = reference_f_rec(k, s[:, :-1], nu, 1.0 - n * k / 2.0 - sn, 1.0,
                             cfg, table)
-    value = pref * np.sum(
+    return pref * np.sum(
         grid.reshape(rows, size) * inner.reshape(count, rows, size), axis=-1)
-    padded = np.zeros((count, strict.size))
-    padded[:, strict] = value
-    return padded
 
 
 def at_one_point(f_rec, k, s, x, cfg):
@@ -574,11 +618,14 @@ def plain_gauss_panels(m, k):
 @pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0])
 def test_leaf_matches_the_generic_level_and_base_case(k, table, monkeypatch):
     # the leaf and the levels read their nodes only through _unit_panels'
-    # table, so they must match the reference on any table of its layout:
-    # the package's own, and a plain Gauss-Legendre one, which puts a single
-    # panel under k < 1 where the package's table has two
+    # and _power_panels' tables, so they must match the reference on any
+    # tables of their layout: the package's own, chosen per point and
+    # dimension, and a plain Gauss-Legendre one in place of both, which puts
+    # a single panel where the power table has two
     if table == "plain-gauss":
         monkeypatch.setattr(heckman_opdam, "_unit_panels", plain_gauss_panels)
+        monkeypatch.setattr(heckman_opdam, "_power_panels",
+                            plain_gauss_panels)
     reference = functools.partial(reference_f_rec, table=table)
     for n, nodes in ((2, 16), (3, 8), (4, 4)):
         cfg = QuadratureConfig(nodes)
@@ -608,21 +655,39 @@ def test_leaf_is_finite_wherever_the_reference_is(k, nodes):
             assert math.isfinite(value) and value > 0, (width, s)
 
 
-def level_reference(k, s, x, tilt, vpow, logc, cfg, per_dim, size):
+def level_reference(k, s, x, tilt, vpow, logc, cfg):
     """_level as it was before each mirror pair's box-end edge factors were
-    computed once: log m at both offsets of every node."""
+    computed once: log m at both offsets of every node, on the same table
+    per point and dimension as _level's."""
     count, n = s.shape
-    rows = x[0].size
     sn = s[:, -1]
-    ab, logw = _unit_panels(cfg.nodes_per_dimension, k)[:2]
     gap = {(i, j): x[i] - x[j] for i in range(n) for j in range(i + 1, n)}
     logv = sum(x[i] + _log_m(d) for (i, _), d in gap.items())
     pref = (logc + (math.lgamma(n * k) - n * math.lgamma(k))
             + (tilt + sn + k * (n - 1) / 2.0)[:, None] * sum(x)
             + (vpow + 1.0 - 2.0 * k) * logv)
-    shape = (rows,) + (per_dim,) * (n - 1)
+    near = near_boxes(x, k)
+    value = np.empty((count, x[0].size))
+    for code in np.unique(near):
+        r = np.flatnonzero(near == code)
+        tables = [(_power_panels if code >> j & 1 else _unit_panels)(
+            cfg.nodes_per_dimension, k)[:2] for j in range(n - 1)]
+        value[:, r] = level_nodes_reference(
+            k, s, [v[r] for v in x], {key: d[r] for key, d in gap.items()},
+            pref[:, r], tables, cfg)
+    return value
+
+
+def level_nodes_reference(k, s, x, gap, pref, tables, cfg):
+    """level_reference's node sum on table tables[j] for dimension j."""
+    count, n = s.shape
+    rows = x[0].size
+    sn = s[:, -1]
+    sizes = [logw.size for _, logw in tables]
+    size = math.prod(sizes)
+    shape = (rows,) + tuple(sizes)
     nu = []
-    for j in range(n - 1):
+    for j, (ab, logw) in enumerate(tables):
         width = gap[j, j + 1][:, None]
         dlo, dhi = width * ab[0], width * ab[1]
         tau = x[j + 1][:, None] + dlo
@@ -635,7 +700,7 @@ def level_reference(k, s, x, tilt, vpow, logc, cfg, per_dim, size):
             for i in range(j + 2, n):
                 edges += tau + _log_m(gap[j + 1, i][:, None] + dlo)
             lw += (k - 1.0) * edges
-        dims = (rows,) + (1,) * j + (per_dim,)
+        dims = (rows,) + (1,) * j + (sizes[j],)
         grid = lw if j == 0 else grid[..., None] + lw.reshape(dims)
         nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
                                   shape).reshape(-1))
@@ -803,3 +868,91 @@ def test_near_tie_matches_exact_expansions(k):
     gap = ho_jack_consistency((2, 1, 0), HOParams(k, 3), (1e-8, 0.0, -1e-8),
                               QuadratureConfig(16))
     assert gap <= 1e-13
+
+
+def test_small_multiplicity_on_a_wide_box_settles():
+    # the power map on every box wandered by 3e-3 between 16 and 128 nodes
+    # here; the Gauss-Jacobi panel settles to 1.15470332531215e51
+    p = HOParams(0.01, 3)
+    values = [ho_eval(p, (3, 0, -1), (30, 0, -30), QuadratureConfig(m))
+              for m in (32, 64)]
+    assert math.isclose(values[0], values[1], rel_tol=1e-10), values
+
+
+# twelve points whose upper box is near x_2, twelve whose lower box is near
+# x_0, and twelve far ones.  At 24 nodes _f_rec passes the n = 3 level 14
+# points at a time, and a near group's 48 x 24 grid allows 7, so the level
+# splits both near groups along rows
+NEAR_AND_FAR = ([(1.0, 0.0, -0.05 - 0.002 * i) for i in range(12)]
+                + [(0.05 + 0.002 * i, 0.0, -1.0) for i in range(12)]
+                + [(1.0, 0.1 * i - 0.55, -1.0) for i in range(12)])
+
+
+@pytest.mark.parametrize("n, nodes, points", [
+    (3, 24, NEAR_AND_FAR),
+    (4, 6, [(0.9, 0.3, -0.2, -1.0), (0.997, 0.916, -0.719, -0.953),
+            (0.9, 0.3, 0.25, -1.0), (0.9, 0.85, -0.2, -0.21),
+            (0.9, 0.3, -0.9, -1.0)])])
+@pytest.mark.parametrize("k", [0.1, 0.5])
+def test_near_and_far_points_in_one_batch_keep_their_values(n, nodes, points,
+                                                            k):
+    cfg = QuadratureConfig(nodes)
+    x = [np.array(c) for c in zip(*points)]
+    assert len(set(near_boxes(x, k).tolist())) >= 3
+    s = np.array([v[:n] for v in SPECTRA[:3]])
+    batch = _f_rec(k, s, x, 0.0, 1.0, cfg)
+    for i, point in enumerate(points):
+        alone = _f_rec(k, s, [np.array([v]) for v in point], 0.0, 1.0, cfg)
+        assert batch[:, i].tolist() == alone[:, 0].tolist(), point
+
+
+def test_far_boxes_take_one_gauss_jacobi_panel(monkeypatch):
+    # no top-level box of this n = 4 point is near an outside coordinate, so
+    # each of its dimensions takes m nodes, m^3 points for the level below.
+    # There a point has at most one near box (two boxes cannot each have
+    # the other within R0 of their width), and the leaf takes m nodes: the
+    # leaf sums at most m^3 * 2m^2 * m = 2m^6 node terms.  Two power-mapped
+    # panels on every dimension summed (2m)^6 = 64m^6
+    m, k = 8, 0.5
+    x = (0.9, 0.3, -0.2, -1.0)
+    assert near_boxes([np.array([v]) for v in x], k).tolist() == [0]
+    terms = []
+    leaf = heckman_opdam._leaf
+
+    def counted(k, s, x0, x1, tilt, vpow, logc, cfg):
+        nodes = heckman_opdam._unit_panels(cfg.nodes_per_dimension, k)[1]
+        terms.append(x0.size * nodes.size)
+        return leaf(k, s, x0, x1, tilt, vpow, logc, cfg)
+
+    monkeypatch.setattr(heckman_opdam, "_leaf", counted)
+    ho_eval(HOParams(k, 4), (2.5, 1.5, 0.25, -3.0), x, QuadratureConfig(m))
+    assert m ** 6 <= sum(terms) <= 2 * m ** 6
+
+
+def test_work_ceilings_refuse_before_any_node_is_built(monkeypatch):
+    assert QuadratureConfig(MAX_NODES).nodes_per_dimension == MAX_NODES
+    for nodes in (MAX_NODES + 1, 10 ** 400):
+        with pytest.raises(ParameterError, match=f"ceiling of {MAX_NODES}"):
+            QuadratureConfig(nodes)
+
+    def unbuilt(*args):
+        raise AssertionError("a node table was built")
+
+    monkeypatch.setattr(heckman_opdam, "_unit_panels", unbuilt)
+    monkeypatch.setattr(heckman_opdam, "_power_panels", unbuilt)
+    # five variables at the default 64 nodes: 64^10 node terms for k >= 1,
+    # and 128^10 for k < 1, where every box might be near
+    for k, terms in ((1.0, 64 ** 10), (0.5, 128 ** 10)):
+        with pytest.raises(ParameterError) as caught:
+            ho_eval(HOParams(k, 5), (4, 3, 2, 1, 0), (5, 4, 3, 2, 1))
+        message = str(caught.value)
+        assert f"{terms} node terms" in message, message
+        assert f"ceiling of {MAX_NODE_TERMS}" in message, message
+    # the error estimate's 2m pass: five vectors at n = 4, k = 1/2 and 8
+    # nodes take 5 * 16^6 terms at m, below the ceiling, and 5 * 32^6 at
+    # 2m, above it; the m pass must not run first
+    with pytest.raises(ParameterError, match=f"{5 * 32 ** 6} node terms"):
+        _ho_eval_and_gap(HOParams(0.5, 4), [(1.0, 0.0, -1.0, -2.0)] * 5,
+                         (0.9, 0.3, -0.2, -1.0), QuadratureConfig(8))
+    # k = 0 is a closed form and builds no nodes
+    assert ho_eval(HOParams(0, 5), (4, 3, 2, 1, 0), (5, 4, 3, 2, 1)) > 0
