@@ -79,7 +79,19 @@ def _point_arg(text: str) -> tuple:
 
 def _real_arg(text: str) -> float:
     # decimals, integers, and p/q all accepted for the floating commands
-    return float(_rational_arg(text))
+    try:
+        return float(_rational_arg(text))
+    except OverflowError:
+        raise _bad_argument("real", text, "out of floating range") from None
+
+
+def _int_arg(text: str) -> int:
+    # what int() reads; its own error repeats the text whole
+    try:
+        return int(text)
+    except ValueError:
+        raise _bad_argument("integer", text, "not a decimal integer within "
+                            "int()'s digit limit") from None
 
 
 def _real_point_arg(text: str) -> tuple:
@@ -108,7 +120,7 @@ def _add_globals(p: argparse.ArgumentParser):
     # SUPPRESS keeps a flag given before the subcommand from being clobbered
     # by the subparser's default
     g = p.add_argument_group("global flags")
-    g.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    g.add_argument("--seed", type=_int_arg, default=argparse.SUPPRESS,
                    help="sampler seed (default 0)")
     g.add_argument("--out", choices=("json", "table"),
                    default=argparse.SUPPRESS,
@@ -120,11 +132,11 @@ def _add_globals(p: argparse.ArgumentParser):
 
 
 def _add_quadrature_flags(p: argparse.ArgumentParser):
-    p.add_argument("--nodes", dest="nodes_per_dimension", type=int,
+    p.add_argument("--nodes", dest="nodes_per_dimension", type=_int_arg,
                    help="quadrature nodes per panel, 4 to 1024: one "
                         "panel per dimension, two for a k < 1 box near "
                         "an outside coordinate")
-    p.add_argument("--min-gap", dest="min_gap", type=float,
+    p.add_argument("--min-gap", dest="min_gap", type=_real_arg,
                    help="tie threshold on coordinates")
 
 
@@ -148,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=("classical", "jack", "macdonald"))
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    p.add_argument("--n", type=int, help="number of variables (default: parts)")
+    p.add_argument("--n", type=_int_arg,
+                   help="number of variables (default: parts)")
     p.add_argument("--basis", choices=CLASSICAL_BASES, default="monomial",
                    help="classical family to expand")
     p.add_argument("--theta", type=_theta_arg, help="jack parameter")
@@ -161,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=("classical", "jack", "macdonald"))
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_arg)
     p.add_argument("--basis", choices=CLASSICAL_BASES, default="monomial")
     p.add_argument("--theta", type=_theta_arg)
     p.add_argument("--q", type=_rational_arg)
@@ -180,15 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run an inequality sweep")
     p.add_argument("kind", choices=CHECK_KINDS)
     p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-weight", dest="max_weight", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--max-weight", dest="max_weight", type=_int_arg,
+                   required=True)
+    p.add_argument("--samples", type=_int_arg, default=100)
     p.add_argument("--theta", type=_theta_arg)
     p.add_argument("--q", type=_rational_arg)
     p.add_argument("--t", type=_rational_arg)
     p.add_argument("--a", type=_rational_arg)
     p.add_argument("--k", type=_real_arg, help="heckman-opdam coupling")
-    p.add_argument("--label-bound", dest="label_bound", type=int, default=4)
+    p.add_argument("--label-bound", dest="label_bound", type=_int_arg,
+                   default=4)
     p.add_argument("--x-low", dest="x_low", type=_rational_arg)
     p.add_argument("--x-high", dest="x_high", type=_rational_arg)
     _add_quadrature_flags(p)
@@ -210,11 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_rational_arg, required=True)
     p.add_argument("--t", type=_rational_arg, required=True)
     p.add_argument("--a", type=_rational_arg, default=Fraction(1))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--max-weight", dest="max_weight", type=int, default=6)
-    p.add_argument("--budget", type=int, default=100000)
+    p.add_argument("--n", type=_int_arg, default=2)
+    p.add_argument("--max-weight", dest="max_weight", type=_int_arg,
+                   default=6)
+    p.add_argument("--budget", type=_int_arg, default=100000)
     p.add_argument("--lattice-only", dest="lattice_only", action="store_true")
-    p.add_argument("--label-bound", dest="label_bound", type=int, default=4)
+    p.add_argument("--label-bound", dest="label_bound", type=_int_arg,
+                   default=4)
     _add_globals(p)
     p.set_defaults(handler=_cmd_hunt)
 

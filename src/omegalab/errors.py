@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class OmegalabError(Exception):
     """Base class for errors raised by this package."""
@@ -41,3 +43,13 @@ class CertificationError(OmegalabError, ArithmeticError):
 class OperatorRowError(OmegalabError, ArithmeticError):
     """An operator row leaves the dominance ideal or disagrees with its
     eigenvalue on the diagonal, so the triangular eigen-solve is unsound."""
+
+
+def count_text(value: int) -> str:
+    """An integer for an error message: in full up to 20 digits, else as
+    its power of ten, so that a refusal stays short whatever it refuses
+    (str() also refuses integers past 4300 digits)."""
+    if abs(value) < 10 ** 20:
+        return str(value)
+    sign = "-" if value < 0 else ""
+    return f"about {sign}10^{int(math.log10(abs(value)))}"

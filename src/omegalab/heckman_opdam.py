@@ -26,7 +26,7 @@ weight, so each level and the leaf compute the box-end edge factors once
 per mirror pair, for both its nodes.
 Nodes and weights depend on x and k only, so the L vectors share them, and
 the inequality sweeps evaluate every shape they need at a point in one
-pass per node count.  Batches are split along rows at a fixed grid size
+pass per node count.  Each grid builder splits its rows at a fixed grid size
 of 2^13 elements, so memory per level is bounded by L times that size (or
 by L times one point's grid, when that is larger; the leaf may take four
 times that size over all L), and no value depends on the split or on the
@@ -49,7 +49,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, ParameterError, TieError
+from .errors import (DegeneracyError, DomainError, ParameterError, TieError,
+                     count_text)
 from .jack import JackParam, _normalized as _jack_normalized
 from .macdonald import _as_key
 from .sympoly import poly_eval_float
@@ -78,8 +79,16 @@ def _real(value, what: str) -> float:
         raise ParameterError(f"need a real {what}; got {value!r}") from None
 
 
+# the least positive multiplicity.  The node tables read k back from
+# alpha = k - 1, which keeps fewer of its digits the smaller k is: against
+# the k = 0 closed form at n = 4, ho_eval is within 5e-7 down to k = 1e-11
+# but 1.3e-4 off at 1e-12, and near 1e-16 alpha + 1 rounds to 0
+MIN_POSITIVE_K = 1e-10
+
+
 class HOParams:
-    """Multiplicity k >= 0 and variable count n, plus the derived vectors."""
+    """Multiplicity k = 0 or k >= MIN_POSITIVE_K, and variable count n, plus
+    the derived vectors."""
 
     __slots__ = ("k", "n")
 
@@ -87,6 +96,9 @@ class HOParams:
         k = _real(k, "multiplicity k")
         if not math.isfinite(k) or k < 0:
             raise ParameterError(f"need multiplicity k >= 0; got {k}")
+        if 0 < k < MIN_POSITIVE_K:
+            raise ParameterError(f"need multiplicity k = 0 or k >= "
+                                 f"{MIN_POSITIVE_K}; got {k}")
         n = _whole(n, "variable count")
         if n < 1:
             raise ParameterError(f"need at least one variable; got n={n}")
@@ -118,9 +130,13 @@ class HOParams:
 # per_dim^(n(n-1)/2) node terms per spectral vector, per_dim = 2m for k < 1
 # (every dimension near an outside coordinate) and m for k >= 1; 2^32 of
 # them take about a minute.  The workloads, criteria and sweeps stay far
-# below both: an n = 4 call at 8 nodes and k = 1/2 sums at most 16^6
+# below both: an n = 4 call at 8 nodes and k = 1/2 sums at most 16^6.  The
+# k = 0 closed form sums n! exponentials per vector in Python, 1.1 to
+# 1.4 us each at n = 8 to 10, so 2^26 of them take about a minute: one
+# vector at n = 11 runs, and n = 12 is refused
 MAX_NODES = 1024
 MAX_NODE_TERMS = 2 ** 32
+MAX_PERMUTATION_TERMS = 2 ** 26
 
 
 class QuadratureConfig:
@@ -149,12 +165,12 @@ class QuadratureConfig:
         nodes_per_dimension = _whole(nodes_per_dimension,
                                      "nodes_per_dimension")
         if nodes_per_dimension < 4:
-            raise ParameterError(
-                f"need nodes_per_dimension >= 4; got {nodes_per_dimension}")
+            raise ParameterError(f"need nodes_per_dimension >= 4; got "
+                                 f"{count_text(nodes_per_dimension)}")
         if nodes_per_dimension > MAX_NODES:
             raise ParameterError(
-                f"nodes_per_dimension={nodes_per_dimension} is above the "
-                f"ceiling of {MAX_NODES}")
+                f"nodes_per_dimension={count_text(nodes_per_dimension)} is "
+                f"above the ceiling of {MAX_NODES}")
         min_gap = _real(min_gap, "min_gap")
         if not min_gap > 0:
             raise ParameterError(f"need min_gap > 0; got {min_gap}")
@@ -329,21 +345,10 @@ def _f_rec(k: float, s, x: list, tilt, vpow: float, cfg: QuadratureConfig,
     which also does the one-variable base case.
     """
     count, n = s.shape
-    # a level with near boxes splits its groups further
-    size = cfg.nodes_per_dimension ** (n - 1)
-    step = _BATCH // size
-    if n == 2:
-        step = max(step, _LEAF_BATCH // (count * size))
-    step = max(1, step)
     if np.ndim(logc) == 0:
         # once per tree: every level below passes an array, and a
         # broadcast view per call cost some 5% of an n=3 sweep
         logc = np.full((count, x[0].size), logc)
-    if x[0].size > step:
-        return np.concatenate([
-            _f_rec(k, s, [v[i:i + step] for v in x], tilt, vpow, cfg,
-                   logc[:, i:i + step])
-            for i in range(0, x[0].size, step)], axis=1)
     # a node that rounded onto a shared endpoint leaves tied coordinates;
     # such a point is skipped and gets weight 0
     strict = np.logical_and.reduce([x[j] > x[j + 1] for j in range(n - 1)])
@@ -385,10 +390,10 @@ def _level(k: float, s, x: list, tilt, vpow: float, logc,
             + (vpow + 1.0 - 2.0 * k) * logv)
     m = cfg.nodes_per_dimension
     table = _unit_panels(m, k)
-    if k >= 1.0 or not (near := _near_boxes(gap, n)).any():
-        return _nodes(k, s, x, gap, pref, [table] * (n - 1), cfg)
+    near = _near_boxes(gap, n) if k < 1.0 else np.zeros(x[0].size, int)
     value = np.empty((count, x[0].size))
-    for code in np.unique(near):
+    # not np.unique: its first call imports numpy.ma, some 15 ms
+    for code in np.flatnonzero(np.bincount(near)):
         tables = [_power_panels(m, k) if code >> j & 1 else table
                   for j in range(n - 1)]
         step = max(1, _BATCH // math.prod(t[1].size for t in tables))
@@ -473,6 +478,19 @@ def _leaf(k: float, s, x0, x1, tilt, vpow: float, logc,
           cfg: QuadratureConfig):
     """_f_rec's n = 2 level at strictly decreasing points (x0, x1), with the
     base case F_{k,s0}(nu) = exp(s0 * nu) folded into its node sum.
+    """
+    m = cfg.nodes_per_dimension
+    step = max(1, _BATCH // m, _LEAF_BATCH // (s.shape[0] * m))
+    if x0.size <= step:
+        return _leaf_rows(k, s, x0, x1, tilt, vpow, logc, m)
+    return np.concatenate([
+        _leaf_rows(k, s, x0[i:i + step], x1[i:i + step], tilt, vpow,
+                   logc[:, i:i + step], m)
+        for i in range(0, x0.size, step)], axis=1)
+
+
+def _leaf_rows(k: float, s, x0, x1, tilt, vpow: float, logc, nodes: int):
+    """_leaf's node sum over one part of its rows.
 
     With dlo = nu - x1 and dhi = x0 - nu, the node term
         wts * (e^nu - e^x1)^(k-1) * (e^x0 - e^nu)^(k-1) * exp(c * nu),
@@ -492,8 +510,7 @@ def _leaf(k: float, s, x0, x1, tilt, vpow: float, logc,
     product is formed once in the first half of that array, and the log of
     the half, with its weights, is added to the terms of both halves.
     """
-    ab, logw, (lower, centre, upper) = _unit_panels(
-        cfg.nodes_per_dimension, k)
+    ab, logw, (lower, centre, upper) = _unit_panels(nodes, k)
     width = x0 - x1
     s0, s1 = s[:, 0], s[:, 1]
     if k == 1.0:
@@ -574,20 +591,35 @@ def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
 
 
 def _check_work(params: HOParams, count: int, cfg: QuadratureConfig):
-    """Refuse a batch of count spectral vectors whose node terms could
-    exceed MAX_NODE_TERMS: per_dim^(n(n-1)/2) per vector, with per_dim the
-    2m nodes of a near box for k < 1, as if every box were near, and m for
-    k >= 1.  k = 0 is a closed form and builds no nodes."""
+    """Refuse a batch of count spectral vectors whose terms could exceed
+    their ceiling: per_dim^(n(n-1)/2) node terms per vector against
+    MAX_NODE_TERMS, with per_dim the 2m nodes of a near box for k < 1, as
+    if every box were near, and m for k >= 1; for the k = 0 closed form, n!
+    permutation terms per vector against MAX_PERMUTATION_TERMS.  The count
+    is formed one factor at a time and quoted only up to 10^30, which is
+    far above either ceiling: at a large n the whole count would take
+    memory to form and could not be printed."""
+    n, m = params.n, cfg.nodes_per_dimension
     if params.k == 0.0:
-        return
-    m = cfg.nodes_per_dimension
-    per_dim = 2 * m if params.k < 1.0 else m
-    terms = per_dim ** (params.n * (params.n - 1) // 2) * count
-    if terms > MAX_NODE_TERMS:
+        what, ceiling = "permutation terms", MAX_PERMUTATION_TERMS
+        factors, setting, fewer = range(2, n + 1), "", "variables"
+    else:
+        what, ceiling = "node terms", MAX_NODE_TERMS
+        factors = itertools.repeat(2 * m if params.k < 1.0 else m,
+                                   n * (n - 1) // 2)
+        setting, fewer = f" with {m} nodes per panel", "nodes or variables"
+    quoted = 10 ** 30
+    terms = count
+    for factor in factors:
+        terms *= factor
+        if terms > quoted:
+            break
+    if terms > ceiling:
+        shown = str(terms) if terms <= quoted else "more than 10^30"
         raise ParameterError(
-            f"{terms} node terms for {count} spectral vectors at n="
-            f"{params.n}, k={params.k} with {m} nodes per panel are above "
-            f"the ceiling of {MAX_NODE_TERMS}; use fewer nodes or variables")
+            f"{shown} {what} for {count} spectral vectors at n={n}, "
+            f"k={params.k}{setting} are above the ceiling of {ceiling}; use "
+            f"fewer {fewer}")
 
 
 def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
@@ -600,9 +632,7 @@ def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
                               f"x={tuple(x)}")
         if not all(math.isfinite(v) for v in s):
             raise DomainError(f"need finite spectral vector; got {s}")
-    if n == 1:
-        return [math.exp(s[0] * float(x[0])) for s in svecs]
-    if params.k == 0.0:
+    if n == 1 or params.k == 0.0:
         return [ho_closed_forms(params, s, x) for s in svecs]
     xs, uniform = _sorted_checked(x, cfg.min_gap)
     ss = [tuple(sorted(s, reverse=True)) for s in svecs]

@@ -35,7 +35,7 @@ from . import macdonald
 from ._version import __version__
 from .classical import muirhead_eval, powersum_eval
 from .errors import (CertificationError, DegeneracyError, DomainError,
-                     ParameterError, TieError)
+                     ParameterError, TieError, count_text)
 # ho_eval and ho_error_estimate stay bound for the benchmark tracer's patches
 from .heckman_opdam import (HOParams, QuadratureConfig, _ho_eval_and_gap,
                             ho_error_estimate, ho_eval)
@@ -54,6 +54,12 @@ WITNESS_FAMILIES = ("muirhead", "powersum", "jack", "macdonald-lattice")
 # up past this bound; the degree argument settles the guaranteed families
 # long before.
 PARAMETER_CEILING = 1 << 60
+
+# sweeps and the hunt take at most this many variables: partitions are
+# enumerated by one recursion per part (n = 2000 overflowed the stack), and
+# sample points are drawn coordinate by coordinate (n = 10^400 grew past
+# 1.2 GB before any pair was compared)
+MAX_VARIABLES = 100
 
 # relative machine-noise floor: added to every floating tolerance so
 # exact-by-closed-form probes are not failed over last-bit rounding, and
@@ -213,12 +219,24 @@ def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
     raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def _check_variables(n):
+    if n > MAX_VARIABLES:
+        raise ParameterError(f"need n <= {MAX_VARIABLES} variables; got "
+                             f"{count_text(n)}")
+
+
 def _sample_points(samples, n, x_low, x_high, seed, as_float):
     """Deterministic shared sample set, each point sorted decreasing."""
     low = Fraction(x_low)
     high = Fraction(x_high)
     if low < 0:
         raise DomainError(f"sample range must be nonnegative; got low={low}")
+    if as_float:
+        # low >= 0, so every point below a top in floating range is in it
+        try:
+            float(high)
+        except OverflowError:
+            raise DomainError("x_high is out of floating range") from None
     sampler = RationalSampler(seed, low, high)
     points = []
     for i in range(samples):
@@ -316,6 +334,7 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
     pair, point by point.
     """
     start = time.monotonic()
+    _check_variables(n)
     if samples < 0:
         raise DomainError(f"need samples >= 0; got {samples}")
     fam = _make_family(family, n, theta=theta, q=q, t=t, a=a, k=k, cfg=cfg)
@@ -552,6 +571,7 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
     With no pair to compare it returns at once: the off-lattice point stream
     never ends, and no probe would spend the budget.
     """
+    _check_variables(n)
     if budget < 0:
         raise DomainError(f"need budget >= 0; got {budget}")
     mp = MacdonaldParams(q, t, n, a)

@@ -289,6 +289,44 @@ HOSTILE = [
     ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1,0",
      "--nodes", "100000"],
     ["ho", "eval", "--k", "1", "--s", "4,3,2,1,0", "--x", "5,4,3,2,1"],
+    # a count too long to print (64^4950 node terms at 100 variables), and
+    # the k = 0 closed form's 13! permutation terms, hours of work
+    ["ho", "eval", "--k", "1", "--s", ",".join(["1"] * 100),
+     "--x", ",".join(str(i) for i in range(100))],
+    ["ho", "eval", "--k", "0", "--s", ",".join(["1"] * 13),
+     "--x", ",".join(str(i) for i in range(13))],
+    # more variables than a sweep or the hunt takes: n = 2000 overflowed
+    # the partition recursion, and a 401-digit n drew coordinates without end
+    ["check", "schur", "--family", "muirhead", "--n", "2000",
+     "--max-weight", "2", "--samples", "1"],
+    ["check", "schur", "--family", "muirhead", "--n", "1" + "0" * 400,
+     "--max-weight", "2", "--samples", "1"],
+    ["hunt", "--q", "1/2", "--t", "1/3", "--n", "1" + "0" * 400],
+    # a sample range past floating range, and a multiplicity below the floor
+    ["check", "schur", "--family", "heckman-opdam", "--k", "1", "--n", "2",
+     "--max-weight", "2", "--x-high", "1e400"],
+    ["ho", "eval", "--k", "1e-12", "--s", "1,0", "--x", "1,0"],
+]
+
+# arguments that argparse refuses (exit 2) with a bounded error: reals out
+# of floating range, and integers past int()'s digit limit
+HO = ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1,0"]
+BAD_FLAGS = [
+    ["ho", "eval", "--k", "1e400", "--s", "1,0", "--x", "1,0"],
+    ["check", "schur", "--family", "heckman-opdam", "--k", "1e400", "--n",
+     "2", "--max-weight", "2"],
+    ["ho", "eval", "--k", "1", "--s", "1e400,0", "--x", "1,0"],
+    ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1e400,0"],
+    ["ho", "residual", "--k", "1", "--s", "1,0", "--x", "1,0", "--h",
+     "1e400"],
+    ["ho", "verify", "--k", "1", "--lambda", "1,0", "--x", "1,0", "--tol",
+     "1e400"],
+    HO + ["--perturb", "1e400"],
+    HO + ["--min-gap", "1e400"],
+    HO + ["--nodes", "1" + "0" * 5000],
+    ["check", "schur", "--family", "muirhead", "--n", "1" + "0" * 5000,
+     "--max-weight", "2"],
+    ["hunt", "--q", "1/2", "--t", "1/3", "--budget", "1" + "0" * 5000],
 ]
 
 
@@ -307,6 +345,7 @@ def assert_exit_two(argvs, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.startswith("error: "), argv
+        assert len(captured.err) < 250, argv
 
 
 def assert_exit_two_under_optimization(argvs):
@@ -318,9 +357,10 @@ def assert_exit_two_under_optimization(argvs):
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
                 code = run(argv)
-            print(code, stderr.getvalue().startswith("error: "))
+            print(code, stderr.getvalue().startswith("error: "),
+                  len(stderr.getvalue()) < 250)
     """)
-    assert out == ["2", "True"] * len(argvs), err
+    assert out == ["2", "True", "True"] * len(argvs), err
 
 
 def test_hostile_arguments_exit_two(capsys):
@@ -329,6 +369,38 @@ def test_hostile_arguments_exit_two(capsys):
 
 def test_hostile_arguments_exit_two_under_optimization():
     assert_exit_two_under_optimization(HOSTILE)
+
+
+def test_bad_flags_exit_two_with_a_bounded_error(capsys):
+    for argv in BAD_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        last = captured.err.splitlines()[-1]
+        assert captured.out == "" and len(captured.err) < 1000, argv
+        assert "out of floating range" in last or "bad integer" in last, argv
+        assert len(last) < 200, argv
+
+
+def test_bad_flags_exit_two_under_optimization():
+    out, err = run_optimized(f"""
+        import contextlib, io
+        from omegalab.cli import run
+        for argv in {BAD_FLAGS!r}:
+            stderr = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(stderr):
+                    run(argv)
+            except SystemExit as e:
+                print(e.code, len(stderr.getvalue()) < 1000)
+    """)
+    assert out == ["2", "True"] * len(BAD_FLAGS), err
+
+
+def test_min_gap_takes_a_fraction(capsys):
+    assert run(HO + ["--min-gap", "1/1000"]) == 0
+    assert capsys.readouterr().out == "1.6487212707001262\n"
 
 
 def test_underflowing_quadrature_checks_exit_two(capsys):

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from omegalab import heckman_opdam
 from omegalab.errors import (DegeneracyError, DomainError, ParameterError,
                              TieError)
-from omegalab.heckman_opdam import (MAX_NODE_TERMS, MAX_NODES, R0, HOParams,
-                                    QuadratureConfig, _f_rec,
+from omegalab.heckman_opdam import (MAX_NODE_TERMS, MAX_NODES,
+                                    MAX_PERMUTATION_TERMS, MIN_POSITIVE_K, R0,
+                                    HOParams, QuadratureConfig, _f_rec,
                                     _ho_eval_and_gap, _ho_eval_batch, _log_m,
                                     _power_panels, _unit_gauss, _unit_jacobi,
                                     _unit_panels, ho_closed_forms,
@@ -59,6 +60,19 @@ def test_params_validation():
             HOParams(k, 2)
     assert HOParams(1, 2.0).n == 2
     assert HOParams(0, 3).rho == (1, 0, -1)
+
+
+def test_multiplicity_below_the_floor_is_refused():
+    # the node tables read k back from k - 1: at k = 1e-12 an n = 4 value
+    # was 1.3e-4 off the k = 0 closed form, and near k = 1e-16 lgamma(0)
+    # raised.  At the floor the value is still within 1e-6 of it
+    for k in (1e-12, 1e-16, 5e-324):
+        with pytest.raises(ParameterError, match="k = 0 or k >= 1e-10"):
+            HOParams(k, 4)
+    x, s = (0.9, 0.3, -0.2, -1.0), (2.5, 1.5, 0.25, -3.0)
+    exact = ho_closed_forms(HOParams(0, 4), s, x)
+    value = ho_eval(HOParams(MIN_POSITIVE_K, 4), s, x, QuadratureConfig(8))
+    assert abs(value - exact) <= 1e-6 * exact
 
 
 def test_basis_index_out_of_range_raises():
@@ -183,7 +197,7 @@ def test_tied_coordinates_raise():
 def test_batch_split_leaves_values_unchanged():
     # at k = 1/2 and 24 nodes the fifth point's lower box is near x_0, so
     # the n=3 level groups it apart on a 48 x 24 grid, and the leaf splits
-    # along rows (k >= 1, split at every level:
+    # its own rows (k >= 1, each level splits its own:
     # test_one_panel_batch_split_leaves_values_unchanged); the tied last point
     # stands for a node that rounded onto a shared endpoint
     cfg = QuadratureConfig(24)
@@ -880,9 +894,9 @@ def test_small_multiplicity_on_a_wide_box_settles():
 
 
 # twelve points whose upper box is near x_2, twelve whose lower box is near
-# x_0, and twelve far ones.  At 24 nodes _f_rec passes the n = 3 level 14
-# points at a time, and a near group's 48 x 24 grid allows 7, so the level
-# splits both near groups along rows
+# x_0, and twelve far ones.  At 24 nodes the n = 3 level splits each group
+# at _BATCH over its grid: 14 points for the far group's 24 x 24 grid, and 7
+# for a near group's 48 x 24, so both near groups are split along rows
 NEAR_AND_FAR = ([(1.0, 0.0, -0.05 - 0.002 * i) for i in range(12)]
                 + [(0.05 + 0.002 * i, 0.0, -1.0) for i in range(12)]
                 + [(1.0, 0.1 * i - 0.55, -1.0) for i in range(12)])
@@ -956,3 +970,59 @@ def test_work_ceilings_refuse_before_any_node_is_built(monkeypatch):
                          (0.9, 0.3, -0.2, -1.0), QuadratureConfig(8))
     # k = 0 is a closed form and builds no nodes
     assert ho_eval(HOParams(0, 5), (4, 3, 2, 1, 0), (5, 4, 3, 2, 1)) > 0
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_each_node_grid_is_split_by_its_builder(k, monkeypatch):
+    # every _nodes call holds at most _BATCH grid elements per vector, or
+    # one point's grid, and every part of the leaf at most _BATCH node terms
+    # per vector, _LEAF_BATCH over all vectors, or one row: a one-vector
+    # n = 4 evaluation and a seven-vector n = 3 batch (near groups at k = 1/2)
+    nodes, leaf_rows = heckman_opdam._nodes, heckman_opdam._leaf_rows
+    batch, leaf_batch = heckman_opdam._BATCH, heckman_opdam._LEAF_BATCH
+    grids, parts = [], []
+
+    def counted_nodes(k, s, x, gap, pref, tables, cfg):
+        size = math.prod(t[1].size for t in tables)
+        grids.append((x[0].size, size))
+        assert x[0].size * size <= max(batch, size)
+        return nodes(k, s, x, gap, pref, tables, cfg)
+
+    def counted_leaf(k, s, x0, x1, tilt, vpow, logc, m):
+        parts.append(x0.size)
+        assert x0.size * m <= max(batch, m, leaf_batch // s.shape[0])
+        return leaf_rows(k, s, x0, x1, tilt, vpow, logc, m)
+
+    monkeypatch.setattr(heckman_opdam, "_nodes", counted_nodes)
+    monkeypatch.setattr(heckman_opdam, "_leaf_rows", counted_leaf)
+    ho_eval(HOParams(k, 4), (2.5, 1.5, 0.25, -3.0), (0.9, 0.3, -0.2, -1.0),
+            QuadratureConfig(8))
+    s = np.array([(1.3, 0.2, -0.9)] * 7)
+    _f_rec(k, s, [np.array(c) for c in zip(*NEAR_AND_FAR)], 0.0, 1.0,
+           QuadratureConfig(24))
+    # the bounds were reached: some grid and some leaf part were split
+    assert any(rows > 1 and rows * size > batch // 2 for rows, size in grids)
+    assert max(parts) > 1 and len(parts) > len(grids)
+
+
+def test_refusals_quote_bounded_counts():
+    # a refused count is quoted in full only while it is short: 401 digits
+    # of nodes, 100 variables at k = 1 (64^4950 node terms, which str()
+    # could not print) and the k = 0 closed form's 13! terms
+    for nodes in (10 ** 400, -(10 ** 400)):
+        with pytest.raises(ParameterError) as caught:
+            QuadratureConfig(nodes)
+        assert "10^400" in str(caught.value)
+        assert len(str(caught.value)) < 100
+    x = tuple(range(100, 0, -1))
+    with pytest.raises(ParameterError,
+                       match=f"more than 10\\^30 node terms .* ceiling of "
+                             f"{MAX_NODE_TERMS}") as caught:
+        ho_eval(HOParams(1, 100), x, x)
+    assert len(str(caught.value)) < 200
+    with pytest.raises(ParameterError,
+                       match=f"{math.factorial(13)} permutation terms .* "
+                             f"ceiling of {MAX_PERMUTATION_TERMS}"):
+        ho_eval(HOParams(0, 13), x[:13], x[:13])
+    # the ceiling admits one vector at n = 11 and refuses it at n = 12
+    assert math.factorial(11) <= MAX_PERMUTATION_TERMS < math.factorial(12)
