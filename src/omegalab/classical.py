@@ -92,10 +92,8 @@ def powersum_compare(lam, mu, x: Sequence) -> tuple[Fraction, Fraction, str]:
     Returns (p_lambda(x), p_mu(x), sign) with sign one of '+', '-', '='
     meaning lambda's value is greater, smaller, or equal.
     """
-    xs = tuple(Fraction(c) for c in x)
-    n = len(xs)
-    lhs = expand_classical("powersum", Partition(lam).pad(n), n).eval(xs)
-    rhs = expand_classical("powersum", Partition(mu).pad(n), n).eval(xs)
+    lhs = powersum_eval(lam, x)
+    rhs = powersum_eval(mu, x)
     sign = "+" if lhs > rhs else ("-" if lhs < rhs else "=")
     return lhs, rhs, sign
 

@@ -29,8 +29,9 @@ from .heckman_opdam import (HOParams, QuadratureConfig,
                             ho_jack_consistency)
 from .jack import jack_expand
 from .lab import (FAMILIES, WITNESS_FAMILIES, InequalityReport, Witness,
-                  check_log_convexity, check_schur_convexity,
-                  check_weak_majorization, find_witness, hunt_report)
+                  _check_variables, _json_value, check_log_convexity,
+                  check_schur_convexity, check_weak_majorization,
+                  find_witness, hunt_report)
 from .macdonald import MacdonaldParams, macdonald_expand
 from .partitions import Partition, majorizes
 from .sympoly import _decimal_text, _parse_rational
@@ -108,12 +109,6 @@ def _theta_arg(text: str):
 def _value_text(v) -> str:
     # exact values of any size (str() refuses ints past 4300 digits)
     return _decimal_text(v) if isinstance(v, (int, Fraction)) else str(v)
-
-
-def _fmt_param(v) -> str:
-    if isinstance(v, tuple):
-        return ",".join(str(e) for e in v)
-    return str(v)
 
 
 def _add_globals(p: argparse.ArgumentParser):
@@ -258,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _expansion(ns):
     lam = ns.lam
     n = ns.n if ns.n is not None else lam.n
+    _check_variables(n)
     lam = lam.pad(n)
     if ns.family == "classical":
         return expand_classical(ns.basis, lam, n)
@@ -355,7 +351,7 @@ def _cmd_witness(ns, seed, out, quiet) -> int:
             print(json.dumps({
                 "command": "witness",
                 "family": w.family,
-                "params": {k: _fmt_param(v) for k, v in w.params.items()},
+                "params": {k: _json_value(v) for k, v in w.params.items()},
                 "witness": w.to_json(),
                 "version": __version__,
             }))

@@ -185,21 +185,15 @@ class QuadratureConfig:
                 f"{self.nodes_per_dimension}, min_gap={self.min_gap})")
 
 
-@functools.lru_cache(maxsize=None)
 def _unit_gauss(m: int):
-    """Gauss-Legendre nodes and weights on [0, 1], read-only."""
+    """Gauss-Legendre nodes and weights on [0, 1]."""
     z, w = np.polynomial.legendre.leggauss(m)
-    u = (z + 1.0) / 2.0
-    w = w / 2.0
-    u.setflags(write=False)
-    w.setflags(write=False)
-    return u, w
+    return (z + 1.0) / 2.0, w / 2.0
 
 
-@functools.lru_cache(maxsize=None)
 def _unit_jacobi(m: int, alpha: float):
     """Gauss-Jacobi nodes and weights on [-1, 1] for the weight
-    (1 - z)^alpha (1 + z)^alpha, read-only.  Golub and Welsch (Math. Comp.
+    (1 - z)^alpha (1 + z)^alpha.  Golub and Welsch (Math. Comp.
     23, 1969): the nodes are the eigenvalues of the symmetric Jacobi matrix
     of the orthonormal polynomials, and each weight is the total mass times
     the squared first component of its eigenvector.  The weight is even, so
@@ -217,8 +211,6 @@ def _unit_jacobi(m: int, alpha: float):
     w = mass * vectors[0] ** 2
     z = (z - z[::-1]) / 2.0
     w = (w + w[::-1]) / 2.0
-    z.setflags(write=False)
-    w.setflags(write=False)
     return z, w
 
 

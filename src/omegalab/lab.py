@@ -68,11 +68,14 @@ NOISE_FLOOR = 1e-12
 
 
 def _json_value(v):
-    # exact values travel as strings, floating values as JSON numbers
+    # exact values travel as strings, floating values as JSON numbers, and
+    # a witness's lattice label as "a,b"
     if isinstance(v, (Fraction, int)):
         return _decimal_text(v)
     if isinstance(v, float):
         return v
+    if isinstance(v, tuple):
+        return ",".join(map(_json_value, v))
     return str(v)
 
 

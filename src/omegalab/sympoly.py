@@ -8,15 +8,12 @@ counted once.  Exact evaluation works in integers: the point is cleared of
 denominators once, each orbit sum at the integer point is kept in one
 bounded table shared by every polynomial evaluated there, and a single
 division at the end gives the canonical Fraction.
-
-The module also carries the expanded (one term per exponent vector)
-representation; it serves only poly_multiply and never leaves this
-package.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from decimal import Decimal
@@ -68,7 +65,10 @@ def orbit_size(lam: Sequence[int]) -> int:
 
 
 def _as_partition_key(lam, n: int) -> Exponent:
-    parts = tuple(int(p) for p in lam)
+    given = tuple(lam)
+    parts = tuple(map(int, given))
+    if parts != given:
+        raise DomainError(f"non-integral exponent in {given}")
     if len(parts) != n:
         raise DimensionMismatchError(
             f"exponent {parts} has length {len(parts)}, expected {n}")
@@ -101,7 +101,7 @@ class SymmetricPolynomial:
 
     @classmethod
     def monomial(cls, lam, n: int | None = None) -> "SymmetricPolynomial":
-        parts = tuple(int(p) for p in lam)
+        parts = tuple(lam)
         if n is None:
             n = len(parts)
         elif len(parts) < n:
@@ -184,8 +184,9 @@ def _cleared(x: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (d // v.denominator) for v in xs), d
 
 
-def _orbit_sum(nu: Exponent, X: tuple[int, ...]) -> int:
-    """m_nu(X) at an integer point: a plain integer sum over the orbit."""
+def _orbit_sum(nu: Exponent, X: tuple):
+    """m_nu(X) as a plain sum over the orbit: exact at an integer point,
+    and the floating evaluation's loop at a floating one."""
     total = 0
     for eta in distinct_permutations(nu):
         term = 1
@@ -229,13 +230,12 @@ def _cleared_eval(terms: Mapping[Exponent, Fraction], x: Sequence,
 
 def monomial_eval(lam, x: Sequence) -> Fraction:
     """m_lambda(x): sum of x^eta over distinct rearrangements eta of lambda."""
-    parts = tuple(sorted((int(p) for p in lam), reverse=True))
+    parts = tuple(sorted(lam, reverse=True))
     x = tuple(x)
     if len(parts) != len(x):
         raise DimensionMismatchError(
             f"partition length {len(parts)} vs point length {len(x)}")
-    if parts and parts[-1] < 0:
-        raise DomainError(f"negative exponent in {parts}")
+    parts = _as_partition_key(parts, len(parts))
     return _cleared_eval({parts: Fraction(1)}, x, _MONOMIAL_MEMO)
 
 
@@ -258,16 +258,12 @@ def poly_eval_fresh(p: SymmetricPolynomial, x: Sequence) -> Fraction:
 
 
 def poly_eval_float(p: SymmetricPolynomial, x: Sequence) -> float:
-    """Floating evaluation of an exact expansion at a floating point."""
-    xs = tuple(float(c) for c in x)
-    if len(xs) != p.n:
-        raise DimensionMismatchError(
-            f"point length {len(xs)} vs polynomial on {p.n} variables")
+    """Floating evaluation of an exact expansion at a floating point,
+    through the orbit loop of exact evaluation."""
+    xs = tuple(float(c) for c in _point_for(p, x))
     total = 0.0
-    for key, coeff in p.terms.items():
-        total += float(coeff) * sum(
-            math.prod(xi ** e for xi, e in zip(xs, eta) if e)
-            for eta in distinct_permutations(key))
+    for nu, c in p.terms.items():
+        total += float(c) * _orbit_sum(nu, xs)
     return total
 
 
@@ -293,50 +289,24 @@ def poly_combine(pairs: Iterable[tuple[Fraction, SymmetricPolynomial]]) -> Symme
     return SymmetricPolynomial(n, acc)
 
 
-# -- expanded (exponent-vector) representation, for poly_multiply -----------
-
-
-def expand_to_exponents(p: SymmetricPolynomial) -> dict[Exponent, Fraction]:
-    """Full expansion: one entry per exponent vector of each monomial orbit."""
-    out: dict[Exponent, Fraction] = {}
-    for key, coeff in p.terms.items():
-        for eta in distinct_permutations(key):
-            out[eta] = out.get(eta, Fraction(0)) + coeff
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def symmetrize_exponents(expanded: Mapping[Exponent, Fraction],
-                         n: int) -> SymmetricPolynomial:
-    """Collect a symmetric expanded polynomial back into the monomial basis.
-
-    Every exponent vector of an orbit carries the orbit's coefficient; the
-    expansion is taken to be symmetric and is not checked.
-    """
-    terms: dict[Exponent, Fraction] = {}
-    for e, c in expanded.items():
-        if c:
-            terms[tuple(sorted(e, reverse=True))] = c
-    return SymmetricPolynomial(n, terms)
-
-
-def exp_mul(a: dict, b: dict) -> dict:
-    out: dict[Exponent, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(i + j for i, j in zip(ea, eb))
-            new = out.get(e, Fraction(0)) + ca * cb
-            if new == 0:
-                out.pop(e, None)
-            else:
-                out[e] = new
-    return out
-
-
 def poly_multiply(p: SymmetricPolynomial, q: SymmetricPolynomial) -> SymmetricPolynomial:
-    """Product in the monomial basis via expand, convolve, re-collect."""
+    """Product in the monomial basis: m_lam * m_mu collected from the
+    orbit of mu alone."""
     p._check_compatible(q)
-    prod = exp_mul(expand_to_exponents(p), expand_to_exponents(q))
-    return symmetrize_exponents(prod, p.n)
+    acc: dict[Exponent, Fraction] = {}
+    for lam, c in p.terms.items():
+        size = orbit_size(lam)
+        for mu, d in q.terms.items():
+            counts: dict[Exponent, int] = {}
+            for beta in distinct_permutations(mu):
+                nu = tuple(sorted(map(operator.add, lam, beta), reverse=True))
+                counts[nu] = counts.get(nu, 0) + 1
+            cd = c * d
+            for nu, k in counts.items():
+                # fixing the first exponent at lam counts each orbit pair
+                # |O(lam)| times, and m_nu has |O(nu)| monomials
+                acc[nu] = acc.get(nu, 0) + cd * (k * size // orbit_size(nu))
+    return SymmetricPolynomial(p.n, acc)
 
 
 # -- serialization -----------------------------------------------------------

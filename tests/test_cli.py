@@ -175,6 +175,30 @@ def test_witness_json_and_soundness(capsys):
     assert Fraction(w["lhs"]) < Fraction(w["rhs"])
 
 
+def test_witness_json_keeps_parameters_past_the_digit_limit(capsys):
+    digits = "7" * 5001
+    assert run(["witness", "--lambda", "1,1", "--mu", "2,0", "--family",
+                "jack", "--theta", digits]) == 1
+    assert json.loads(capsys.readouterr().out)["params"] == {
+        "theta": digits, "ray_length": "1", "ray_value": "2"}
+    assert run(["witness", "--lambda", "1,1", "--mu", "2,0", "--family",
+                "macdonald-lattice", "--q", "1/" + digits, "--t", "1/3"]) == 1
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["q"] == "1/" + digits
+    assert (params["t"], params["a"]) == ("1/3", "1")
+    assert params["label"].split(",")[1] == "0"
+
+
+def test_witness_json_params_keep_their_short_form(capsys):
+    assert run(["witness", "--lambda", "1,1", "--mu", "2,0", "--family",
+                "macdonald-lattice", "--q", "1/2", "--t", "1/3"]) == 1
+    assert capsys.readouterr().out == (
+        '{"command": "witness", "family": "macdonald-lattice", "params": '
+        '{"q": "1/2", "t": "1/3", "a": "1", "label": "1,0"}, "witness": '
+        '{"lambda": [1, 1], "mu": [2, 0], "x": ["2", "1/3"], "lhs": "2", '
+        '"rhs": "13/4"}, "version": "%s"}\n' % omegalab.__version__)
+
+
 def test_witness_comparable_pair_is_an_error(capsys):
     code = run(["witness", "--family", "muirhead",
                 "--lambda", "2,0", "--mu", "1,1"])
@@ -306,6 +330,14 @@ HOSTILE = [
     ["check", "schur", "--family", "heckman-opdam", "--k", "1", "--n", "2",
      "--max-weight", "2", "--x-high", "1e400"],
     ["ho", "eval", "--k", "1e-12", "--s", "1,0", "--x", "1,0"],
+    # expand and eval take the sweeps' variable ceiling: a 30-digit n ended
+    # in an OverflowError, n = 10^8 did not return, and a 200-part partition
+    # sets n = 200 itself
+    ["expand", "--family", "classical", "--lambda", "2",
+     "--n", "1" + "0" * 29],
+    ["eval", "--family", "classical", "--lambda", "2", "--n", "100000000",
+     "--x", "1"],
+    ["expand", "--family", "classical", "--lambda", ",".join(["1"] * 200)],
 ]
 
 # arguments that argparse refuses (exit 2) with a bounded error: reals out

@@ -286,7 +286,7 @@ def panel_nodes_reference(lo, hi, k, cfg, table="gauss-jacobi"):
     half = (hi - lo) / 2.0
     if table == "gauss-jacobi":
         # one panel; the rule's weight (1 - z^2)^(k-1) is divided out
-        z, w = _unit_jacobi.__wrapped__(cfg.nodes_per_dimension, k - 1.0)
+        z, w = _unit_jacobi(cfg.nodes_per_dimension, k - 1.0)
         dlo = half * (1.0 + z)
         wts = half * (w / ((1.0 + z) * (1.0 - z)) ** (k - 1.0))
         return lo + dlo, dlo, half * (1.0 - z), wts
@@ -365,9 +365,9 @@ def test_gauss_jacobi_rule_integrates_even_moments(k, m):
 @pytest.mark.parametrize("m", [4, 5, 8, 24, 64])
 def test_gauss_jacobi_rule_at_alpha_minus_one_half_is_gauss_chebyshev(m):
     # k = 1/2, where the first off-diagonal entry of the Jacobi matrix in
-    # its general form is 0/0; the rule is rebuilt, not read from the cache,
-    # so a RuntimeWarning would fail the test
-    z, w = _unit_jacobi.__wrapped__(m, -0.5)
+    # its general form is 0/0; every call rebuilds the rule, so a
+    # RuntimeWarning would fail the test
+    z, w = _unit_jacobi(m, -0.5)
     i = np.arange(m, 0, -1)
     np.testing.assert_allclose(z, np.cos((2 * i - 1) * math.pi / (2 * m)),
                                rtol=0, atol=1e-14)

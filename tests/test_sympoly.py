@@ -9,11 +9,11 @@ from hypothesis import given, strategies as st
 from omegalab import sympoly
 from omegalab.errors import DimensionMismatchError, DomainError
 from omegalab.macdonald import MacdonaldParams, lattice_point
+from omegalab.jack import jack_expand
 from omegalab.sympoly import (SymmetricPolynomial, distinct_permutations,
-                              exp_mul, expand_to_exponents, monomial_eval,
-                              orbit_size, parse_poly, poly_eval,
-                              poly_eval_float, poly_eval_fresh, poly_multiply,
-                              serialize_poly, symmetrize_exponents)
+                              monomial_eval, orbit_size, parse_poly,
+                              poly_eval, poly_eval_float, poly_eval_fresh,
+                              poly_multiply, serialize_poly)
 
 
 def partition_keys(max_len=3, max_part=4):
@@ -102,21 +102,6 @@ def test_float_evaluation_tracks_exact(key, x):
     exact = float(p.eval(x))
     approx = poly_eval_float(p, tuple(float(v) for v in x))
     assert math.isclose(exact, approx, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_expand_and_symmetrize_round_trip():
-    p = (SymmetricPolynomial.monomial((2, 1, 0), 3)
-         + 3 * SymmetricPolynomial.monomial((1, 1, 1), 3))
-    grid = expand_to_exponents(p)
-    # the full orbit of (2,1,0) has 6 exponent vectors, (1,1,1) has one
-    assert len(grid) == 7
-    assert symmetrize_exponents(grid, 3) == p
-
-
-def test_exp_mul_matches_polynomial_product():
-    a = {(1, 0): Fraction(2)}
-    b = {(0, 1): Fraction(3), (1, 0): Fraction(1)}
-    assert exp_mul(a, b) == {(1, 1): Fraction(6), (2, 0): Fraction(2)}
 
 
 # -- the integer-cleared evaluator against a plain Fraction loop ---------------
@@ -212,3 +197,95 @@ def test_shared_table_stays_bounded(monkeypatch):
         x = (Fraction(i, 7), Fraction(-i, 3))
         assert p.eval(x) == reference_eval(p, x)
         assert len(sympoly._MONOMIAL_MEMO) <= 5
+
+
+# -- non-integral exponents are refused, not truncated --------------------------
+
+
+def test_constructor_refuses_non_integral_exponents():
+    with pytest.raises(DomainError):
+        SymmetricPolynomial(2, {(2.9, 0.5): 1})
+    # integral values of another type name the same key
+    assert SymmetricPolynomial(2, {(2.0, Fraction(1)): 1}).terms == {(2, 1): 1}
+
+
+def test_monomial_refuses_non_integral_exponents():
+    with pytest.raises(DomainError):
+        SymmetricPolynomial.monomial((2.5, 0))
+
+
+def test_monomial_eval_refuses_non_integral_exponents():
+    with pytest.raises(DomainError):
+        monomial_eval((2.5, 1), (2, 3))
+
+
+# -- the product against expand, convolve and collect ---------------------------
+
+
+def reference_product(p, q):
+    """p * q through the exponent-vector expansion: every orbit written out,
+    the two expansions convolved, and each orbit read back at its sorted
+    representative."""
+    def expand(poly):
+        return {eta: c for key, c in poly.terms.items()
+                for eta in distinct_permutations(key)}
+
+    grid: dict = {}
+    for ea, ca in expand(p).items():
+        for eb, cb in expand(q).items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            grid[e] = grid.get(e, Fraction(0)) + ca * cb
+    return SymmetricPolynomial(p.n, {e: c for e, c in grid.items()
+                                     if list(e) == sorted(e, reverse=True)})
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials of up to six terms each on the same n in [1, 4]."""
+    n = draw(st.integers(1, 4))
+    keys = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(
+        lambda v: tuple(sorted(v, reverse=True)))
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    return tuple(SymmetricPolynomial(n, draw(st.dictionaries(keys, coeffs,
+                                                             max_size=6)))
+                 for _ in range(2))
+
+
+@given(polynomial_pairs())
+def test_product_matches_the_expanded_reference(pair):
+    p, q = pair
+    assert poly_multiply(p, q) == reference_product(p, q)
+
+
+def test_products_of_jack_expansions_match_the_expanded_reference():
+    expansions = [jack_expand(lam, Fraction(1, 2))
+                  for lam in [(3, 1, 0), (2, 2, 0), (2, 1, 1)]]
+    for p in expansions:
+        for q in expansions:
+            assert poly_multiply(p, q) == reference_product(p, q)
+
+
+# -- floating evaluation against a plain loop -----------------------------------
+
+
+def reference_float(p, x):
+    """p(x) in floats, term by term in the polynomial's own order."""
+    total = 0.0
+    for key, c in p.terms.items():
+        orbit = 0
+        for eta in distinct_permutations(key):
+            term = 1
+            for xi, e in zip(x, eta):
+                if e:
+                    term *= xi ** e
+            orbit += term
+        total += float(c) * orbit
+    return total
+
+
+@given(polynomials_and_points())
+def test_float_evaluation_matches_the_loop_bitwise(case):
+    p, x = case
+    xs = tuple(float(v) for v in x)
+    assert float.hex(poly_eval_float(p, xs)) == float.hex(
+        reference_float(p, xs))
