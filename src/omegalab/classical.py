@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-from .partitions import Partition
+from .partitions import partition_key
 from .sympoly import SymmetricPolynomial, monomial_eval, orbit_size
 
 FAMILIES = ("monomial", "elementary", "powersum")
@@ -43,26 +43,24 @@ def _powersum_k(k: int, n: int) -> SymmetricPolynomial:
 def expand_classical(family: str, lam, n: int | None = None) -> SymmetricPolynomial:
     """Expansion of the named family member in the monomial basis, exactly.
 
-    For the monomial family the index must fit in n rows; product families
-    accept indexes of any length (an index longer than n is fine, e.g.
-    e_(1,1,1,1) on three variables).
+    For the monomial family the index must fit in n rows (partition_key);
+    product families accept indexes of any length (an index longer than n
+    is fine, e.g. e_(1,1,1,1) on three variables).
     """
-    lam = Partition(lam) if not isinstance(lam, Partition) else lam
+    lam = partition_key(lam)
     if n is None:
-        n = lam.n
+        n = len(lam)
     if family == "monomial":
-        if n != lam.n:
-            lam = lam.pad(n)
-        return SymmetricPolynomial.monomial(lam.parts, n)
+        return SymmetricPolynomial.monomial(lam, n)
     if family == "elementary":
         out = SymmetricPolynomial.one(n)
-        for part in lam.parts:
+        for part in lam:
             if part:
                 out = out * _elementary_k(part, n)
         return out
     if family == "powersum":
         out = SymmetricPolynomial.one(n)
-        for part in lam.parts:
+        for part in lam:
             out = out * _powersum_k(part, n)
         return out
     raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -70,18 +68,16 @@ def expand_classical(family: str, lam, n: int | None = None) -> SymmetricPolynom
 
 def muirhead_eval(lam, x: Sequence) -> Fraction:
     """Normalized monomial mean m_lambda(x) / m_lambda(1,...,1)."""
-    lam = Partition(lam) if not isinstance(lam, Partition) else lam
-    if len(tuple(x)) != lam.n:
-        lam = lam.pad(len(tuple(x)))
-    return monomial_eval(lam.parts, x) / orbit_size(lam.parts)
+    x = tuple(x)
+    lam = partition_key(lam, len(x))
+    return monomial_eval(lam, x) / orbit_size(lam)
 
 
 def powersum_eval(lam, x: Sequence) -> Fraction:
     """p_lambda(x) as a product of power sums; zero parts contribute p_0 = n."""
     xs = tuple(Fraction(c) for c in x)
-    lam = Partition(lam).pad(len(xs))
     out = Fraction(1)
-    for part in lam.parts:
+    for part in partition_key(lam, len(xs)):
         out *= sum((v ** part for v in xs), Fraction(0))
     return out
 

@@ -106,11 +106,6 @@ def _theta_arg(text: str):
     return _rational_arg(text)
 
 
-def _value_text(v) -> str:
-    # exact values of any size (str() refuses ints past 4300 digits)
-    return _decimal_text(v) if isinstance(v, (int, Fraction)) else str(v)
-
-
 def _add_globals(p: argparse.ArgumentParser):
     # SUPPRESS keeps a flag given before the subcommand from being clobbered
     # by the subparser's default
@@ -293,9 +288,9 @@ def _cmd_majorize(ns, seed, out, quiet) -> int:
 
 
 def _witness_line(w: Witness) -> str:
-    x = ",".join(_value_text(v) for v in w.x)
+    x = ",".join(str(_json_value(v)) for v in w.x)
     return (f"lambda={w.lam} mu={w.mu} x=({x}) "
-            f"lhs={_value_text(w.lhs)} rhs={_value_text(w.rhs)}")
+            f"lhs={_json_value(w.lhs)} rhs={_json_value(w.rhs)}")
 
 
 def _emit_report(rep: InequalityReport, out: str, quiet: bool):
@@ -357,7 +352,7 @@ def _cmd_witness(ns, seed, out, quiet) -> int:
             }))
         else:
             print(f"witness found: {_witness_line(w)} "
-                  f"margin={_value_text(w.margin)}")
+                  f"margin={_json_value(w.margin)}")
     return 1
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      OperatorRowError)
-from .partitions import partitions_of
+from .partitions import partition_key, partitions_of
 from .sympoly import SymmetricPolynomial
 
 
@@ -35,12 +35,11 @@ def dominance_ideal(lam: Sequence[int], n: int) -> list[tuple]:
     """Partitions of |lam| with n parts dominated by lam, lex-descending.
 
     lam itself comes first; every later element is strictly below it.  A
-    shape that is not a partition with n parts raises DomainError.
+    shape that is not a partition (partition_key), or has other than n
+    parts, raises DomainError.
     """
-    lam = tuple(lam)
-    if (len(lam) != n or not all(isinstance(p, int) for p in lam)
-            or any(lam[i] < lam[i + 1] for i in range(n - 1))
-            or (lam and lam[-1] < 0)):
+    lam = partition_key(lam)
+    if len(lam) != n:
         raise DomainError(f"{lam} is not a partition with {n} parts")
     top = tuple(itertools.accumulate(lam))
     return [nu for nu, sums in _block(sum(lam), n)
@@ -138,13 +137,3 @@ def solve_linear_system(matrix: list[list[Fraction]],
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [aug[r][m] for r in range(m)]
 
-
-def as_int_vector(v: Sequence) -> tuple[int, ...]:
-    """Coerce to a tuple of exact ints; rejects anything fractional."""
-    out = []
-    for entry in v:
-        i = int(entry)
-        if i != entry:
-            raise DomainError(f"expected an integer entry, got {entry!r}")
-        out.append(i)
-    return tuple(out)

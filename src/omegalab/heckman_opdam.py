@@ -52,7 +52,7 @@ import numpy as np
 from .errors import (DegeneracyError, DomainError, ParameterError, TieError,
                      count_text)
 from .jack import JackParam, _normalized as _jack_normalized
-from .macdonald import _as_key
+from .partitions import partition_key
 from .sympoly import poly_eval_float
 
 
@@ -109,16 +109,6 @@ class HOParams:
     def rho(self) -> tuple:
         """The half-sum vector ((n-1)/2, (n-3)/2, ..., -(n-1)/2), exact."""
         return tuple(Fraction(self.n - 1 - 2 * i, 2) for i in range(self.n))
-
-    @property
-    def xi(self) -> tuple:
-        """The diagonal direction used by the derivative identity."""
-        return (1.0,) * self.n
-
-    def basis(self, i: int) -> tuple:
-        if not 0 <= i < self.n:
-            raise DomainError(f"need a basis index in [0, {self.n}); got {i}")
-        return tuple(1.0 if j == i else 0.0 for j in range(self.n))
 
     def __repr__(self):
         return f"HOParams(k={self.k}, n={self.n})"
@@ -670,7 +660,7 @@ def ho_jack_consistency(lam, params: HOParams, x,
     theta = k, floated only at the end; the left side is quadrature.
     """
     theta = JackParam(Fraction(params.k))
-    lam = _as_key(lam, params.n)
+    lam = partition_key(lam, params.n)
     s = tuple(float(Fraction(li) + theta.theta * r)
               for li, r in zip(lam, params.rho))
     p, denom = _jack_normalized(lam, theta)

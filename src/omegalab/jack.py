@@ -18,10 +18,9 @@ from . import cache
 from .classical import expand_classical
 from .eigensolve import (cached_rows, dominance_ideal,
                          solve_eigen_expansion)
-from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
-                     ParameterError)
-from .macdonald import MacdonaldParams, macdonald_expand, _as_key
-from .partitions import Partition
+from .errors import DegeneracyError, DomainError, ParameterError
+from .macdonald import MacdonaldParams, macdonald_expand
+from .partitions import Partition, partition_key
 from .sympoly import SymmetricPolynomial, _decimal_text, poly_eval_float
 
 INFINITE = math.inf
@@ -160,9 +159,7 @@ def jack_expand(lam, theta) -> SymmetricPolynomial:
     if theta.is_infinite:
         raise DomainError("jack_expand needs finite theta; "
                           "use omega_jack_eval for the infinite parameter")
-    lam = tuple(Partition(lam).parts) if not isinstance(lam, Partition) \
-        else lam.parts
-    return _entry(lam, theta)[0]
+    return _entry(partition_key(lam), theta)[0]
 
 
 def _coerce_nonneg_point(x) -> tuple[Fraction, ...]:
@@ -177,18 +174,16 @@ def omega_jack_eval(lam, theta, x) -> Fraction:
 
     theta = 0 gives m_lambda(x)/m_lambda(1), theta = infinity gives
     e_conj(x)/e_conj(1) for the conjugate shape, finite positive theta
-    evaluates the monic expansion.  Exact.
+    evaluates the monic expansion.  Exact.  lambda is a partition on
+    len(x) variables (partition_key), padded with zeros.
     """
     theta = JackParam(theta)
-    lam = Partition(lam)
     x = _coerce_nonneg_point(x)
-    n = len(x)
-    if lam.n != n:
-        raise DimensionMismatchError(f"partition {lam} vs point of length {n}")
-    p, denom = _normalized(lam.parts, theta)
+    lam = partition_key(lam, len(x))
+    p, denom = _normalized(lam, theta)
     if denom <= 0:
         raise DegeneracyError(
-            f"normalizer {denom} of lambda={lam.parts}, theta={theta!r} at "
+            f"normalizer {denom} of lambda={lam}, theta={theta!r} at "
             f"(1,...,1) is not positive")
     return p.eval(x) / denom
 
@@ -226,7 +221,7 @@ def jack_limit_probe(lam, theta, x, ks: Sequence[int]):
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise DomainError(f"need lattice scales k >= 1; got {min(ks)}")
-    lam = _as_key(lam, n)
+    lam = partition_key(lam, n)
     a = x[-1] / 2
     th = float(theta.theta)
     jack_val = float(omega_jack_eval(lam, theta, x))

@@ -10,15 +10,16 @@ parameter-inversion identity.  Everything is exact rational arithmetic.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
-from typing import Sequence
 
 from . import cache
-from .eigensolve import (as_int_vector, cached_rows, dominance_ideal,
-                         solve_eigen_expansion, solve_linear_system)
+from .eigensolve import (cached_rows, dominance_ideal, solve_eigen_expansion,
+                         solve_linear_system)
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
-                     ParameterError)
-from .partitions import Partition, contains, partitions_of
+                     ParameterError, count_text)
+from .partitions import (as_int_vector, contains, partition_key,
+                         partitions_of)
 from .sympoly import (SymmetricPolynomial, _decimal_text,
                       distinct_permutations, monomial_eval)
 
@@ -57,14 +58,12 @@ def rational_power(q: Fraction, theta: Fraction) -> Fraction:
 class MacdonaldParams:
     """Parameter bundle (q, t, a, n) with exact rational entries.
 
-    q and t live in (0,1); a is a positive scale for the lattice.  theta is
-    an optional coupling exponent recording t = q**theta when the parameters
-    were built in coupled form.
+    q and t live in (0,1); a is a positive scale for the lattice.
     """
 
-    __slots__ = ("q", "t", "a", "n", "theta")
+    __slots__ = ("q", "t", "a", "n")
 
-    def __init__(self, q, t, n: int, a=Fraction(1), theta=None, _relax=False):
+    def __init__(self, q, t, n: int, a=Fraction(1), _relax=False):
         q = Fraction(q)
         t = Fraction(t)
         a = Fraction(a)
@@ -77,22 +76,10 @@ class MacdonaldParams:
             raise ParameterError(f"need a > 0; got a={a}")
         if n < 1:
             raise ParameterError(f"need n >= 1; got n={n}")
-        if theta is not None:
-            theta = Fraction(theta)
-            if rational_power(q, theta) != t:
-                raise ParameterError(f"coupling broken: {q}**{theta} != {t}")
         self.q = q
         self.t = t
         self.a = a
         self.n = int(n)
-        self.theta = theta
-
-    @classmethod
-    def coupled(cls, q, theta, n: int, a=Fraction(1)) -> "MacdonaldParams":
-        """Parameters with t = q**theta computed exactly."""
-        q = Fraction(q)
-        theta = Fraction(theta)
-        return cls(q, rational_power(q, theta), n, a, theta=theta)
 
     @property
     def delta(self) -> tuple[int, ...]:
@@ -115,17 +102,6 @@ class MacdonaldParams:
                 f"a={self.a})")
 
 
-def _as_key(lam, n: int) -> tuple[int, ...]:
-    parts = tuple(lam.parts if isinstance(lam, Partition) else as_int_vector(lam))
-    if len(parts) > n:
-        raise DimensionMismatchError(f"partition {parts} longer than n={n}")
-    parts = parts + (0,) * (n - len(parts))
-    if any(p < 0 for p in parts) or any(parts[i] < parts[i + 1]
-                                        for i in range(n - 1)):
-        raise DomainError(f"not a partition: {parts}")
-    return parts
-
-
 def _alternant_terms(nu: tuple, n: int):
     """The terms of a_delta * m_nu at strictly decreasing exponents.
 
@@ -136,6 +112,12 @@ def _alternant_terms(nu: tuple, n: int):
     x^(kappa+delta).
     """
     for eta in distinct_permutations(nu):
+        # low[i]: the least entry i of a strictly decreasing eta + w delta,
+        # given eta alone.  A branch below it cannot be completed; without
+        # this cut the walk grew as 2^n even at nu = (2, 0, ..., 0)
+        low = list(eta)
+        for i in range(n - 2, -1, -1):
+            low[i] = max(eta[i], low[i + 1] + 1)
         # place w delta one position at a time; the sign flips once for
         # each larger value still unplaced
         stack = [((), -1, 1)]
@@ -150,10 +132,20 @@ def _alternant_terms(nu: tuple, n: int):
             for v in range(n - 1, -1, -1):
                 if v in d:
                     continue
-                if prev < 0 or eta[i] + v < prev:
+                if (prev < 0 or eta[i] + v < prev) and eta[i] + v >= low[i]:
                     stack.append((d + (v,), eta[i] + v, -sign if above % 2
                                   else sign))
                 above += 1
+
+
+# ceiling on the work of the Kostka table of one (n, weight), which the
+# first operator row of that weight builds.  It walks each of the
+# C(weight + n - 1, n - 1) exponent vectors of that weight once, at about
+# n^2 + P steps a vector for the P partitions of the weight with n parts,
+# and the rows walk each vector at most once more.  A step took 0.05 to
+# 0.17 us from n = 3 (weight 100) through n = 7 (weight 10) to n = 100
+# (weight 2 and 3), so 2^28 steps take under a minute
+MAX_ROW_STEPS = 1 << 28
 
 
 @functools.lru_cache(maxsize=32)
@@ -163,10 +155,17 @@ def _kostka(n: int, weight: int) -> dict:
     a_delta * m_mu = sum_kappa N_mu,kappa a_(kappa+delta) gives
     m_mu = sum_kappa N_mu,kappa s_kappa, unitriangular in dominance; it is
     inverted one shape at a time, lowest shape first.  Shared by every row
-    of this (n, weight); the caller must not modify it.
+    of this (n, weight); the caller must not modify it.  A table past
+    MAX_ROW_STEPS is refused before its walk starts.
     """
+    shapes = list(partitions_of(weight, n))
+    steps = math.comb(weight + n - 1, n - 1) * (n * n + len(shapes))
+    if steps > MAX_ROW_STEPS:
+        raise ParameterError(
+            f"the operator rows of weight {weight} on {n} variables take "
+            f"{count_text(steps)} steps, past the ceiling of {MAX_ROW_STEPS}")
     schur: dict = {}
-    for mu in reversed(list(partitions_of(weight, n))):
+    for mu in reversed(shapes):
         monomials = {mu: 1}
         for kappa, sign, _, _ in _alternant_terms(mu, n):
             if kappa != mu:
@@ -187,13 +186,14 @@ def _apply_macdonald_op(nu: tuple, n: int, q: Fraction, t: Fraction) -> dict:
     whose strictly decreasing exponents kappa + delta give D m_nu in the
     Schur basis; the Kostka numbers take it to monomials.
     """
+    # the table first: its ceiling covers this row's walk too
+    kostka = _kostka(n, sum(nu))
     qpow = [q ** e for e in range(nu[0] + 1)]
     tpow = [t ** d for d in range(n)]
     schur: dict = {}
     for kappa, sign, eta, d in _alternant_terms(nu, n):
         c = sum(tpow[dk] * qpow[ek] for dk, ek in zip(d, eta))
         schur[kappa] = schur.get(kappa, 0) + sign * c
-    kostka = _kostka(n, sum(nu))
     row: dict = {}
     for kappa, c in schur.items():
         for mu, k in kostka[kappa].items():
@@ -244,7 +244,7 @@ def _entry(lam: tuple, params: MacdonaldParams, base=None):
 
 def macdonald_expand(lam, params: MacdonaldParams) -> SymmetricPolynomial:
     """Monic Macdonald polynomial P_lambda(x; q, t) in the monomial basis."""
-    return _entry(_as_key(lam, params.n), params)[0]
+    return _entry(partition_key(lam, params.n), params)[0]
 
 
 def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
@@ -256,7 +256,7 @@ def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
 def _normalized(lam, params: MacdonaldParams):
     """(P_lambda, P_lambda(t^delta)) in one memo lookup.  DegeneracyError
     when the normalizer is 0."""
-    lam = _as_key(lam, params.n)
+    lam = partition_key(lam, params.n)
     p, denom = _entry(lam, params, params.t_delta)
     if denom == 0:
         raise DegeneracyError(
@@ -312,7 +312,7 @@ def inversion_check(lam, params: MacdonaldParams, x):
 
     Returns (lhs, rhs, equal).
     """
-    lam = _as_key(lam, params.n)
+    lam = partition_key(lam, params.n)
     x = _coerce_point(x, params.n)
     lhs = omega_mac_eval(lam, params.inverted(), x)
     rhs = params.t ** ((params.n - 1) * sum(lam)) * omega_mac_eval(lam, params, x)
@@ -411,7 +411,7 @@ class ShiftedMacdonald:
 
 def shifted_macdonald(mu, params: MacdonaldParams) -> ShiftedMacdonald:
     """The interpolation polynomial P*_mu with P*_mu(q^mu) = 1."""
-    mu = _as_key(mu, params.n)
+    mu = partition_key(mu, params.n)
     monic, norm = _interpolation_monic(mu, params)
     if norm == 0:
         raise DegeneracyError(
@@ -429,7 +429,7 @@ def binomial_check(lam, params: MacdonaldParams, x) -> Fraction:
     with S_mu the leading-monic interpolation polynomial; the normalization
     of P*_mu cancels in the ratio.
     """
-    lam = _as_key(lam, params.n)
+    lam = partition_key(lam, params.n)
     x = _coerce_point(x, params.n)
     n = params.n
     z_lam = interpolation_node(lam, params)

@@ -4,6 +4,10 @@ A partition here is a weakly decreasing tuple of nonnegative integers of an
 explicit length n; trailing zeros are kept so that every object knows how many
 variables it lives in.  Real vectors (tuples of Fractions or ints) are accepted
 by the order predicates as well and are sorted internally.
+
+partition_key is the one rule for a partition on n variables (Macdonald,
+Symmetric Functions and Hall Polynomials, I.1): at most n parts, padded
+with zeros to n.
 """
 
 from __future__ import annotations
@@ -19,38 +23,47 @@ VectorLike = Union["Partition", Sequence]
 PAIR_MODES = ("same-weight-comparable", "midpoint-integral", "weak-comparable")
 
 
+def as_int_vector(v: Sequence) -> tuple[int, ...]:
+    """Coerce to a tuple of exact ints; rejects anything fractional."""
+    given = tuple(v)
+    out = tuple(map(int, given))
+    if out != given:
+        entry = next(g for g, i in zip(given, out) if g != i)
+        raise DomainError(f"expected an integer entry, got {entry!r}")
+    return out
+
+
+def partition_key(parts, n: int | None = None) -> tuple[int, ...]:
+    """parts as a tuple of ints, padded with zeros to n entries if n is given.
+
+    The entries must be integral, nonnegative and weakly decreasing
+    (DomainError otherwise), and given n there may be at most n of them
+    (DimensionMismatchError), trailing zeros included.  A Partition needs
+    only the length rule: its parts were checked when it was built.
+    """
+    if isinstance(parts, Partition):
+        key = parts.parts
+    else:
+        key = as_int_vector(parts)
+        if any(a < b for a, b in zip(key, key[1:])):
+            raise DomainError(f"parts not weakly decreasing: {key}")
+        if key and key[-1] < 0:
+            raise DomainError(f"negative part in partition {key}")
+    if n is not None:
+        if len(key) > n:
+            raise DimensionMismatchError(
+                f"partition {key} has more than n={n} parts")
+        key += (0,) * (n - len(key))
+    return key
+
+
 class Partition:
     """Weakly decreasing tuple of nonnegative integers with explicit length."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        given = tuple(parts)
-        parts = tuple(map(int, given))
-        if parts != given:
-            raise DomainError(f"non-integral part in partition {given}")
-        if any(p < 0 for p in parts):
-            raise DomainError(f"negative part in partition {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise DomainError(f"parts not weakly decreasing: {parts}")
-        self.parts = parts
-
-    @classmethod
-    def parse(cls, text: str, n: int | None = None) -> "Partition":
-        """Parse '3,1,0' into a partition, optionally padded/checked to length n."""
-        text = text.strip()
-        if not text:
-            raise DomainError("empty partition string")
-        try:
-            parts = [int(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise DomainError(f"cannot parse partition from {text!r}") from exc
-        if n is not None:
-            if len(parts) > n:
-                raise DimensionMismatchError(
-                    f"partition {text!r} has more than n={n} parts")
-            parts += [0] * (n - len(parts))
-        return cls(parts)
+        self.parts = partition_key(parts)
 
     @property
     def n(self) -> int:
@@ -62,12 +75,7 @@ class Partition:
 
     def pad(self, n: int) -> "Partition":
         """Same partition viewed in n >= len(self) variables."""
-        if n < len(self.parts):
-            if any(p != 0 for p in self.parts[n:]):
-                raise DimensionMismatchError(
-                    f"cannot truncate {self} to length {n}")
-            return Partition(self.parts[:n])
-        return Partition(self.parts + (0,) * (n - len(self.parts)))
+        return Partition(partition_key(self, n))
 
     def conjugate(self, length: int | None = None) -> "Partition":
         """Transpose of the Young diagram: lambda'_j = #{i : lambda_i >= j}.

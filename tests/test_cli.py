@@ -3,6 +3,8 @@ cache and perturbation flags."""
 
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +28,30 @@ def parse_expansion(text: str) -> dict:
         key = tuple(int(tok) for tok in head[2:-1].split(","))
         out[key] = Fraction(coeff.strip())
     return out
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list:
+    """The argv of each line of the sh block under README "Command line"."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.strip()]
+    assert commands and all(argv[0] == "omegalab" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+def test_readme_examples_exit_as_documented(capsys):
+    # witness and hunt report what they found with exit 1; the rest pass
+    commands = readme_commands()
+    assert len(commands) == 13
+    for argv in commands:
+        expected = 1 if argv[0] in ("witness", "hunt") else 0
+        assert run(argv) == expected, argv
+        captured = capsys.readouterr()
+        assert captured.out and not captured.err, argv
 
 
 def test_majorize_exit_codes(capsys):
@@ -338,6 +364,15 @@ HOSTILE = [
     ["eval", "--family", "classical", "--lambda", "2", "--n", "100000000",
      "--x", "1"],
     ["expand", "--family", "classical", "--lambda", ",".join(["1"] * 200)],
+    # walks past their ceilings, refused before they start: C(100, 6) terms
+    # of one orbit sum, a product walking the C(100, 5) rearrangements of
+    # e_5, and the Kostka table of weight 3 on 100 variables
+    ["eval", "--family", "classical", "--lambda", "1,1,1,1,1,1", "--n", "100",
+     "--x", ",".join(str(i) for i in range(1, 101))],
+    ["expand", "--family", "classical", "--basis", "elementary", "--lambda",
+     "5,5", "--n", "100"],
+    ["expand", "--family", "macdonald", "--lambda", "3", "--q", "1/2", "--t",
+     "1/3", "--n", "100"],
 ]
 
 # arguments that argparse refuses (exit 2) with a bounded error: reals out

@@ -75,13 +75,6 @@ def test_multiplicity_below_the_floor_is_refused():
     assert abs(value - exact) <= 1e-6 * exact
 
 
-def test_basis_index_out_of_range_raises():
-    assert HOParams(1, 3).basis(2) == (0.0, 0.0, 1.0)
-    for i in (-1, 3):
-        with pytest.raises(DomainError):
-            HOParams(1, 3).basis(i)
-
-
 def test_quadrature_config_validation():
     with pytest.raises(ParameterError):
         QuadratureConfig(3)

@@ -1,6 +1,8 @@
 """Macdonald expansions, the evaluation lattice, shifted polynomials, and
 the binomial and inversion identities at fixed rational parameters."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -14,14 +16,15 @@ import omegalab
 from omegalab.cache import ExpansionCache, activate, cache_key, fetch
 from omegalab.errors import (DimensionMismatchError, DomainError,
                              ParameterError)
-from omegalab.macdonald import (MacdonaldParams, _apply_macdonald_op,
+from omegalab.macdonald import (MAX_ROW_STEPS, MacdonaldParams,
+                                _alternant_terms, _apply_macdonald_op,
                                 _expand_uncached, binomial_check,
                                 interpolation_node, inversion_check,
                                 lattice_point, macdonald_expand,
                                 omega_mac_eval, rational_power,
                                 shifted_macdonald)
 from omegalab.partitions import partitions_of
-from omegalab.sympoly import SymmetricPolynomial
+from omegalab.sympoly import SymmetricPolynomial, distinct_permutations
 
 HALF_THIRD = MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 2)
 
@@ -50,6 +53,43 @@ def test_rational_power():
     assert rational_power(Fraction(3 ** 1000), Fraction(1, 2)) == 3 ** 500
     with pytest.raises(ParameterError):
         rational_power(Fraction(3 ** 1001), Fraction(1, 2))
+
+
+def test_alternant_terms_match_the_definition():
+    # every (eta, w delta) with eta + w delta strictly decreasing, from all
+    # n! placements; the sign counts the pairs i < j with d_i < d_j
+    for n in range(1, 5):
+        for w in range(5):
+            for nu in partitions_of(w, n):
+                expected = []
+                for eta in distinct_permutations(nu):
+                    for d in itertools.permutations(range(n - 1, -1, -1)):
+                        s = [e + v for e, v in zip(eta, d)]
+                        if all(a > b for a, b in zip(s, s[1:])):
+                            flips = sum(d[i] < d[j] for i in range(n)
+                                        for j in range(i + 1, n))
+                            kappa = tuple(v - (n - 1 - i)
+                                          for i, v in enumerate(s))
+                            expected.append((kappa, (-1) ** flips, eta, d))
+                assert sorted(_alternant_terms(nu, n)) == sorted(expected)
+
+
+def test_rows_stay_polynomial_in_n():
+    # the walk once grew as 2^n here: 29 s at n = 16
+    p = macdonald_expand((2,), MacdonaldParams(Fraction(1, 2),
+                                               Fraction(1, 3), 16))
+    assert p.coefficient((2,)) == 1 and p.coefficient((1, 1)) == Fraction(6, 5)
+
+
+def test_rows_past_the_ceiling_are_refused():
+    # the Kostka table of weight 3 on 100 variables, before any walk
+    steps = math.comb(102, 99) * (100 * 100 + 3)
+    assert steps > MAX_ROW_STEPS
+    with pytest.raises(ParameterError,
+                       match=f"{steps} steps, past the ceiling of "
+                             f"{MAX_ROW_STEPS}"):
+        macdonald_expand((3,), MacdonaldParams(Fraction(1, 2),
+                                               Fraction(1, 3), 100))
 
 
 def test_expansion_triangular_coefficient():

@@ -1,16 +1,27 @@
 """Partition arithmetic, majorization orders, and pair enumeration."""
 
+import contextlib
+import io
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from omegalab.classical import (expand_classical, muirhead_eval, muirhead_gap,
+                                powersum_compare, powersum_eval)
+from omegalab.cli import run
 from omegalab.errors import DimensionMismatchError, DomainError
+from omegalab.heckman_opdam import (HOParams, QuadratureConfig,
+                                    ho_jack_consistency)
 from omegalab.jack import omega_jack_eval
+from omegalab.macdonald import (MacdonaldParams, macdonald_expand,
+                                omega_mac_eval, shifted_macdonald)
+from omegalab import partitions as partitions_module
 from omegalab.partitions import (Partition, contains, enumerate_pairs,
                                  enumerate_partitions, majorizes, midpoint,
                                  partitions_of, weakly_majorizes)
+from omegalab.sympoly import SymmetricPolynomial, monomial_eval
 
 
 def partitions(max_len=4, max_part=6):
@@ -179,3 +190,91 @@ def test_enumerate_pairs_is_deterministic():
 def test_enumerate_pairs_rejects_unknown_mode():
     with pytest.raises(DomainError):
         list(enumerate_pairs(2, 2, "nonsense"))
+
+
+# -- one length rule for a partition on n variables ---------------------------
+
+X3 = (3, 2, 1)
+MP3 = MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 3)
+POLY3 = SymmetricPolynomial(3, {(2, 1, 0): 3, (1, 1, 1): 6})
+
+
+def cli_outcome(command, lam):
+    """(exit code, stdout) of the command for --lambda lam on n = 3."""
+    argv = {"expand": ["expand", "--family", "classical", "--n", "3"],
+            "eval": ["eval", "--family", "jack", "--theta", "1/2", "--n",
+                     "3", "--x", "3,2,1"]}[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv + ["--lambda", ",".join(map(str, lam))])
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue()
+
+
+# every entry takes a partition for n = 3 variables, with its value at
+# (2, 1, 0); monomial_eval sorts its exponents first, so an increasing
+# input names the same orbit there
+RULE_ENTRIES = {
+    "partition_key": (lambda lam: partitions_module.partition_key(lam, 3),
+                      (2, 1, 0)),
+    "Partition.pad": (lambda lam: Partition(lam).pad(3).parts, (2, 1, 0)),
+    "SymmetricPolynomial.coefficient": (POLY3.coefficient, 3),
+    "SymmetricPolynomial.monomial": (
+        lambda lam: SymmetricPolynomial.monomial(lam, 3),
+        SymmetricPolynomial(3, {(2, 1, 0): 1})),
+    "monomial_eval": (lambda lam: monomial_eval(lam, X3), 48),
+    "expand_classical": (
+        lambda lam: expand_classical("monomial", lam, 3),
+        SymmetricPolynomial(3, {(2, 1, 0): 1})),
+    "muirhead_eval": (lambda lam: muirhead_eval(lam, X3), 8),
+    "muirhead_gap": (lambda lam: muirhead_gap(lam, (1, 1, 1), X3), 2),
+    "powersum_eval": (lambda lam: powersum_eval(lam, X3), 252),
+    "powersum_compare": (lambda lam: powersum_compare(lam, (1, 1, 1), X3),
+                         (252, 216, "+")),
+    "omega_jack_eval": (lambda lam: omega_jack_eval(lam, Fraction(1, 2), X3),
+                        Fraction(38, 5)),
+    "omega_mac_eval": (lambda lam: omega_mac_eval(lam, MP3, X3),
+                       Fraction(63423, 689)),
+    "macdonald_expand": (
+        lambda lam: macdonald_expand(lam, MP3),
+        SymmetricPolynomial(3, {(2, 1, 0): 1, (1, 1, 1): Fraction(38, 17)})),
+    "shifted_macdonald": (lambda lam: shifted_macdonald(lam, MP3).mu,
+                          (2, 1, 0)),
+    "ho_jack_consistency": (
+        lambda lam: ho_jack_consistency(lam, HOParams(1, 3),
+                                        (0.5, 0.2, -0.4), QuadratureConfig(8))
+        < 1e-12, True),
+    "cli expand": (lambda lam: cli_outcome("expand", lam),
+                   (0, "m(2,1,0): 1\n")),
+    "cli eval": (lambda lam: cli_outcome("eval", lam), (0, "57\n")),
+}
+
+# input -> outcome: "value" is the entry's value at (2, 1, 0)
+RULE_INPUTS = [
+    ("short", (2, 1), "value"),
+    ("exact", (2, 1, 0), "value"),
+    ("zero tail", (2, 1, 0, 0), DimensionMismatchError),
+    ("nonzero tail", (2, 1, 1, 1), DimensionMismatchError),
+    ("non-integral", (2.5, 1, 0), DomainError),
+    ("negative", (2, 1, -1), DomainError),
+    ("increasing", (1, 2, 0), DomainError),
+]
+
+
+@pytest.mark.parametrize("entry", sorted(RULE_ENTRIES))
+@pytest.mark.parametrize("name, lam, outcome", RULE_INPUTS,
+                         ids=[name for name, _, _ in RULE_INPUTS])
+def test_one_partition_rule(entry, name, lam, outcome):
+    call, value = RULE_ENTRIES[entry]
+    if entry == "monomial_eval" and name == "increasing":
+        outcome = "value"
+    if outcome == "value":
+        assert call(lam) == value
+    elif entry.startswith("cli "):
+        assert call(lam) == (2, "")
+    else:
+        with pytest.raises(outcome):
+            call(lam)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omegalab import sympoly
-from omegalab.errors import DimensionMismatchError, DomainError
+from omegalab.errors import DimensionMismatchError, DomainError, ParameterError
 from omegalab.macdonald import MacdonaldParams, lattice_point
 from omegalab.jack import jack_expand
 from omegalab.sympoly import (SymmetricPolynomial, distinct_permutations,
@@ -289,3 +289,25 @@ def test_float_evaluation_matches_the_loop_bitwise(case):
     xs = tuple(float(v) for v in x)
     assert float.hex(poly_eval_float(p, xs)) == float.hex(
         reference_float(p, xs))
+
+
+def test_orbit_walks_past_the_ceiling_are_refused():
+    ceiling = sympoly.MAX_ORBIT_TERMS
+    x = tuple(range(1, 101))
+    e5 = SymmetricPolynomial.monomial((1,) * 5, 100)
+    for walk, count in ((lambda: monomial_eval((1,) * 6, x),
+                         math.comb(100, 6)),
+                        (lambda: poly_multiply(e5, e5), math.comb(100, 5))):
+        assert count > ceiling
+        with pytest.raises(ParameterError,
+                           match=f"walks {count} rearrangements, past the "
+                                 f"ceiling of {ceiling}"):
+            walk()
+    # the check runs on a table miss only: a value already in the table is
+    # read without it
+    key = ((1,) * 6 + (0,) * 94, x)
+    sympoly._MONOMIAL_MEMO[key] = 7
+    try:
+        assert monomial_eval((1,) * 6, x) == 7
+    finally:
+        sympoly._MONOMIAL_MEMO.pop(key)
