@@ -3,7 +3,11 @@
 F_{k,s}(x) is evaluated numerically by peeling off one variable at a time:
 the n-variable value is an integral of the (n-1)-variable function over the
 box of points interlacing x, against an explicit positive weight.  The
-cases n = 1, k = 0 and uniform x are closed forms.  One recursion serves
+cases n = 1, k = 0, uniform x and k = 1 are closed forms.  At k = 1 it is
+Harish-Chandra's determinant formula, which loses digits near a tie in s or
+x: it serves a spectral vector only where its first-order rounding bound
+beta is at most DETERMINANT_BOUND = 1e-13, and every other k = 1 vector
+falls back to the quadrature, vector by vector.  One recursion serves
 every other case: it evaluates a batch of L spectral vectors at a batch of
 points, builds the tensor node grid of all n-1 interlacing dimensions, and
 calls itself once on the flattened grid, down to two variables.  Each
@@ -31,10 +35,11 @@ of 2^13 elements, so memory per level is bounded by L times that size (or
 by L times one point's grid, when that is larger; the leaf may take four
 times that size over all L), and no value depends on the split or on the
 other vectors in its batch.  The work of one evaluation is capped before
-any node is built (MAX_NODES, MAX_NODE_TERMS).  A value out of floating
-range raises instead of being returned.  This is the only module in the
-package that works in floating point end to end; everything it is checked
-against (Jack evaluations) stays exact until the final comparison.
+any node is built (MAX_NODES, MAX_NODE_TERMS), counting only the vectors
+that reach the quadrature.  A value out of floating range raises instead
+of being returned.  This is the only module in the package that works in
+floating point end to end; everything it is checked against (Jack
+evaluations) stays exact until the final comparison.
 
 Conventions: F is symmetric in x and in s separately, F(0) = 1, and
 F_{k, lam + k*rho}(x) = Omega_lam(e^x; k) ties the family to the Jack side.
@@ -176,8 +181,11 @@ class QuadratureConfig:
 
 
 def _unit_gauss(m: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    z, w = np.polynomial.legendre.leggauss(m)
+    """Gauss-Legendre nodes and weights on [0, 1]: _unit_jacobi's rule at
+    alpha = 0, so no path imports numpy.polynomial (some 6 ms on its first
+    call), and its weights are the more accurate (at 48 nodes the worst
+    relative weight error is 7.9e-14, against 1.3e-12 for leggauss)."""
+    z, w = _unit_jacobi(m, 0.0)
     return (z + 1.0) / 2.0, w / 2.0
 
 
@@ -548,18 +556,18 @@ def _sorted_checked(x, min_gap: float):
     return xs, False
 
 
-def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
+def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig,
+                   ceiling: QuadratureConfig = None) -> list:
     """ho_eval at x for every spectral vector in svecs, from one tree.
 
     The checks, closed forms and shortcuts of ho_eval apply to each s, and
     each value equals ho_eval(params, s, x, cfg) bit for bit.  A value that
     overflows or is lost to nan raises DegeneracyError, and a batch whose
-    worst case exceeds MAX_NODE_TERMS raises ParameterError before any node
-    is built.
+    worst case at the ceiling's node count (cfg's by default) exceeds
+    MAX_NODE_TERMS raises ParameterError before any node is built.
     """
-    _check_work(params, len(svecs), cfg)
     try:
-        values = _ho_values(params, svecs, x, cfg)
+        values = _ho_values(params, svecs, x, cfg, ceiling or cfg)
     except OverflowError:
         values = [math.inf]
     for v in values:
@@ -604,8 +612,11 @@ def _check_work(params: HOParams, count: int, cfg: QuadratureConfig):
             f"fewer {fewer}")
 
 
-def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
-    """_ho_eval_batch's values, before the finiteness check."""
+def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig,
+               ceiling: QuadratureConfig) -> list:
+    """_ho_eval_batch's values, before the finiteness check.  The work
+    check counts only the vectors that reach the quadrature: at k = 1 the
+    determinant serves each vector it can, and the rest go on."""
     n = params.n
     svecs = [tuple(float(v) for v in s) for s in svecs]
     for s in svecs:
@@ -615,15 +626,29 @@ def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
         if not all(math.isfinite(v) for v in s):
             raise DomainError(f"need finite spectral vector; got {s}")
     if n == 1 or params.k == 0.0:
+        _check_work(params, len(svecs), ceiling)
         return [ho_closed_forms(params, s, x) for s in svecs]
     xs, uniform = _sorted_checked(x, cfg.min_gap)
     ss = [tuple(sorted(s, reverse=True)) for s in svecs]
     mean = sum(xs) / n
     if uniform:
         return [math.exp(sum(s) * mean) for s in ss]
-    centered = [np.array([v - mean]) for v in xs]
-    values = _f_rec(params.k, np.array(ss), centered, 0.0, 0.0, cfg)[:, 0]
-    return [math.exp(sum(s) * mean) * float(v) for s, v in zip(ss, values)]
+    values = [None] * len(ss)
+    if params.k == 1.0:
+        for i, s in enumerate(ss):
+            try:
+                values[i] = ho_closed_forms(params, s, xs)
+            except DegeneracyError:
+                pass
+    rest = [i for i, v in enumerate(values) if v is None]
+    _check_work(params, len(rest), ceiling)
+    if rest:
+        centered = [np.array([v - mean]) for v in xs]
+        inner = _f_rec(params.k, np.array([ss[i] for i in rest]), centered,
+                       0.0, 0.0, cfg)[:, 0]
+        for i, v in zip(rest, inner):
+            values[i] = math.exp(sum(ss[i]) * mean) * float(v)
+    return values
 
 
 def ho_eval(params: HOParams, s, x, cfg: QuadratureConfig = None) -> float:
@@ -631,25 +656,87 @@ def ho_eval(params: HOParams, s, x, cfg: QuadratureConfig = None) -> float:
 
     x and s are sorted internally (F is symmetric in each), the diagonal
     part of x is split off exactly as exp(mean(x)*sum(s)), and the
-    remaining trace-free part goes through the interlacing recursion.
+    remaining trace-free part goes through the interlacing recursion.  At
+    k = 1, Harish-Chandra's determinant (ho_closed_forms) serves every
+    vector where its rounding bound allows, and the rest take the
+    quadrature.
     """
     return _ho_eval_batch(params, [s], x, cfg or QuadratureConfig())[0]
 
 
+# the k = 1 determinant serves a vector only while its first-order rounding
+# bound is at most this: a tenth of lab.NOISE_FLOOR, so the zero error
+# estimate a closed form reports stays inside the sweeps' noise floor
+DETERMINANT_BOUND = 1e-13
+
+
 def ho_closed_forms(params: HOParams, s, x) -> float:
-    """Exact branches: k = 0 (symmetrized exponential) and n = 1."""
+    """Exact branches: n = 1, k = 0 (symmetrized exponential) and k = 1
+    (Harish-Chandra's determinant); uniform x, the fourth exact case, is
+    ho_eval's own shortcut.
+
+    At k = 1, F is the spherical function of a complex group, given by
+    Harish-Chandra's formula (Helgason, Groups and Geometric Analysis,
+    ch. IV): with s and x sorted decreasingly,
+        F_{1,s}(x) = (prod_{p<n} p!) det[e^{s_i x_j}]
+                     / (V(s) prod_{i<j} 2 sinh((x_i - x_j)/2)),
+    V(s) = prod_{i<j} (s_i - s_j), times exp(mean(x) sum(s)) for the
+    diagonal part of x, which is split off first.  It is taken in logs:
+    each row of A = [e^{s_i x_j}] is scaled by its largest entry, the
+    determinant comes from slogdet, and the logs of V(s) and of the sinh
+    factors are summed one at a time.  Near a tie in s or x the determinant
+    loses digits, so it serves only while its first-order rounding bound
+    beta = eps * sum_ij |A_ij| |(A^-1)_ji| is at most DETERMINANT_BOUND;
+    otherwise (ties included) it raises DegeneracyError naming beta, and
+    ho_eval takes the quadrature instead.
+    """
     n = params.n
     s = tuple(float(v) for v in s)
     x = tuple(float(v) for v in x)
     if n == 1:
         return math.exp(s[0] * x[0])
+    if params.k == 1.0:
+        return _harish_chandra(sorted(s, reverse=True),
+                               sorted(x, reverse=True))
     if params.k != 0.0:
-        raise DomainError("closed forms cover k = 0 or n = 1 only; "
+        raise DomainError("closed forms cover k = 0, k = 1 or n = 1 only; "
                           f"got k={params.k}, n={n}")
     acc = 0.0
     for perm in itertools.permutations(x):
         acc += math.exp(sum(si * xi for si, xi in zip(s, perm)))
     return acc / math.factorial(n)
+
+
+def _harish_chandra(s: list, x: list) -> float:
+    """ho_closed_forms' k = 1 branch at decreasingly sorted s and x."""
+    n = len(s)
+    mean = sum(x) / n
+    beta = math.inf
+    if all(a > b for a, b in zip(s, s[1:])) and all(
+            a > b for a, b in zip(x, x[1:])):
+        expo = np.multiply.outer(s, [v - mean for v in x])
+        top = expo.max(axis=1)
+        a = np.exp(expo - top[:, None])
+        sign, logdet = np.linalg.slogdet(a)
+        try:
+            inverse = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            inverse = None
+        if sign > 0 and inverse is not None:
+            beta = float(np.finfo(float).eps * np.sum(a * np.abs(inverse.T)))
+    if not beta <= DETERMINANT_BOUND:
+        raise DegeneracyError(
+            f"Harish-Chandra's determinant at n={n} has rounding bound "
+            f"beta={beta:.1e}, above {DETERMINANT_BOUND}: s or x is near a "
+            f"tie")
+    log_f = sum(math.lgamma(p + 1.0) for p in range(1, n)) + float(logdet)
+    log_f += float(top.sum())
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = x[i] - x[j]
+            log_f -= math.log(s[i] - s[j]) + d / 2.0 + math.log(
+                -math.expm1(-d))
+    return math.exp(log_f + sum(s) * mean)
 
 
 def ho_jack_consistency(lam, params: HOParams, x,
@@ -702,11 +789,11 @@ def _ho_eval_and_gap(params: HOParams, svecs, x,
                      cfg: QuadratureConfig = None) -> list:
     """(F at m nodes, ho_error_estimate's gap) for every s in svecs, from
     one quadrature pass at m nodes and one at 2m.  The 2m pass's work is
-    checked before the m pass runs."""
+    checked before the m pass runs; a vector that a closed form serves has
+    one value in both passes, so its gap is 0."""
     cfg = cfg or QuadratureConfig()
     doubled = cfg.with_nodes(2 * cfg.nodes_per_dimension)
-    _check_work(params, len(svecs), doubled)
-    coarse = _ho_eval_batch(params, svecs, x, cfg)
+    coarse = _ho_eval_batch(params, svecs, x, cfg, doubled)
     fine = _ho_eval_batch(params, svecs, x, doubled)
     return [(c, abs(f - c)) for c, f in zip(coarse, fine)]
 

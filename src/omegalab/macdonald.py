@@ -118,23 +118,30 @@ def _alternant_terms(nu: tuple, n: int):
         low = list(eta)
         for i in range(n - 2, -1, -1):
             low[i] = max(eta[i], low[i + 1] + 1)
-        # place w delta one position at a time; the sign flips once for
-        # each larger value still unplaced
-        stack = [((), -1, 1)]
+        # place w delta one position at a time, the placed values kept as
+        # the bits of used.  Entry i may take only the values v with
+        # low[i] <= eta[i] + v < prev (low[i] >= eta[i], so v >= 0), and
+        # they are scanned from the top; the sign flips once for each
+        # larger value still unplaced, counted from the bits above the scan
+        stack = [((), 0, -1, 1)]
         while stack:
-            d, prev, sign = stack.pop()
+            d, used, prev, sign = stack.pop()
             i = len(d)
             if i == n:
                 yield (tuple(eta[k] + d[k] - (n - 1 - k) for k in range(n)),
                        sign, eta, d)
                 continue
-            above = 0
-            for v in range(n - 1, -1, -1):
-                if v in d:
+            e = eta[i]
+            hi = n - 1 if prev < 0 else min(n - 1, prev - 1 - e)
+            lo = low[i] - e
+            if hi < lo:
+                continue
+            above = n - 1 - hi - (used >> (hi + 1)).bit_count()
+            for v in range(hi, lo - 1, -1):
+                if used >> v & 1:
                     continue
-                if (prev < 0 or eta[i] + v < prev) and eta[i] + v >= low[i]:
-                    stack.append((d + (v,), eta[i] + v, -sign if above % 2
-                                  else sign))
+                stack.append((d + (v,), used | 1 << v, e + v,
+                              -sign if above % 2 else sign))
                 above += 1
 
 

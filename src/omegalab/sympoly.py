@@ -291,10 +291,15 @@ def poly_combine(pairs: Iterable[tuple[Fraction, SymmetricPolynomial]]) -> Symme
 
 def poly_multiply(p: SymmetricPolynomial, q: SymmetricPolynomial) -> SymmetricPolynomial:
     """Product in the monomial basis: m_lam * m_mu collected from the
-    orbit of mu alone.  A walk past MAX_ORBIT_TERMS rearrangements in all
-    is refused before it starts."""
+    orbit of mu alone.  The product commutes, so the factor whose orbits
+    are the shorter walk is the one walked.  A walk past MAX_ORBIT_TERMS
+    rearrangements in all is refused before it starts."""
     p._check_compatible(q)
-    _check_walk(len(p.terms) * sum(map(orbit_size, q.terms)), "the product")
+    walk = len(p.terms) * sum(map(orbit_size, q.terms))
+    swapped = len(q.terms) * sum(map(orbit_size, p.terms))
+    if swapped < walk:
+        p, q, walk = q, p, swapped
+    _check_walk(walk, "the product")
     acc: dict[Exponent, Fraction] = {}
     for lam, c in p.terms.items():
         size = orbit_size(lam)

@@ -334,13 +334,15 @@ HOSTILE = [
      "--max-weight", "2", "--nodes", "0"],
     # work past the quadrature's ceilings is refused before it starts: a
     # 401-digit and a 100,000-node rule, and 64^10 node terms at n = 5
+    # (k = 3/2: at k = 1 the determinant would serve that point)
     ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1,0",
      "--nodes", "1" + "0" * 400],
     ["ho", "eval", "--k", "1", "--s", "1,0", "--x", "1,0",
      "--nodes", "100000"],
-    ["ho", "eval", "--k", "1", "--s", "4,3,2,1,0", "--x", "5,4,3,2,1"],
-    # a count too long to print (64^4950 node terms at 100 variables), and
-    # the k = 0 closed form's 13! permutation terms, hours of work
+    ["ho", "eval", "--k", "3/2", "--s", "4,3,2,1,0", "--x", "5,4,3,2,1"],
+    # a count too long to print (64^4950 node terms at 100 variables; its
+    # tied s leave it to the quadrature at k = 1), and the k = 0 closed
+    # form's 13! permutation terms, hours of work
     ["ho", "eval", "--k", "1", "--s", ",".join(["1"] * 100),
      "--x", ",".join(str(i) for i in range(100))],
     ["ho", "eval", "--k", "0", "--s", ",".join(["1"] * 13),
@@ -465,9 +467,20 @@ def test_bad_flags_exit_two_under_optimization():
     assert out == ["2", "True"] * len(BAD_FLAGS), err
 
 
+def test_elementary_expansion_walks_the_smaller_orbit(capsys):
+    # e_5 on 100 variables is the single term m_(1^5); the product that
+    # builds it walked the C(100, 5) rearrangements of e_5 and exited 2
+    assert run(["expand", "--family", "classical", "--basis", "elementary",
+                "--lambda", "5", "--n", "100"]) == 0
+    parts = ",".join(["1"] * 5 + ["0"] * 95)
+    assert capsys.readouterr().out == f"m({parts}): 1\n"
+
+
 def test_min_gap_takes_a_fraction(capsys):
+    # F_{1,(1,0)}(1, 0) = e^(1/2), from Harish-Chandra's determinant: the
+    # float nearest e^(1/2), where the quadrature printed 1.6487212707001262
     assert run(HO + ["--min-gap", "1/1000"]) == 0
-    assert capsys.readouterr().out == "1.6487212707001262\n"
+    assert capsys.readouterr().out == "1.6487212707001282\n"
 
 
 def test_underflowing_quadrature_checks_exit_two(capsys):

@@ -3,6 +3,12 @@ permanent oracles, structural identities, and the failure modes."""
 
 import functools
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -20,6 +26,7 @@ from omegalab.heckman_opdam import (MAX_NODE_TERMS, MAX_NODES,
                                     _unit_panels, ho_closed_forms,
                                     ho_direction_residual, ho_error_estimate,
                                     ho_eval, ho_jack_consistency)
+from omegalab.partitions import partitions_of
 
 
 def determinant_oracle(s, x):
@@ -116,17 +123,18 @@ def test_zero_multiplicity_is_symmetrized_exponential():
 
 def test_closed_forms_reject_generic_multiplicity():
     with pytest.raises(DomainError):
-        ho_closed_forms(HOParams(1, 2), (1.0, -1.0), (0.5, 0.0))
+        ho_closed_forms(HOParams(1.5, 2), (1.0, -1.0), (0.5, 0.0))
 
 
 def test_unit_multiplicity_matches_determinant():
+    # the quadrature itself: ho_eval takes the determinant at k = 1
     cases = [
         (2, (1.0, -1.0), (math.log(2), 0.0)),
         (2, (2.5, -0.5), (0.9, -0.2)),
         (3, (2.0, 0.0, -1.0), (0.7, 0.2, -0.4)),
     ]
     for n, s, x in cases:
-        value = ho_eval(HOParams(1, n), s, x, QuadratureConfig(48))
+        value = at_one_point(_f_rec, 1.0, s, x, QuadratureConfig(48))
         assert math.isclose(value, determinant_oracle(s, x), rel_tol=1e-10)
 
 
@@ -141,7 +149,7 @@ def test_pinned_values_at_unit_multiplicity():
 def test_four_variables_match_determinant():
     s = (2.5, 1.0, -0.5, -3.0)
     x = (1.1, 0.4, -0.3, -1.2)
-    value = ho_eval(HOParams(1, 4), s, x, QuadratureConfig(8))
+    value = at_one_point(_f_rec, 1.0, s, x, QuadratureConfig(8))
     assert math.isclose(value, determinant_oracle(s, x), rel_tol=1e-6)
 
 
@@ -412,7 +420,19 @@ def test_batched_values_equal_one_at_a_time_bitwise(n, nodes, k):
     svecs = [s[:n] for s in SPECTRA]
     if n == 3:
         svecs += SHARED_LEAF_EXPONENT
+    # a near tie in s, which the k = 1 determinant leaves to the quadrature
+    svecs.append((1.0, 1.0 - 1e-7, -0.5, -1.0)[:n])
     x = (0.9, 0.3, -0.6, -1.1)[:n]
+    if k == 1.0:
+        # the batch mixes vectors the determinant serves with vectors that
+        # fall back
+        served = []
+        for s in svecs:
+            try:
+                served.append(ho_closed_forms(p, s, x) > 0)
+            except DegeneracyError:
+                served.append(False)
+        assert any(served) and not all(served), served
     assert (_ho_eval_batch(p, svecs, x, cfg)
             == [ho_eval(p, s, x, cfg) for s in svecs])
 
@@ -936,20 +956,21 @@ def test_far_boxes_take_one_gauss_jacobi_panel(monkeypatch):
     assert m ** 6 <= sum(terms) <= 2 * m ** 6
 
 
+def unbuilt(*args):
+    """A node-table builder that must not run."""
+    raise AssertionError("a node table was built")
+
+
 def test_work_ceilings_refuse_before_any_node_is_built(monkeypatch):
     assert QuadratureConfig(MAX_NODES).nodes_per_dimension == MAX_NODES
     for nodes in (MAX_NODES + 1, 10 ** 400):
         with pytest.raises(ParameterError, match=f"ceiling of {MAX_NODES}"):
             QuadratureConfig(nodes)
-
-    def unbuilt(*args):
-        raise AssertionError("a node table was built")
-
     monkeypatch.setattr(heckman_opdam, "_unit_panels", unbuilt)
     monkeypatch.setattr(heckman_opdam, "_power_panels", unbuilt)
     # five variables at the default 64 nodes: 64^10 node terms for k >= 1,
     # and 128^10 for k < 1, where every box might be near
-    for k, terms in ((1.0, 64 ** 10), (0.5, 128 ** 10)):
+    for k, terms in ((1.5, 64 ** 10), (0.5, 128 ** 10)):
         with pytest.raises(ParameterError) as caught:
             ho_eval(HOParams(k, 5), (4, 3, 2, 1, 0), (5, 4, 3, 2, 1))
         message = str(caught.value)
@@ -1000,7 +1021,7 @@ def test_each_node_grid_is_split_by_its_builder(k, monkeypatch):
 
 def test_refusals_quote_bounded_counts():
     # a refused count is quoted in full only while it is short: 401 digits
-    # of nodes, 100 variables at k = 1 (64^4950 node terms, which str()
+    # of nodes, 100 variables at k = 3/2 (64^4950 node terms, which str()
     # could not print) and the k = 0 closed form's 13! terms
     for nodes in (10 ** 400, -(10 ** 400)):
         with pytest.raises(ParameterError) as caught:
@@ -1011,7 +1032,7 @@ def test_refusals_quote_bounded_counts():
     with pytest.raises(ParameterError,
                        match=f"more than 10\\^30 node terms .* ceiling of "
                              f"{MAX_NODE_TERMS}") as caught:
-        ho_eval(HOParams(1, 100), x, x)
+        ho_eval(HOParams(1.5, 100), x, x)
     assert len(str(caught.value)) < 200
     with pytest.raises(ParameterError,
                        match=f"{math.factorial(13)} permutation terms .* "
@@ -1019,3 +1040,120 @@ def test_refusals_quote_bounded_counts():
         ho_eval(HOParams(0, 13), x[:13], x[:13])
     # the ceiling admits one vector at n = 11 and refuses it at n = 12
     assert math.factorial(11) <= MAX_PERMUTATION_TERMS < math.factorial(12)
+
+
+def evenly_spaced(n, span=6.0):
+    """n decreasing coordinates spread evenly over span, centred at 0."""
+    return tuple(span / 2 - span * i / (n - 1) for i in range(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_unit_multiplicity_determinant_matches_exact_jack(n, monkeypatch):
+    # on the lattice s = lam + rho, F at k = 1 is the normalized Schur
+    # polynomial.  At these points the determinant serves every shape of
+    # weight <= 3 (beta <= DETERMINANT_BOUND), so no node table is built,
+    # and the default 64 nodes, which the quadrature's ceiling refuses from
+    # n = 6 on, cost nothing
+    monkeypatch.setattr(heckman_opdam, "_unit_panels", unbuilt)
+    monkeypatch.setattr(heckman_opdam, "_power_panels", unbuilt)
+    p, x = HOParams(1, n), evenly_spaced(n)
+    for w in range(4):
+        for lam in partitions_of(w, n):
+            assert ho_jack_consistency(lam, p, x) <= 1e-12, lam
+
+
+def off_lattice_points(seed=7):
+    """Six seeded (s, x) per n = 2, 3, 4, decreasing, with s in [-3, 3]^n
+    and x in [-1.5, 1.5]^n; the determinant serves 6, 5 and 5 of them."""
+    rng = random.Random(seed)
+    return [(n, [tuple(sorted((rng.uniform(-a, a) for _ in range(n)),
+                              reverse=True)) for a in (3.0, 1.5)])
+            for n in (2, 3, 4) for _ in range(6)]
+
+
+@pytest.mark.parametrize("n, nodes", [(2, 48), (3, 48), (4, 16)])
+def test_unit_multiplicity_determinant_matches_the_quadrature(n, nodes):
+    # the worst relative gap measured here was 6.5e-16, 4.6e-15 and 5.4e-15
+    # at n = 2, 3 and 4 (16 nodes at n = 4: 48^6 node terms per vector are
+    # past MAX_NODE_TERMS)
+    served = 0
+    for _, (s, x) in (c for c in off_lattice_points() if c[0] == n):
+        try:
+            closed = ho_closed_forms(HOParams(1, n), s, x)
+        except DegeneracyError as caught:
+            assert "beta=" in str(caught)
+            continue
+        served += 1
+        value = at_one_point(_f_rec, 1.0, s, x, QuadratureConfig(nodes))
+        assert math.isclose(closed, value, rel_tol=1e-14), (s, x)
+        assert ho_eval(HOParams(1, n), s, x) == closed
+    assert served >= 5
+
+
+def test_clustered_points_fall_back_to_the_quadrature():
+    # coordinates 1e-3 apart: beta is near 1e-6, so the determinant
+    # refuses and the quadrature, which keeps near ties' digits, serves
+    # (measured gaps to exact Jack: 6.7e-15 at most)
+    p, x = HOParams(1, 4), (0.0015, 0.0005, -0.0005, -0.0015)
+    for lam in ((2, 1, 0, 0), (1, 1, 0, 0), (3, 0, 0, 0)):
+        s = tuple(float(l + r) for l, r in zip(lam, p.rho))
+        with pytest.raises(DegeneracyError, match="beta="):
+            ho_closed_forms(p, s, x)
+        gap = ho_jack_consistency(lam, p, x, QuadratureConfig(8))
+        assert gap <= 1e-13, (lam, gap)
+    # ties in s or x have no determinant at all
+    for s, x in (((1.0, 1.0, 0.0), (0.5, 0.0, -0.5)),
+                 ((1.0, 0.0, -1.0), (0.5, 0.5, -0.5))):
+        with pytest.raises(DegeneracyError, match="beta=inf"):
+            ho_closed_forms(HOParams(1, 3), s, x)
+
+
+def test_work_ceiling_counts_only_the_vectors_the_quadrature_sums():
+    # at n = 6 and the default 64 nodes one vector sums 64^15 node terms;
+    # the determinant serves the first vector, so it is not refused, and
+    # its error estimate is 0.  A tied s falls back and is refused as before
+    p, x = HOParams(1, 6), evenly_spaced(6)
+    s = tuple(float(r) for r in p.rho)
+    assert _ho_eval_and_gap(p, [s], x) == [(ho_eval(p, s, x), 0.0)]
+    tied = (2.0, 2.0, 1.0, 0.0, -1.0, -2.0)
+    for call in (lambda: ho_eval(p, tied, x),
+                 lambda: _ho_eval_and_gap(p, [s, tied], x)):
+        with pytest.raises(ParameterError,
+                           match=f"for 1 spectral vectors at n=6"):
+            call()
+
+
+@pytest.mark.parametrize("m", [4, 8, 24, 64, 512])
+def test_gauss_legendre_rule_integrates_every_moment(m):
+    # the integral of u^p over [0, 1] is 1/(p + 1).  A node's own rounding,
+    # about eps/2 near u = 1, moves u^p by some p eps/2, so the top moments
+    # are held to (p + 1) eps where that is above 1e-14 (numpy's leggauss
+    # table misses that bound by 10x at 512 nodes)
+    u, w = _unit_gauss(m)
+    assert u.size == m and (w > 0).all() and ((0 < u) & (u < 1)).all()
+    eps = np.finfo(float).eps
+    for p in range(2 * m):
+        got = math.fsum(w * u ** p) * (p + 1)
+        assert abs(got - 1.0) <= max(1e-14, (p + 1) * eps), p
+
+
+def test_no_path_imports_numpy_polynomial():
+    # a fresh interpreter: a k = 1/2 box near an outside coordinate takes
+    # the power-mapped Gauss-Legendre table, then a k = 1 evaluation
+    code = textwrap.dedent("""
+        import sys
+        from omegalab import heckman_opdam as ho
+        cfg = ho.QuadratureConfig(8)
+        ho.ho_eval(ho.HOParams(0.5, 3), (1.3, 0.2, -0.9), (1.0, 0.0, -0.05),
+                   cfg)
+        assert ho._power_panels.cache_info().currsize > 0
+        ho.ho_eval(ho.HOParams(1, 3), (1.3, 0.2, -0.9), (1.0, 0.0, -0.05),
+                   cfg)
+        print("numpy.polynomial" in sys.modules)
+    """)
+    src = pathlib.Path(heckman_opdam.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -217,9 +217,9 @@ def test_heckman_opdam_probe_evaluates_each_node_count_once(monkeypatch):
     calls = []
     original = heckman_opdam._ho_eval_batch
 
-    def counted(params, svecs, x, cfg):
+    def counted(params, svecs, x, cfg, *ceiling):
         calls.append((cfg.nodes_per_dimension, len(svecs)))
-        return original(params, svecs, x, cfg)
+        return original(params, svecs, x, cfg, *ceiling)
 
     monkeypatch.setattr(heckman_opdam, "_ho_eval_batch", counted)
     probe = _make_family("heckman-opdam", 2, k=2, cfg=cfg).probe
@@ -233,9 +233,9 @@ def test_sweep_probes_every_shape_at_a_point_in_one_batch(monkeypatch):
     calls = []
     original = heckman_opdam._ho_eval_batch
 
-    def counted(params, svecs, x, cfg):
+    def counted(params, svecs, x, cfg, *ceiling):
         calls.append((cfg.nodes_per_dimension, len(svecs)))
-        return original(params, svecs, x, cfg)
+        return original(params, svecs, x, cfg, *ceiling)
 
     monkeypatch.setattr(heckman_opdam, "_ho_eval_batch", counted)
     report = check_schur_convexity("heckman-opdam", 3, 3, samples=2, seed=0,

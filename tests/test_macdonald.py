@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omegalab
+from omegalab import macdonald
 from omegalab.cache import ExpansionCache, activate, cache_key, fetch
 from omegalab.errors import (DimensionMismatchError, DomainError,
                              ParameterError)
@@ -72,6 +73,48 @@ def test_alternant_terms_match_the_definition():
                                           for i, v in enumerate(s))
                             expected.append((kappa, (-1) ** flips, eta, d))
                 assert sorted(_alternant_terms(nu, n)) == sorted(expected)
+
+
+def alternant_terms_reference(nu: tuple, n: int):
+    """_alternant_terms as it was before each entry scanned only the values
+    that can fit: every unplaced value at every entry, tested against the
+    entry's bounds and for membership in the placed tuple."""
+    for eta in distinct_permutations(nu):
+        low = list(eta)
+        for i in range(n - 2, -1, -1):
+            low[i] = max(eta[i], low[i + 1] + 1)
+        stack = [((), -1, 1)]
+        while stack:
+            d, prev, sign = stack.pop()
+            i = len(d)
+            if i == n:
+                yield (tuple(eta[k] + d[k] - (n - 1 - k) for k in range(n)),
+                       sign, eta, d)
+                continue
+            above = 0
+            for v in range(n - 1, -1, -1):
+                if v in d:
+                    continue
+                if (prev < 0 or eta[i] + v < prev) and eta[i] + v >= low[i]:
+                    stack.append((d + (v,), eta[i] + v, -sign if above % 2
+                                  else sign))
+                above += 1
+
+
+def test_alternant_walk_matches_the_full_scan(monkeypatch):
+    # the same terms in the same order, signs included, for every shape
+    # with n <= 7 and weight <= 7; and the same Kostka table on 20
+    # variables, which the full scan built at O(n) per node
+    for n in range(1, 8):
+        for w in range(8):
+            for nu in partitions_of(w, n):
+                assert (list(_alternant_terms(nu, n))
+                        == list(alternant_terms_reference(nu, n))), nu
+    kostka = macdonald._kostka.__wrapped__
+    table = kostka(20, 2)
+    monkeypatch.setattr(macdonald, "_alternant_terms",
+                        alternant_terms_reference)
+    assert kostka(20, 2) == table
 
 
 def test_rows_stay_polynomial_in_n():

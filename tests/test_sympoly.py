@@ -265,6 +265,25 @@ def test_products_of_jack_expansions_match_the_expanded_reference():
             assert poly_multiply(p, q) == reference_product(p, q)
 
 
+def test_products_walk_the_smaller_orbit(monkeypatch):
+    # the product commutes, so the factor with the shorter orbits is the
+    # one walked: 1 * m_(1^5) on 100 variables walks the single
+    # rearrangement of 1's exponent in either order, where walking the
+    # orbit of m_(1^5) took C(100, 5) steps and was refused
+    e5 = SymmetricPolynomial.monomial((1,) * 5, 100)
+    one = SymmetricPolynomial.one(100)
+    walks = []
+    check = sympoly._check_walk
+
+    def counted(count, what):
+        walks.append(count)
+        check(count, what)
+
+    monkeypatch.setattr(sympoly, "_check_walk", counted)
+    assert poly_multiply(one, e5) == poly_multiply(e5, one) == e5
+    assert walks == [1, 1]
+
+
 # -- floating evaluation against a plain loop -----------------------------------
 
 
