@@ -4,20 +4,23 @@ F_{k,s}(x) is evaluated numerically by peeling off one variable at a time:
 the n-variable value is an integral of the (n-1)-variable function over the
 box of points interlacing x, against an explicit positive weight.  The
 cases n = 1, k = 0, uniform x and k = 1 are closed forms.  At k = 1 it is
-Harish-Chandra's determinant formula, which loses digits near a tie in s or
-x: it serves a spectral vector only where its first-order rounding bound
-beta is at most DETERMINANT_BOUND = 1e-13, and every other k = 1 vector
-falls back to the quadrature, vector by vector.  One recursion serves
-every other case: it evaluates a batch of L spectral vectors at a batch of
-points, builds the tensor node grid of all n-1 interlacing dimensions, and
-calls itself once on the flattened grid, down to two variables.  Each
-level works in logs: it adds its node weights, edge factors and prefactor
-as exponents, each difference of exponentials taken from the gap of its
-exponents, and passes the sum down.  There a leaf integrates over the one
-remaining dimension with the one-variable base case exp(s0 * nu) folded
-into its node sum; factors that depend on the point alone are computed
-once per point, and each node's whole term, from every level above, is one
-exponential, so a weight that underflows gives 0, never 0 * inf.
+Harish-Chandra's determinant formula, taken in long double by an
+elimination that keeps each entry's relative accuracy; it loses digits
+near a tie in s or x, so it serves a spectral vector only where a
+first-order bound beta on its rounding error is at most DETERMINANT_BOUND
+= 1e-13 and n is at most DETERMINANT_MAX_VARIABLES = 32, and every other
+k = 1 vector falls back to the quadrature, vector by vector.  One
+recursion serves every other case: it evaluates a batch of L spectral
+vectors at a batch of points, builds the tensor node grid of all n-1
+interlacing dimensions, and calls itself once on the flattened grid, down
+to two variables.  Each level works in logs: it adds its node weights, edge
+factors and prefactor as exponents, each difference of exponentials taken
+from the gap of its exponents, and passes the sum down.  There a leaf
+integrates over the one remaining dimension with the one-variable base
+case exp(s0 * nu) folded into its node sum; factors that depend on the
+point alone are computed once per point, and each node's whole term, from
+every level above, is one exponential, so a weight that underflows gives
+0, never 0 * inf.
 Each interlacing dimension gets m nodes, one Gauss-Jacobi panel whose
 weight carries the edge factors' endpoint behaviour.  For k < 1 a box whose
 nearest outside coordinate lies within R0 box widths of it gets 2m instead,
@@ -50,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -556,18 +560,17 @@ def _sorted_checked(x, min_gap: float):
     return xs, False
 
 
-def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig,
-                   ceiling: QuadratureConfig = None) -> list:
+def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
     """ho_eval at x for every spectral vector in svecs, from one tree.
 
     The checks, closed forms and shortcuts of ho_eval apply to each s, and
     each value equals ho_eval(params, s, x, cfg) bit for bit.  A value that
     overflows or is lost to nan raises DegeneracyError, and a batch whose
-    worst case at the ceiling's node count (cfg's by default) exceeds
-    MAX_NODE_TERMS raises ParameterError before any node is built.
+    worst case exceeds MAX_NODE_TERMS raises ParameterError before any node
+    is built.
     """
     try:
-        values = _ho_values(params, svecs, x, cfg, ceiling or cfg)
+        values = _ho_values(params, svecs, x, cfg)
     except OverflowError:
         values = [math.inf]
     for v in values:
@@ -612,8 +615,7 @@ def _check_work(params: HOParams, count: int, cfg: QuadratureConfig):
             f"fewer {fewer}")
 
 
-def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig,
-               ceiling: QuadratureConfig) -> list:
+def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
     """_ho_eval_batch's values, before the finiteness check.  The work
     check counts only the vectors that reach the quadrature: at k = 1 the
     determinant serves each vector it can, and the rest go on."""
@@ -626,7 +628,7 @@ def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig,
         if not all(math.isfinite(v) for v in s):
             raise DomainError(f"need finite spectral vector; got {s}")
     if n == 1 or params.k == 0.0:
-        _check_work(params, len(svecs), ceiling)
+        _check_work(params, len(svecs), cfg)
         return [ho_closed_forms(params, s, x) for s in svecs]
     xs, uniform = _sorted_checked(x, cfg.min_gap)
     ss = [tuple(sorted(s, reverse=True)) for s in svecs]
@@ -641,7 +643,7 @@ def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig,
             except DegeneracyError:
                 pass
     rest = [i for i, v in enumerate(values) if v is None]
-    _check_work(params, len(rest), ceiling)
+    _check_work(params, len(rest), cfg)
     if rest:
         centered = [np.array([v - mean]) for v in xs]
         inner = _f_rec(params.k, np.array([ss[i] for i in rest]), centered,
@@ -664,10 +666,21 @@ def ho_eval(params: HOParams, s, x, cfg: QuadratureConfig = None) -> float:
     return _ho_eval_batch(params, [s], x, cfg or QuadratureConfig())[0]
 
 
-# the k = 1 determinant serves a vector only while its first-order rounding
-# bound is at most this: a tenth of lab.NOISE_FLOOR, so the zero error
-# estimate a closed form reports stays inside the sweeps' noise floor
+# the k = 1 determinant serves a vector only while its rounding bound is at
+# most this: a tenth of lab.NOISE_FLOOR, so the zero error estimate a closed
+# form reports stays inside the sweeps' noise floor
 DETERMINANT_BOUND = 1e-13
+# and only up to this many variables: its elimination costs O(n^3), about
+# 2 ms at the cap, and a longer vector goes straight to the quadrature's
+# work ceiling, which refuses it before any array is built
+DETERMINANT_MAX_VARIABLES = 32
+# largest spread of exponents within one row of the determinant's matrix:
+# every entry, scaled by its row's largest, is then a normal number even
+# where long double is double
+_ROW_SPREAD = 700.0
+# logs of the smallest normal and the largest double, each a little inside
+_LOG_NORMAL = (math.log(sys.float_info.min) + 1e-9,
+               math.log(sys.float_info.max) - 1e-9)
 
 
 def ho_closed_forms(params: HOParams, s, x) -> float:
@@ -680,15 +693,34 @@ def ho_closed_forms(params: HOParams, s, x) -> float:
     ch. IV): with s and x sorted decreasingly,
         F_{1,s}(x) = (prod_{p<n} p!) det[e^{s_i x_j}]
                      / (V(s) prod_{i<j} 2 sinh((x_i - x_j)/2)),
-    V(s) = prod_{i<j} (s_i - s_j), times exp(mean(x) sum(s)) for the
-    diagonal part of x, which is split off first.  It is taken in logs:
-    each row of A = [e^{s_i x_j}] is scaled by its largest entry, the
-    determinant comes from slogdet, and the logs of V(s) and of the sinh
-    factors are summed one at a time.  Near a tie in s or x the determinant
-    loses digits, so it serves only while its first-order rounding bound
-    beta = eps * sum_ij |A_ij| |(A^-1)_ji| is at most DETERMINANT_BOUND;
-    otherwise (ties included) it raises DegeneracyError naming beta, and
-    ho_eval takes the quadrature instead.
+    V(s) = prod_{i<j} (s_i - s_j).  x is centred first, its mean split off
+    as exp(mean(x) sum(s)).  The rest is taken in logs, in numpy's long
+    double (a 64-bit significand on x86-64): each row of A = [e^{s_i x_j}]
+    is scaled by its largest entry, det A comes from Gaussian elimination
+    without pivoting, and the logs of V(s) and of the sinh factors are
+    summed.  With s and x decreasing, A is totally positive, so the
+    elimination's factors are positive and its backward error is relative
+    to each entry of A (de Boor and Pinkus, Linear Algebra Appl. 17, 1977).
+    A pivoting LU has no such bound: its error can pass any bound read off
+    A alone.
+
+    beta bounds the relative error of the double returned, to first order.
+    With eps_ld long double's epsilon,
+        beta = eps_ld sum_ij |A_ij| |(A^-1)_ji| w_ij
+               + eps_ld (N + 2) (N + sum_k |l_k|)
+               + eps_ld max_i |s_i| sum_j |x_j - mean(x)| + eps.
+    The first term is det A's.  Entry ij is rounded, each time by eps_ld
+    relative, through its exponent e_ij = s_i (x_j - mean(x)), the row's
+    largest t_i that scales it, exp, and min(i, j) + 1 elimination steps,
+    so w_ij = 2 + |e_ij| + |t_i| + min(i, j); A^-1 comes from the same
+    elimination.  The second term is the sum of the N logs l_k, the third
+    the rounding of the centred x, and eps the final rounding to double.
+    Near a tie in s or x, det A loses digits and beta grows.  The
+    determinant serves only while beta is at most DETERMINANT_BOUND, n is
+    at most DETERMINANT_MAX_VARIABLES and F is a normal double; otherwise
+    (ties included) it raises DegeneracyError, and ho_eval takes the
+    quadrature instead.  Where long double is double, eps_ld is eps, and
+    the same rule admits fewer vectors.
     """
     n = params.n
     s = tuple(float(v) for v in s)
@@ -710,33 +742,103 @@ def ho_closed_forms(params: HOParams, s, x) -> float:
 def _harish_chandra(s: list, x: list) -> float:
     """ho_closed_forms' k = 1 branch at decreasingly sorted s and x."""
     n = len(s)
-    mean = sum(x) / n
-    beta = math.inf
+    if n > DETERMINANT_MAX_VARIABLES:
+        raise DegeneracyError(
+            f"Harish-Chandra's determinant takes at most "
+            f"{DETERMINANT_MAX_VARIABLES} variables; got n={n}")
+    beta, log_f = math.inf, None
     if all(a > b for a, b in zip(s, s[1:])) and all(
             a > b for a, b in zip(x, x[1:])):
-        expo = np.multiply.outer(s, [v - mean for v in x])
-        top = expo.max(axis=1)
-        a = np.exp(expo - top[:, None])
-        sign, logdet = np.linalg.slogdet(a)
-        try:
-            inverse = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            inverse = None
-        if sign > 0 and inverse is not None:
-            beta = float(np.finfo(float).eps * np.sum(a * np.abs(inverse.T)))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            try:
+                beta, log_f = _harish_chandra_log(s, x)
+            except FloatingPointError:
+                pass
     if not beta <= DETERMINANT_BOUND:
         raise DegeneracyError(
             f"Harish-Chandra's determinant at n={n} has rounding bound "
             f"beta={beta:.1e}, above {DETERMINANT_BOUND}: s or x is near a "
             f"tie")
-    log_f = sum(math.lgamma(p + 1.0) for p in range(1, n)) + float(logdet)
-    log_f += float(top.sum())
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = x[i] - x[j]
-            log_f -= math.log(s[i] - s[j]) + d / 2.0 + math.log(
-                -math.expm1(-d))
-    return math.exp(log_f + sum(s) * mean)
+    # beta bounds a relative error only where F is a normal double
+    if not _LOG_NORMAL[0] < log_f < _LOG_NORMAL[1]:
+        raise DegeneracyError(
+            f"Harish-Chandra's determinant at n={n} has log F = "
+            f"{float(log_f):.6g}, outside the normal doubles")
+    return float(np.exp(log_f))
+
+
+def _unit_lower_inverse(t):
+    """The inverse of the unit lower triangle of t (its diagonal read as 1),
+    by forward substitution, column block by row."""
+    n = len(t)
+    inverse = np.eye(n, dtype=t.dtype)
+    for i in range(1, n):
+        inverse[i, :i] = -t[i, :i] @ inverse[:i, :i]
+    return inverse
+
+
+# one entry per n up to DETERMINANT_MAX_VARIABLES
+@functools.lru_cache(maxsize=32)
+def _determinant_tables(n: int):
+    """Per n: the pairs i < j as two index arrays, the weight 2 + min(i, j)
+    of entry ij's own roundings (its exp and row scaling, then its
+    elimination steps), the checkerboard signs of a totally positive
+    matrix's inverse, and the terms (n - q) log q of log prod_{p<n} p!, in
+    long double."""
+    upper = np.triu_indices(n, 1)
+    rows, cols = np.indices((n, n))
+    q = np.arange(1, n, dtype=np.longdouble)
+    tables = (*upper, 2 + np.minimum(rows, cols), 1 - 2 * ((rows + cols) % 2),
+              (n - q) * np.log(q))
+    for table in tables:
+        table.setflags(write=False)  # shared by every call at this n
+    return tables
+
+
+def _harish_chandra_log(s: list, x: list):
+    """(beta, log F) in long double at strictly decreasing s and x; beta is
+    inf where the elimination or the bound's inverse cannot be trusted."""
+    n = len(s)
+    sl = np.array(s, dtype=np.longdouble)
+    xl = np.array(x, dtype=np.longdouble)
+    mean = xl.sum() / n
+    xc = xl - mean
+    expo = np.multiply.outer(sl, xc)
+    top = expo.max(axis=1)
+    a = np.exp(expo - top[:, None])
+    first, second, elimination, signs, superfactorial = (
+        _determinant_tables(n))
+    dx = xc[first] - xc[second]
+    if not (float((top - expo.min(axis=1)).max()) <= _ROW_SPREAD
+            and (dx > 0).all()):
+        return math.inf, None
+    lu = a.copy()
+    for p in range(n - 1):
+        lu[p + 1:, p] /= lu[p, p]
+        lu[p + 1:, p + 1:] -= np.multiply.outer(lu[p + 1:, p], lu[p, p + 1:])
+    # a totally positive matrix has positive factors; a factor entry at or
+    # below 0 means A is singular to working precision
+    if not lu.min() > 0:
+        return math.inf, None
+    # A = L U: A^-1 = W^-1 (L^-1 / diag U), W = U / diag U unit upper
+    pivots = lu.diagonal()[:, None]
+    inverse = (_unit_lower_inverse((lu / pivots).T).T
+               @ (_unit_lower_inverse(lu) / pivots))
+    # A^-1 of a totally positive A has the checkerboard sign pattern; an
+    # entry off it means the inverse, and so the bound, is lost
+    if not (inverse * signs > 0).all():
+        return math.inf, None
+    weight = elimination + np.abs(expo) + np.abs(top)[:, None]
+    logs = np.concatenate([
+        superfactorial, np.log(lu.diagonal()), top, [sl.sum() * mean],
+        -np.log(sl[first] - sl[second]),
+        -dx / 2, -np.log(-np.expm1(-dx))])
+    count = logs.size
+    eps_ld = np.finfo(np.longdouble).eps
+    beta = eps_ld * (np.sum(a * np.abs(inverse.T) * weight)
+                     + (count + 2) * (count + np.abs(logs).sum())
+                     + np.abs(sl).max() * np.abs(xc).sum())
+    return float(beta) + float(np.finfo(float).eps), logs.sum()
 
 
 def ho_jack_consistency(lam, params: HOParams, x,
@@ -788,13 +890,14 @@ def ho_direction_residual(params: HOParams, s, x, h: float,
 def _ho_eval_and_gap(params: HOParams, svecs, x,
                      cfg: QuadratureConfig = None) -> list:
     """(F at m nodes, ho_error_estimate's gap) for every s in svecs, from
-    one quadrature pass at m nodes and one at 2m.  The 2m pass's work is
-    checked before the m pass runs; a vector that a closed form serves has
-    one value in both passes, so its gap is 0."""
+    one quadrature pass at m nodes and one at 2m.  The 2m pass runs first,
+    so its work check refuses a batch before any node is built: the m pass
+    takes the same vectors at fewer nodes.  A vector that a closed form
+    serves has one value in both passes, so its gap is 0."""
     cfg = cfg or QuadratureConfig()
     doubled = cfg.with_nodes(2 * cfg.nodes_per_dimension)
-    coarse = _ho_eval_batch(params, svecs, x, cfg, doubled)
     fine = _ho_eval_batch(params, svecs, x, doubled)
+    coarse = _ho_eval_batch(params, svecs, x, cfg)
     return [(c, abs(f - c)) for c, f in zip(coarse, fine)]
 
 

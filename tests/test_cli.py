@@ -260,7 +260,12 @@ def test_ho_verify_tolerance_gate(capsys):
     assert run(base + ["--tol", "1e-6"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("relative gap:")
-    assert run(base + ["--tol", "1e-30"]) == 1
+    # at k = 1 Harish-Chandra's determinant gives this point to the last
+    # bit (gap 0.0), so the gate is failed by a 4-node quadrature at k = 2,
+    # whose gap is some 3.6e-4
+    coarse = ["ho", "verify", "--k", "2", "--lambda", "2,1", "--x", "1,-1",
+              "--nodes", "4"]
+    assert run(coarse + ["--tol", "1e-6"]) == 1
 
 
 def test_ho_residual(capsys):
@@ -347,6 +352,11 @@ HOSTILE = [
      "--x", ",".join(str(i) for i in range(100))],
     ["ho", "eval", "--k", "0", "--s", ",".join(["1"] * 13),
      "--x", ",".join(str(i) for i in range(13))],
+    # 5,000 distinct coordinates at k = 1: past the determinant's ceiling of
+    # DETERMINANT_MAX_VARIABLES, so refused by the quadrature's before any
+    # array is built (the determinant would have formed 5,000 x 5,000)
+    ["ho", "eval", "--k", "1", "--s", ",".join(str(i) for i in range(5000)),
+     "--x", ",".join(str(i) for i in range(5000))],
     # more variables than a sweep or the hunt takes: n = 2000 overflowed
     # the partition recursion, and a 401-digit n drew coordinates without end
     ["check", "schur", "--family", "muirhead", "--n", "2000",
