@@ -769,7 +769,7 @@ def _harish_chandra(s: list, x: list) -> float:
 
 def _unit_lower_inverse(t):
     """The inverse of the unit lower triangle of t (its diagonal read as 1),
-    by forward substitution, column block by row."""
+    by forward substitution, one row at a time."""
     n = len(t)
     inverse = np.eye(n, dtype=t.dtype)
     for i in range(1, n):
