@@ -5,13 +5,16 @@ such as ("macdonald", (n, q, t), lambda), maps to the polynomial and its
 normalizer, the value at the family's base point: (1,...,1) for Jack,
 t^delta for Macdonald, z(mu) for the interpolation polynomials S_mu.
 _memoized() returns both in one lookup and evaluates the normalizer the
-first time a caller asks for it.  The same memo holds the operator-row
-tables of the eigen-solves: under ("jack rows", n, weight, theta) or
-("macdonald rows", (n, q, t), weight) a dict nu -> row, filled as solves of
-that weight build rows, so each row is built once per parameter set.  Every
-table counts as one entry.  The memo holds at most MEMO_SIZE entries and is
-emptied when full.  The disk layer, fetch(), is reached only on a memo
-miss.
+first time a caller asks for it.  A Jack or Macdonald entry also keeps the
+cleared form of polynomial / normalizer (sympoly._cleared_form), built by
+_memoized_form() the first time a point evaluation asks for it, so that
+each later value is one lookup and one integer sum.  The same memo holds
+the operator-row tables of the eigen-solves: under ("jack rows", n, weight,
+theta) or ("macdonald rows", (n, q, t), weight) a dict nu -> row, filled as
+solves of that weight build rows, so each row is built once per parameter
+set.  Every table counts as one entry.  The memo holds at most MEMO_SIZE
+entries and is emptied when full.  The disk layer, fetch(), is reached only
+on a memo miss.
 
 Disk format: a header line "omegalab-cache v1", then one record per line,
 "key<TAB>serialized polynomial", append-only.  Keys are canonical strings
@@ -32,8 +35,8 @@ import warnings
 
 from .errors import CacheFormatError
 from .partitions import majorizes
-from .sympoly import (SymmetricPolynomial, _decimal_text, parse_poly,
-                      serialize_poly)
+from .sympoly import (SymmetricPolynomial, _cleared_form, _decimal_text,
+                      parse_poly, serialize_poly)
 
 HEADER = "omegalab-cache v1"
 
@@ -45,6 +48,19 @@ _MEMO: dict[tuple, list] = {}
 _active: "ExpansionCache | None" = None
 
 
+def _entry(key: tuple, compute, base) -> list:
+    """The memo entry [polynomial, normalizer, cleared form] for key."""
+    entry = _MEMO.get(key)
+    if entry is None:
+        poly = compute()
+        if len(_MEMO) >= MEMO_SIZE:
+            _MEMO.clear()
+        entry = _MEMO[key] = [poly, None, None]
+    if base is not None and entry[1] is None:
+        entry[1] = entry[0].eval(base())
+    return entry
+
+
 def _memoized(key: tuple, compute, base=None):
     """(polynomial, normalizer) for key, in one lookup of the memo.
 
@@ -54,15 +70,25 @@ def _memoized(key: tuple, compute, base=None):
     polynomial there and keeps the value in the entry.  Until then the
     normalizer reads None.
     """
-    entry = _MEMO.get(key)
-    if entry is None:
-        poly = compute()
-        if len(_MEMO) >= MEMO_SIZE:
-            _MEMO.clear()
-        entry = _MEMO[key] = [poly, None]
-    if base is not None and entry[1] is None:
-        entry[1] = entry[0].eval(base())
+    entry = _entry(key, compute, base)
     return entry[0], entry[1]
+
+
+def _memoized_form(key: tuple, compute, base, check) -> tuple:
+    """The cleared form of polynomial / normalizer for key
+    (sympoly._cleared_form), in one lookup of the memo once it is built.
+
+    The first request evaluates the normalizer if the entry has none yet,
+    passes it to check, which raises for a normalizer the family refuses,
+    and keeps the form in the entry beside it; a refused normalizer keeps
+    no form, so every later request is refused the same way.
+    """
+    entry = _MEMO.get(key)
+    if entry is None or entry[2] is None:
+        entry = _entry(key, compute, base)
+        check(entry[1])
+        entry[2] = _cleared_form(entry[0].terms, entry[1])
+    return entry[2]
 
 
 def _check_line(text: str, what: str):

@@ -569,18 +569,7 @@ def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
     worst case exceeds MAX_NODE_TERMS raises ParameterError before any node
     is built.
     """
-    try:
-        values = _ho_values(params, svecs, x, cfg)
-    except OverflowError:
-        values = [math.inf]
-    for v in values:
-        if not math.isfinite(v):
-            raise DegeneracyError(
-                f"F_{{k,s}}(x) is {v} in floating point at k={params.k}, "
-                f"x={tuple(x)} with {cfg.nodes_per_dimension} nodes per "
-                f"panel; the value is out of floating range or the "
-                f"quadrature lost it")
-    return values
+    return _ho_pass(params, _ho_closed(params, svecs, x, cfg), x, cfg)
 
 
 def _check_work(params: HOParams, count: int, cfg: QuadratureConfig):
@@ -615,10 +604,15 @@ def _check_work(params: HOParams, count: int, cfg: QuadratureConfig):
             f"fewer {fewer}")
 
 
-def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
-    """_ho_eval_batch's values, before the finiteness check.  The work
-    check counts only the vectors that reach the quadrature: at k = 1 the
-    determinant serves each vector it can, and the rest go on."""
+def _ho_closed(params: HOParams, svecs, x, cfg: QuadratureConfig) -> tuple:
+    """A batch's checks and the values that need no quadrature.
+
+    Returns (values, ss, xs, mean): values[i] is vector i's closed form
+    (n = 1, k = 0, uniform x, or at k = 1 the determinant, tried once per
+    vector) or None where the vector must take the quadrature, ss the
+    vectors and xs the point, sorted, and mean the mean of xs.  An
+    overflow gives the values [inf], which the pass refuses.
+    """
     n = params.n
     svecs = [tuple(float(v) for v in s) for s in svecs]
     for s in svecs:
@@ -627,14 +621,18 @@ def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
                               f"x={tuple(x)}")
         if not all(math.isfinite(v) for v in s):
             raise DomainError(f"need finite spectral vector; got {s}")
-    if n == 1 or params.k == 0.0:
-        _check_work(params, len(svecs), cfg)
-        return [ho_closed_forms(params, s, x) for s in svecs]
-    xs, uniform = _sorted_checked(x, cfg.min_gap)
-    ss = [tuple(sorted(s, reverse=True)) for s in svecs]
-    mean = sum(xs) / n
-    if uniform:
-        return [math.exp(sum(s) * mean) for s in ss]
+    try:
+        if n == 1 or params.k == 0.0:
+            _check_work(params, len(svecs), cfg)
+            return ([ho_closed_forms(params, s, x) for s in svecs], None,
+                    None, None)
+        xs, uniform = _sorted_checked(x, cfg.min_gap)
+        ss = [tuple(sorted(s, reverse=True)) for s in svecs]
+        mean = sum(xs) / n
+        if uniform:
+            return [math.exp(sum(s) * mean) for s in ss], ss, xs, mean
+    except OverflowError:
+        return [math.inf], None, None, None
     values = [None] * len(ss)
     if params.k == 1.0:
         for i, s in enumerate(ss):
@@ -642,14 +640,35 @@ def _ho_values(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
                 values[i] = ho_closed_forms(params, s, xs)
             except DegeneracyError:
                 pass
+    return values, ss, xs, mean
+
+
+def _ho_pass(params: HOParams, closed: tuple, x,
+             cfg: QuadratureConfig) -> list:
+    """_ho_closed's values, with the vectors it left to the quadrature
+    summed at cfg's nodes.  The work check counts only those vectors and
+    runs before any node is built; a value out of floating range raises
+    DegeneracyError."""
+    values, ss, xs, mean = closed
     rest = [i for i, v in enumerate(values) if v is None]
     _check_work(params, len(rest), cfg)
-    if rest:
-        centered = [np.array([v - mean]) for v in xs]
-        inner = _f_rec(params.k, np.array([ss[i] for i in rest]), centered,
-                       0.0, 0.0, cfg)[:, 0]
-        for i, v in zip(rest, inner):
-            values[i] = math.exp(sum(ss[i]) * mean) * float(v)
+    values = list(values)
+    try:
+        if rest:
+            centered = [np.array([v - mean]) for v in xs]
+            inner = _f_rec(params.k, np.array([ss[i] for i in rest]),
+                           centered, 0.0, 0.0, cfg)[:, 0]
+            for i, v in zip(rest, inner):
+                values[i] = math.exp(sum(ss[i]) * mean) * float(v)
+    except OverflowError:
+        values = [math.inf]
+    for v in values:
+        if not math.isfinite(v):
+            raise DegeneracyError(
+                f"F_{{k,s}}(x) is {v} in floating point at k={params.k}, "
+                f"x={tuple(x)} with {cfg.nodes_per_dimension} nodes per "
+                f"panel; the value is out of floating range or the "
+                f"quadrature lost it")
     return values
 
 
@@ -889,15 +908,18 @@ def ho_direction_residual(params: HOParams, s, x, h: float,
 
 def _ho_eval_and_gap(params: HOParams, svecs, x,
                      cfg: QuadratureConfig = None) -> list:
-    """(F at m nodes, ho_error_estimate's gap) for every s in svecs, from
-    one quadrature pass at m nodes and one at 2m.  The 2m pass runs first,
-    so its work check refuses a batch before any node is built: the m pass
-    takes the same vectors at fewer nodes.  A vector that a closed form
-    serves has one value in both passes, so its gap is 0."""
+    """(F at m nodes, ho_error_estimate's gap) for every s in svecs.
+
+    The checks and closed forms run once, so a vector that a closed form
+    serves is evaluated once and its gap is 0.  The rest take one
+    quadrature pass at 2m nodes and one at m.  The 2m pass runs first, so
+    its work check refuses a batch before any node is built: the m pass
+    takes the same vectors at fewer nodes."""
     cfg = cfg or QuadratureConfig()
     doubled = cfg.with_nodes(2 * cfg.nodes_per_dimension)
-    fine = _ho_eval_batch(params, svecs, x, doubled)
-    coarse = _ho_eval_batch(params, svecs, x, cfg)
+    closed = _ho_closed(params, svecs, x, cfg)
+    fine = _ho_pass(params, closed, x, doubled)
+    coarse = _ho_pass(params, closed, x, cfg)
     return [(c, abs(f - c)) for c, f in zip(coarse, fine)]
 
 

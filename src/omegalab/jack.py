@@ -14,14 +14,15 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from . import cache
+from . import cache, sympoly
 from .classical import expand_classical
 from .eigensolve import (cached_rows, dominance_ideal,
                          solve_eigen_expansion)
 from .errors import DegeneracyError, DomainError, ParameterError
 from .macdonald import MacdonaldParams, macdonald_expand
 from .partitions import Partition, partition_key
-from .sympoly import SymmetricPolynomial, _decimal_text, poly_eval_float
+from .sympoly import (SymmetricPolynomial, _decimal_text, _form_sum,
+                      poly_eval_float)
 
 INFINITE = math.inf
 
@@ -115,8 +116,8 @@ def _solve(lam: tuple, n: int, th: Fraction,
         label=f"theta={_decimal_text(th)}")
 
 
-def _entry(lam: tuple, theta: JackParam, base=None):
-    """(P_lambda, P_lambda(1,...,1) or None) from the package memo.
+def _source(lam: tuple, theta: JackParam):
+    """The memo key of P_lambda and the function that computes it on a miss.
 
     theta = 0 gives the monomial and theta = infinity the elementary
     polynomial of the conjugate shape; only finite positive theta reaches
@@ -140,13 +141,17 @@ def _entry(lam: tuple, theta: JackParam, base=None):
             return SymmetricPolynomial.monomial(lam, n)
         return cache.fetch("jack", n, lam, solve, theta=th)
 
-    return cache._memoized(("jack", n, lam, th), compute, base)
+    return ("jack", n, lam, th), compute
+
+
+def _ones(lam: tuple):
+    return lambda: (Fraction(1),) * len(lam)
 
 
 def _normalized(lam: tuple, theta: JackParam):
     """(P_lambda, P_lambda(1,...,1)) in one memo lookup; the caller checks
     the normalizer."""
-    return _entry(lam, theta, lambda: (Fraction(1),) * len(lam))
+    return cache._memoized(*_source(lam, theta), _ones(lam))
 
 
 def jack_expand(lam, theta) -> SymmetricPolynomial:
@@ -159,7 +164,7 @@ def jack_expand(lam, theta) -> SymmetricPolynomial:
     if theta.is_infinite:
         raise DomainError("jack_expand needs finite theta; "
                           "use omega_jack_eval for the infinite parameter")
-    return _entry(partition_key(lam), theta)[0]
+    return cache._memoized(*_source(partition_key(lam), theta))[0]
 
 
 def _coerce_nonneg_point(x) -> tuple[Fraction, ...]:
@@ -169,23 +174,48 @@ def _coerce_nonneg_point(x) -> tuple[Fraction, ...]:
     return pt
 
 
+def _positive(lam: tuple, theta: JackParam):
+    def check(denom):
+        if denom <= 0:
+            raise DegeneracyError(
+                f"normalizer {denom} of lambda={lam}, theta={theta!r} at "
+                f"(1,...,1) is not positive")
+    return check
+
+
+def omega_jack_at(theta, x):
+    """lambda -> Omega_lambda(x; theta), with theta and x coerced and
+    checked once.
+
+    Each shape then costs one memo lookup and one integer sum: the memo
+    entry of P_lambda keeps the cleared form of P_lambda / P_lambda(1,...,1)
+    (cache._memoized_form), and x is cleared of denominators here.  A
+    non-positive normalizer raises DegeneracyError.
+    """
+    theta = JackParam(theta)
+    x = _coerce_nonneg_point(x)
+    n = len(x)
+    X, d = sympoly._cleared(x)
+
+    def omega(lam) -> Fraction:
+        lam = partition_key(lam, n)
+        form = cache._memoized_form(*_source(lam, theta), _ones(lam),
+                                    _positive(lam, theta))
+        return _form_sum(form, X, d)
+
+    return omega
+
+
 def omega_jack_eval(lam, theta, x) -> Fraction:
     """Omega_lambda(x; theta): the Jack polynomial normalized to 1 at (1,...,1).
 
     theta = 0 gives m_lambda(x)/m_lambda(1), theta = infinity gives
     e_conj(x)/e_conj(1) for the conjugate shape, finite positive theta
     evaluates the monic expansion.  Exact.  lambda is a partition on
-    len(x) variables (partition_key), padded with zeros.
+    len(x) variables (partition_key), padded with zeros.  The one-shape
+    case of omega_jack_at.
     """
-    theta = JackParam(theta)
-    x = _coerce_nonneg_point(x)
-    lam = partition_key(lam, len(x))
-    p, denom = _normalized(lam, theta)
-    if denom <= 0:
-        raise DegeneracyError(
-            f"normalizer {denom} of lambda={lam}, theta={theta!r} at "
-            f"(1,...,1) is not positive")
-    return p.eval(x) / denom
+    return omega_jack_at(theta, x)(lam)
 
 
 def _floor_scaled_log(k: int, ratio: Fraction) -> int:

@@ -10,20 +10,27 @@ Every exact family is compared with exact rational arithmetic, so a reported
 violation is a theorem and an empty report is a finished finite check, not a
 statistical statement.  The floating Heckman-Opdam family instead carries a
 quadrature tolerance: margins inside the tolerance band are counted as
-near-misses, never as violations.
+near-misses, never as violations.  Not every floating check can fail: the
+quadrature is a positive-weight sum of exp<s, T> over its nodes, so it is
+log-convex in s by construction, and the Heckman-Opdam log-convexity sweep
+tests only rounding.  The order sweep can fail, as can the Jack
+consistency and reflection checks on the quadrature itself.
 
 Probes are pure functions of (pair, point), so sweeps are trivially
 data-parallel; this implementation runs them in order and the report is the
 single merge point.  The sweep loops over points outside and pairs inside:
 at each point one family call evaluates every shape a pair compares, so the
 floating family builds its quadrature tree once per point and node count,
-and the row is dropped once that point's pairs are compared.  Violations
-are still listed pair by pair, point by point.
+the exact Jack and Macdonald families check and clear the point once
+(omega_jack_at, omega_mac_at), and the row is dropped once that point's
+pairs are compared.  Violations are still listed pair by pair, point by
+point.
 
-The hunt also runs points first, but evaluates each shape only when a pair
-first needs it.  It usually stops at its first probe, and evaluating the
-whole row there first solves every expansion up to max_weight: that made
-the off-lattice hunt at n=4, max_weight 8 some 40 to 80 times slower.
+The hunt also runs points first, with one evaluator bound per point, but
+evaluates each shape only when a pair first needs it.  It usually stops at
+its first probe, and evaluating the whole row there first solves every
+expansion up to max_weight: that made the off-lattice hunt at n=4,
+max_weight 8 some 40 to 80 times slower.
 """
 
 import itertools
@@ -39,8 +46,11 @@ from .errors import (CertificationError, DegeneracyError, DomainError,
 # ho_eval and ho_error_estimate stay bound for the benchmark tracer's patches
 from .heckman_opdam import (HOParams, QuadratureConfig, _ho_eval_and_gap,
                             ho_error_estimate, ho_eval)
-from .jack import JackParam, omega_jack_eval
-from .macdonald import MacdonaldParams, lattice_point, omega_mac_eval
+# omega_jack_eval and omega_mac_eval stay bound for the benchmark tracer's
+# patches; the sweeps and the hunt bind one evaluator per point instead
+from .jack import JackParam, omega_jack_at, omega_jack_eval
+from .macdonald import (MacdonaldParams, lattice_point, omega_mac_at,
+                        omega_mac_eval)
 from .partitions import (Partition, enumerate_pairs, majorizes, midpoint,
                          partitions_of)
 from .sampling import RationalSampler
@@ -184,29 +194,36 @@ class _Family:
         self.probe = probe
 
 
-def _exact_probe(evaluate):
-    return lambda lams, x: [(evaluate(lam, x), 0) for lam in lams]
+def _exact_probe(bind):
+    """An exact family's probe: bind(x) returns lam -> the value at x, so
+    a family can check and clear x once per point, not once per shape."""
+    def probe(lams, x):
+        omega = bind(x)
+        return [(omega(lam), 0) for lam in lams]
+    return probe
 
 
 def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
                  cfg=None) -> _Family:
     if family == "muirhead":
-        return _Family(family, {}, True, _exact_probe(muirhead_eval))
+        return _Family(family, {}, True, _exact_probe(
+            lambda x: lambda lam: muirhead_eval(lam, x)))
     if family == "powersum":
-        return _Family(family, {}, True, _exact_probe(powersum_eval))
+        return _Family(family, {}, True, _exact_probe(
+            lambda x: lambda lam: powersum_eval(lam, x)))
     if family == "jack":
         if theta is None:
             raise ParameterError("the jack family needs theta")
         th = JackParam(theta)
         label = "inf" if th.is_infinite else th.theta
         return _Family(family, {"theta": label}, True, _exact_probe(
-            lambda lam, x: omega_jack_eval(lam, th, x)))
+            lambda x: omega_jack_at(th, x)))
     if family == "macdonald-lattice":
         if q is None or t is None:
             raise ParameterError("the macdonald-lattice family needs q and t")
         mp = MacdonaldParams(q, t, n, Fraction(1) if a is None else a)
         return _Family(family, {"q": mp.q, "t": mp.t, "a": mp.a}, True,
-                       _exact_probe(lambda lam, x: omega_mac_eval(lam, mp, x)))
+                       _exact_probe(lambda x: omega_mac_at(mp, x)))
     if family == "heckman-opdam":
         if k is None:
             raise ParameterError("the heckman-opdam family needs k")
@@ -586,6 +603,7 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
         points = _hunt_points(n, seed)
     probes = 0
     for x in points if pairs else ():
+        omega = omega_mac_at(mp, x)
         values = {}
         for lam, mu in pairs:
             if probes >= budget:
@@ -593,7 +611,7 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
             probes += 1
             for p in (lam, mu):
                 if p not in values:
-                    values[p] = omega_mac_eval(p, mp, x)
+                    values[p] = omega(p)
             lhs, rhs = values[lam], values[mu]
             if lhs < rhs:
                 # soundness: recompute both sides from fresh expansions

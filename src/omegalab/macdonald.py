@@ -13,14 +13,14 @@ import functools
 import math
 from fractions import Fraction
 
-from . import cache
+from . import cache, sympoly
 from .eigensolve import (cached_rows, dominance_ideal, solve_eigen_expansion,
                          solve_linear_system)
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      ParameterError, count_text)
 from .partitions import (as_int_vector, contains, partition_key,
                          partitions_of)
-from .sympoly import (SymmetricPolynomial, _decimal_text,
+from .sympoly import (SymmetricPolynomial, _decimal_text, _form_sum,
                       distinct_permutations, monomial_eval)
 
 
@@ -234,24 +234,23 @@ def _expand_uncached(lam: tuple, params: MacdonaldParams,
         label=f"q={_decimal_text(q)}, t={_decimal_text(t)}")
 
 
-def _entry(lam: tuple, params: MacdonaldParams, base=None):
-    """(P_lambda, P_lambda(t^delta) or None) from the package memo."""
+def _source(lam: tuple, params: MacdonaldParams):
+    """The memo key of P_lambda and the function that computes it on a
+    miss."""
     def solve():
         # one row table per (params, weight), shared by every lambda
         rows = cache._memoized(("macdonald rows", params.key(), sum(lam)),
                                dict)[0]
         return _expand_uncached(lam, params, rows)
 
-    return cache._memoized(
-        ("macdonald", params.key(), lam),
-        lambda: cache.fetch("macdonald", params.n, lam, solve,
-                            q=params.q, t=params.t),
-        base)
+    return (("macdonald", params.key(), lam),
+            lambda: cache.fetch("macdonald", params.n, lam, solve,
+                                q=params.q, t=params.t))
 
 
 def macdonald_expand(lam, params: MacdonaldParams) -> SymmetricPolynomial:
     """Monic Macdonald polynomial P_lambda(x; q, t) in the monomial basis."""
-    return _entry(partition_key(lam, params.n), params)[0]
+    return cache._memoized(*_source(partition_key(lam, params.n), params))[0]
 
 
 def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
@@ -260,21 +259,48 @@ def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in x)
 
 
+def _nonzero(lam: tuple, params: MacdonaldParams):
+    def check(denom):
+        if denom == 0:
+            raise DegeneracyError(
+                f"P_{lam} vanishes at t^delta for q={params.q}, "
+                f"t={params.t}")
+    return check
+
+
 def _normalized(lam, params: MacdonaldParams):
     """(P_lambda, P_lambda(t^delta)) in one memo lookup.  DegeneracyError
     when the normalizer is 0."""
     lam = partition_key(lam, params.n)
-    p, denom = _entry(lam, params, params.t_delta)
-    if denom == 0:
-        raise DegeneracyError(
-            f"P_{lam} vanishes at t^delta for q={params.q}, t={params.t}")
+    p, denom = cache._memoized(*_source(lam, params), params.t_delta)
+    _nonzero(lam, params)(denom)
     return p, denom
 
 
+def omega_mac_at(params: MacdonaldParams, x):
+    """lambda -> Omega_lambda(x; q, t), with x coerced and checked once.
+
+    Each shape then costs one memo lookup and one integer sum: the memo
+    entry of P_lambda keeps the cleared form of P_lambda / P_lambda(t^delta)
+    (cache._memoized_form), and x is cleared of denominators here.  A zero
+    normalizer raises DegeneracyError.
+    """
+    n = params.n
+    X, d = sympoly._cleared(_coerce_point(x, n))
+
+    def omega(lam) -> Fraction:
+        lam = partition_key(lam, n)
+        form = cache._memoized_form(*_source(lam, params), params.t_delta,
+                                    _nonzero(lam, params))
+        return _form_sum(form, X, d)
+
+    return omega
+
+
 def omega_mac_eval(lam, params: MacdonaldParams, x) -> Fraction:
-    """Omega_lambda(x; q, t) = P_lambda(x) / P_lambda(t^delta), exact."""
-    p, denom = _normalized(lam, params)
-    return p.eval(_coerce_point(x, params.n)) / denom
+    """Omega_lambda(x; q, t) = P_lambda(x) / P_lambda(t^delta), exact; the
+    one-shape case of omega_mac_at."""
+    return omega_mac_at(params, x)(lam)
 
 
 class LatticePoint:

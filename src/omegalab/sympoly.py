@@ -7,7 +7,9 @@ m_lambda(x) sums x^eta over the distinct rearrangements eta of lambda, each
 counted once.  Exact evaluation works in integers: the point is cleared of
 denominators once, each orbit sum at the integer point is kept in one
 bounded table shared by every polynomial evaluated there, and a single
-division at the end gives the canonical Fraction.
+division at the end gives the canonical Fraction.  A polynomial over a
+rational scale is evaluated through its cleared form, integer coefficients
+over one common denominator, which a caller can build once and keep.
 """
 
 from __future__ import annotations
@@ -200,24 +202,37 @@ def _orbit_sum(nu: Exponent, X: tuple):
     return total
 
 
-def _cleared_eval(terms: Mapping[Exponent, Fraction], x: Sequence,
-                  table: dict) -> Fraction:
-    """sum c_nu * m_nu(x) in integers, with a single division at the end.
+def _cleared_form(terms: Mapping[Exponent, Fraction], scale=1) -> tuple:
+    """p / scale, for p = sum c_nu m_nu over terms, as the cleared form
+    that _form_sum adds up.
 
-    With x = X / D, m_nu(x) = m_nu(X) / D^|nu|.  Every term is brought to
-    the common denominator L * D^top, where L is the lcm of the coefficient
-    denominators and top the largest degree, so non-homogeneous
-    polynomials need nothing extra.  m_nu(X) is read from table, keyed by
-    (nu, X), and filled on a miss.
+    With L the lcm of the coefficient denominators, top the largest degree
+    and scale = a / b, p = sum (C_nu / L) m_nu for integers C_nu, and the
+    form is (b, a * L, top, ((nu, C_nu, top - |nu|), ...)).  A zero scale
+    is refused by the caller: the form's sum would divide by it.
     """
-    if not terms:
-        return Fraction(0)
-    X, d = _cleared(x)
     degrees = [sum(nu) for nu in terms]
-    top = max(degrees)
+    top = max(degrees, default=0)
     lcm = math.lcm(*(c.denominator for c in terms.values()))
+    return (scale.denominator, scale.numerator * lcm, top,
+            tuple((nu, c.numerator * (lcm // c.denominator), top - deg)
+                  for (nu, c), deg in zip(terms.items(), degrees)))
+
+
+def _form_sum(form: tuple, X: tuple, d: int, table: dict = None) -> Fraction:
+    """The value of a cleared form at x = X / d (_cleared), in integers
+    with a single division at the end.
+
+    m_nu(x) = m_nu(X) / d^|nu|, so p(x) / scale is b * sum C_nu m_nu(X)
+    d^(top - |nu|) over a * L * d^top, and non-homogeneous polynomials need
+    nothing extra.  m_nu(X) is read from table, keyed by (nu, X), and
+    filled on a miss; None is the shared _MONOMIAL_MEMO.
+    """
+    if table is None:
+        table = _MONOMIAL_MEMO
+    b, den, top, terms = form
     num = 0
-    for (nu, c), deg in zip(terms.items(), degrees):
+    for nu, c, drop in terms:
         key = (nu, X)
         m = table.get(key)
         if m is None:
@@ -225,10 +240,10 @@ def _cleared_eval(terms: Mapping[Exponent, Fraction], x: Sequence,
             if len(table) >= MONOMIAL_MEMO_SIZE:
                 table.clear()
             table[key] = m
-        if deg != top:
-            m *= d ** (top - deg)
-        num += c.numerator * (lcm // c.denominator) * m
-    return Fraction(num, lcm * d ** top)
+        if drop:
+            m *= d ** drop
+        num += c * m
+    return Fraction(num * b, den * d ** top)
 
 
 def monomial_eval(lam, x: Sequence) -> Fraction:
@@ -236,7 +251,7 @@ def monomial_eval(lam, x: Sequence) -> Fraction:
     which may be given in any order and is padded to the length of x."""
     x = tuple(x)
     parts = partition_key(sorted(lam, reverse=True), len(x))
-    return _cleared_eval({parts: Fraction(1)}, x, _MONOMIAL_MEMO)
+    return _form_sum(_cleared_form({parts: Fraction(1)}), *_cleared(x))
 
 
 def _point_for(p: SymmetricPolynomial, x: Sequence) -> tuple:
@@ -249,12 +264,12 @@ def _point_for(p: SymmetricPolynomial, x: Sequence) -> tuple:
 
 def poly_eval(p: SymmetricPolynomial, x: Sequence) -> Fraction:
     """p(x), exact; the orbit sums are shared through the bounded memo."""
-    return _cleared_eval(p.terms, _point_for(p, x), _MONOMIAL_MEMO)
+    return _form_sum(_cleared_form(p.terms), *_cleared(_point_for(p, x)))
 
 
 def poly_eval_fresh(p: SymmetricPolynomial, x: Sequence) -> Fraction:
     """p(x) through a private, empty table: reads no shared memo."""
-    return _cleared_eval(p.terms, _point_for(p, x), {})
+    return _form_sum(_cleared_form(p.terms), *_cleared(_point_for(p, x)), {})
 
 
 def poly_eval_float(p: SymmetricPolynomial, x: Sequence) -> float:

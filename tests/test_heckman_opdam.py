@@ -1218,3 +1218,76 @@ def test_no_path_imports_numpy_polynomial():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_error_estimate_tries_each_determinant_once(monkeypatch):
+    # a vector the k = 1 determinant serves has one value in both passes
+    # and gap 0, so one _ho_eval_and_gap tries each vector's determinant
+    # once, served or not; only the near tie in s, which falls back, takes
+    # the 2m pass and then the m pass.  Values are ho_eval's and
+    # ho_error_estimate's bit for bit
+    p, cfg = HOParams(1, 3), QuadratureConfig(8)
+    x = (0.9, 0.3, -0.6)
+    svecs = [tuple(float(a + r) for a, r in zip(lam, p.rho))
+             for w in range(4) for lam in partitions_of(w, 3)]
+    svecs.append((1.0, 1.0 - 1e-7, -0.5))
+    expected = [(ho_eval(p, s, x, cfg), ho_error_estimate(p, s, x, cfg))
+                for s in svecs]
+    tried, passes = [], []
+    determinant, quadrature = (heckman_opdam._harish_chandra,
+                               heckman_opdam._ho_pass)
+
+    def counted_determinant(s, x):
+        tried.append(tuple(s))
+        return determinant(s, x)
+
+    def counted_pass(params, closed, x, cfg):
+        passes.append((cfg.nodes_per_dimension, closed[0].count(None)))
+        return quadrature(params, closed, x, cfg)
+
+    monkeypatch.setattr(heckman_opdam, "_harish_chandra", counted_determinant)
+    monkeypatch.setattr(heckman_opdam, "_ho_pass", counted_pass)
+    assert _ho_eval_and_gap(p, svecs, x, cfg) == expected
+    assert sorted(tried) == sorted(tuple(sorted(s, reverse=True))
+                                   for s in svecs)
+    assert passes == [(16, 1), (8, 1)]
+    assert [gap for _, gap in expected[:-1]] == [0.0] * (len(svecs) - 1)
+
+
+# worst relative gap |F_{k,s}(x) - F_{k,-s}(-x)| / F_{k,s}(x) over
+# REFLECTION_KS and six seeded (s, x) per k, s in [-2, 2]^n and x in
+# [-1.5, 1.5]^n, as measured: n = 3 gave 5.4e-3 at 4 nodes, 1.9e-5 at 8
+# and 8.7e-15 at 24; n = 4 gave 1.6e-3 at 4 nodes and 3.5e-6 at 8.  Each
+# bound is about twice its measured gap, the 24-node one a few hundred
+# ulps, and none may be widened
+REFLECTION_KS = (0.3, 0.5, 1.5, 2.0)
+REFLECTION_BOUNDS = {(3, 8): 4e-5, (3, 24): 1e-13, (4, 8): 8e-6}
+
+
+def reflection_gap(n, nodes):
+    rng = random.Random(0)
+    cfg = QuadratureConfig(nodes)
+    worst = 0.0
+    for k in REFLECTION_KS:
+        p = HOParams(k, n)
+        for _ in range(6):
+            s = tuple(rng.uniform(-2, 2) for _ in range(n))
+            x = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
+            value = ho_eval(p, s, x, cfg)
+            mirrored = ho_eval(p, tuple(-v for v in s), tuple(-v for v in x),
+                               cfg)
+            worst = max(worst, abs(value - mirrored) / value)
+    return worst
+
+
+@pytest.mark.parametrize("n, nodes", sorted(REFLECTION_BOUNDS))
+def test_reflection_holds_to_its_bound(n, nodes):
+    # F_{k,s}(x) = F_{k,-s}(-x), as F is symmetric in s and in x and the
+    # reflection -w0 preserves the root system.  The quadrature does not
+    # build this in (its boxes run the other way for -x), so it can fail
+    assert reflection_gap(n, nodes) <= REFLECTION_BOUNDS[n, nodes]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_reflection_fails_on_a_four_node_rule(n):
+    assert reflection_gap(n, 4) > REFLECTION_BOUNDS[n, 8]

@@ -215,13 +215,13 @@ def test_heckman_opdam_probe_evaluates_each_node_count_once(monkeypatch):
         expected.append((heckman_opdam.ho_eval(hop, s, x, cfg),
                          heckman_opdam.ho_error_estimate(hop, s, x, cfg)))
     calls = []
-    original = heckman_opdam._ho_eval_batch
+    original = heckman_opdam._ho_pass
 
-    def counted(params, svecs, x, cfg):
-        calls.append((cfg.nodes_per_dimension, len(svecs)))
-        return original(params, svecs, x, cfg)
+    def counted(params, closed, x, cfg):
+        calls.append((cfg.nodes_per_dimension, closed[0].count(None)))
+        return original(params, closed, x, cfg)
 
-    monkeypatch.setattr(heckman_opdam, "_ho_eval_batch", counted)
+    monkeypatch.setattr(heckman_opdam, "_ho_pass", counted)
     probe = _make_family("heckman-opdam", 2, k=2, cfg=cfg).probe
     assert probe(shapes, x) == expected
     assert calls == [(16, 3), (8, 3)]
@@ -231,13 +231,13 @@ def test_sweep_probes_every_shape_at_a_point_in_one_batch(monkeypatch):
     # five shapes at each of two n=3 points: one 2m-node and one m-node
     # quadrature per point
     calls = []
-    original = heckman_opdam._ho_eval_batch
+    original = heckman_opdam._ho_pass
 
-    def counted(params, svecs, x, cfg):
-        calls.append((cfg.nodes_per_dimension, len(svecs)))
-        return original(params, svecs, x, cfg)
+    def counted(params, closed, x, cfg):
+        calls.append((cfg.nodes_per_dimension, closed[0].count(None)))
+        return original(params, closed, x, cfg)
 
-    monkeypatch.setattr(heckman_opdam, "_ho_eval_batch", counted)
+    monkeypatch.setattr(heckman_opdam, "_ho_pass", counted)
     report = check_schur_convexity("heckman-opdam", 3, 3, samples=2, seed=0,
                                    k=2, cfg=QuadratureConfig(4))
     assert report.pairs_checked == 4 and report.passed
@@ -247,9 +247,9 @@ def test_sweep_probes_every_shape_at_a_point_in_one_batch(monkeypatch):
 def test_sweep_lists_violations_pair_by_pair_point_by_point(monkeypatch):
     # minus the sum of squared parts is strictly Schur-concave, so every
     # (pair, point) of a Jack sweep violates; the family looks the
-    # evaluator up in lab at call time
-    monkeypatch.setattr(lab, "omega_jack_eval", lambda lam, th, x: Fraction(
-        -sum(p * p for p in lam.parts)))
+    # point-bound evaluator up in lab at call time
+    monkeypatch.setattr(lab, "omega_jack_at", lambda th, x: lambda lam:
+                        Fraction(-sum(p * p for p in lam.parts)))
     report = check_schur_convexity("jack", 3, 4, samples=3, seed=5, theta=1)
     pairs = list(enumerate_pairs(3, 4, "same-weight-comparable"))
     points = _sample_points(3, 3, 0, 10, 5, as_float=False)
