@@ -5,11 +5,12 @@ an (n-1)-dimensional integral over interlacing points.  Each dimension is
 one Gauss-Jacobi panel whose weight carries the boundary factor, and the
 node count is per panel; for k < 1 a dimension whose box lies near a
 coordinate outside it absorbs the boundary singularity by a power
-substitution on two panels instead.  At unit multiplicity there
-is an independent determinant formula, so we can watch the quadrature hit
-it to machine precision, then use the structural identities (value 1 at
-the origin, diagonal derivative, agreement with the exact expansions at
-integer spectral shifts) as accuracy probes.  Run:
+substitution on two panels instead.  At unit multiplicity F is
+Harish-Chandra's determinant, which ho_eval evaluates in long double with a
+rounding bound instead of the quadrature; we compare it with the same
+formula taken plainly in numpy, then use the structural identities (value
+1 at the origin, diagonal derivative, agreement with the exact expansions
+at integer spectral shifts) as accuracy probes for the quadrature.  Run:
 
     python3 demos/hypergeometric.py
 """
@@ -24,7 +25,8 @@ from omegalab.heckman_opdam import (ho_direction_residual, ho_error_estimate,
 
 
 def determinant_value(s, x):
-    # unit-multiplicity closed form, valid for distinct s and distinct x
+    # unit-multiplicity closed form in plain doubles, valid for distinct s
+    # and distinct x
     m = len(s)
     pre = 1.0
     for j in range(1, m):
@@ -44,7 +46,7 @@ def determinant_value(s, x):
 def main():
     cfg = QuadratureConfig(48)
 
-    print("unit multiplicity vs the determinant formula:")
+    print("unit multiplicity: ho_eval's determinant vs the plain formula:")
     for s, x in [((0.5, -0.5), (math.log(2), 0.0)),
                  ((1.0, -1.0), (math.log(4), 0.0)),
                  ((1.3, 0.2, -0.9), (0.8, 0.1, -0.6))]:
@@ -52,7 +54,7 @@ def main():
         got = ho_eval(p, s, x, cfg)
         want = determinant_value(s, x)
         print(f"  n={len(s)}  s={s}  x={x}")
-        print(f"    quadrature {got:.15g}   determinant {want:.15g}   "
+        print(f"    ho_eval {got:.15g}   plain formula {want:.15g}   "
               f"gap {abs(got - want):.2e}")
 
     print("\nstructural checks at k=3/2, n=2:")
@@ -71,10 +73,11 @@ def main():
 
     print("\nagreement with the exact expansions (spectral point "
           "lam + k*rho):")
-    for k in (0.5, 1.0, 2.0):
+    for k, method in ((0.5, "quadrature"), (1.0, "determinant"),
+                      (2.0, "quadrature")):
         p = HOParams(k, 2)
         gap = ho_jack_consistency((2, 1), p, (0.7, -0.2), cfg)
-        print(f"  k={k}: relative gap {gap:.2e}")
+        print(f"  k={k} ({method}): relative gap {gap:.2e}")
 
     print("\nlattice limit: discrete values at scale k approach the "
           "continuous ones")

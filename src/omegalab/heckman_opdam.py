@@ -445,20 +445,19 @@ def _nodes(k: float, s, x: list, gap: dict, pref, tables: list,
         dlo, dhi = width * ab[0], width * ab[1]
         tau = x[j + 1][:, None] + dlo
         lw = np.log(width) + logw
-        if k != 1.0:
-            # the box-end factors: log m(dhi) at a node is log m(dlo) at
-            # its mirror
-            mlo = _log_m(np.maximum(dlo, _TINY))
-            edges = tau + mlo
-            edges += x[j][:, None]
-            edges[:, lower] += mlo[:, upper]
-            edges[:, centre] += mlo[:, centre]
-            edges[:, upper] += mlo[:, lower]
-            for i in range(j):
-                edges += x[i][:, None] + _log_m(gap[i, j][:, None] + dhi)
-            for i in range(j + 2, n):
-                edges += tau + _log_m(gap[j + 1, i][:, None] + dlo)
-            lw += (k - 1.0) * edges
+        # the box-end factors: log m(dhi) at a node is log m(dlo) at its
+        # mirror
+        mlo = _log_m(np.maximum(dlo, _TINY))
+        edges = tau + mlo
+        edges += x[j][:, None]
+        edges[:, lower] += mlo[:, upper]
+        edges[:, centre] += mlo[:, centre]
+        edges[:, upper] += mlo[:, lower]
+        for i in range(j):
+            edges += x[i][:, None] + _log_m(gap[i, j][:, None] + dhi)
+        for i in range(j + 2, n):
+            edges += tau + _log_m(gap[j + 1, i][:, None] + dlo)
+        lw += (k - 1.0) * edges
         dims = (rows,) + (1,) * j + (sizes[j],)
         grid = lw if j == 0 else grid[..., None] + lw.reshape(dims)
         nu.append(np.broadcast_to(tau.reshape(dims + (1,) * (n - 2 - j)),
@@ -507,24 +506,19 @@ def _leaf_rows(k: float, s, x0, x1, tilt, vpow: float, logc, nodes: int):
     ab, logw, (lower, centre, upper) = _unit_panels(nodes, k)
     width = x0 - x1
     s0, s1 = s[:, 0], s[:, 1]
-    if k == 1.0:
-        terms = np.multiply.outer(s1 - s0, np.multiply.outer(ab[0], -width))
-        node = logw[:centre.stop, None]
-    else:
-        # -dlo at every node; a node's -dhi is its mirror's -dlo
-        offsets = np.multiply.outer(ab[0], -width)
-        terms = np.multiply.outer(s1 - s0, offsets)
-        # the offsets are spent; their edge factors take their memory, and
-        # each pair's product, which both its nodes share, goes into the
-        # first half
-        edges = np.expm1(offsets, out=offsets)
-        edges[lower] *= edges[upper]
-        edges[centre] *= edges[centre]
-        node = edges[:centre.stop]
-        np.maximum(node, _TINY, out=node)
-        np.log(node, out=node)
-        node *= k - 1.0
-        node += logw[:centre.stop, None]
+    # -dlo at every node; a node's -dhi is its mirror's -dlo
+    offsets = np.multiply.outer(ab[0], -width)
+    terms = np.multiply.outer(s1 - s0, offsets)
+    # the offsets are spent; their edge factors take their memory, and each
+    # pair's product, which both its nodes share, goes into the first half
+    edges = np.expm1(offsets, out=offsets)
+    edges[lower] *= edges[upper]
+    edges[centre] *= edges[centre]
+    node = edges[:centre.stop]
+    np.maximum(node, _TINY, out=node)
+    np.log(node, out=node)
+    node *= k - 1.0
+    node += logw[:centre.stop, None]
     # the row exponent: log width (which never rounds to 0), the gamma
     # ratio, the Vandermonde power of e^x0 - e^x1 = e^x0 * m(width), and the
     # coefficients of x0 and x1 that the prefactor, the edge factors and
@@ -546,18 +540,35 @@ def _leaf_rows(k: float, s, x0, x1, tilt, vpow: float, logc, nodes: int):
     return functools.reduce(np.add, terms.transpose(1, 0, 2))
 
 
-def _sorted_checked(x, min_gap: float):
+def _checked(params: HOParams, svecs, x) -> tuple:
+    """The checks every evaluation makes: svecs and x of length n, and all
+    finite.  Returns the vectors and x as floats, each sorted
+    decreasingly."""
+    n = params.n
+    svecs = [tuple(float(v) for v in s) for s in svecs]
+    for s in svecs:
+        if len(s) != n or len(x) != n:
+            raise DomainError(f"need length-{n} vectors; got s={s}, "
+                              f"x={tuple(x)}")
+        if not all(math.isfinite(v) for v in s):
+            raise DomainError(f"need finite spectral vector; got {s}")
     xs = sorted((float(v) for v in x), reverse=True)
     if not all(math.isfinite(v) for v in xs):
         raise DomainError(f"need finite coordinates; got {x}")
+    return [tuple(sorted(s, reverse=True)) for s in svecs], xs
+
+
+def _uniform(xs: list, min_gap: float) -> bool:
+    """Whether the sorted xs are all equal; TieError where two of them are
+    closer than min_gap but not all equal."""
     if xs[0] == xs[-1]:
-        return xs, True
+        return True
     for i in range(len(xs) - 1):
         if xs[i] - xs[i + 1] < min_gap:
             raise TieError(
                 f"coordinates {xs[i]} and {xs[i + 1]} are closer than "
                 f"min_gap={min_gap}; perturb the point or raise the gap")
-    return xs, False
+    return False
 
 
 def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
@@ -572,20 +583,22 @@ def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
     return _ho_pass(params, _ho_closed(params, svecs, x, cfg), x, cfg)
 
 
-def _check_work(params: HOParams, count: int, cfg: QuadratureConfig):
+def _check_work(params: HOParams, count: int,
+                cfg: QuadratureConfig = None):
     """Refuse a batch of count spectral vectors whose terms could exceed
     their ceiling: per_dim^(n(n-1)/2) node terms per vector against
     MAX_NODE_TERMS, with per_dim the 2m nodes of a near box for k < 1, as
     if every box were near, and m for k >= 1; for the k = 0 closed form, n!
-    permutation terms per vector against MAX_PERMUTATION_TERMS.  The count
-    is formed one factor at a time and quoted only up to 10^30, which is
-    far above either ceiling: at a large n the whole count would take
-    memory to form and could not be printed."""
-    n, m = params.n, cfg.nodes_per_dimension
+    permutation terms per vector against MAX_PERMUTATION_TERMS, a count
+    that reads no cfg.  The count is formed one factor at a time and quoted
+    only up to 10^30, which is far above either ceiling: at a large n the
+    whole count would take memory to form and could not be printed."""
+    n = params.n
     if params.k == 0.0:
         what, ceiling = "permutation terms", MAX_PERMUTATION_TERMS
         factors, setting, fewer = range(2, n + 1), "", "variables"
     else:
+        m = cfg.nodes_per_dimension
         what, ceiling = "node terms", MAX_NODE_TERMS
         factors = itertools.repeat(2 * m if params.k < 1.0 else m,
                                    n * (n - 1) // 2)
@@ -614,20 +627,12 @@ def _ho_closed(params: HOParams, svecs, x, cfg: QuadratureConfig) -> tuple:
     overflow gives the values [inf], which the pass refuses.
     """
     n = params.n
-    svecs = [tuple(float(v) for v in s) for s in svecs]
-    for s in svecs:
-        if len(s) != n or len(x) != n:
-            raise DomainError(f"need length-{n} vectors; got s={s}, "
-                              f"x={tuple(x)}")
-        if not all(math.isfinite(v) for v in s):
-            raise DomainError(f"need finite spectral vector; got {s}")
+    ss, xs = _checked(params, svecs, x)
     try:
         if n == 1 or params.k == 0.0:
-            _check_work(params, len(svecs), cfg)
-            return ([ho_closed_forms(params, s, x) for s in svecs], None,
-                    None, None)
-        xs, uniform = _sorted_checked(x, cfg.min_gap)
-        ss = [tuple(sorted(s, reverse=True)) for s in svecs]
+            _check_work(params, len(ss), cfg)
+            return [_closed(params, s, xs) for s in ss], None, None, None
+        uniform = _uniform(xs, cfg.min_gap)
         mean = sum(xs) / n
         if uniform:
             return [math.exp(sum(s) * mean) for s in ss], ss, xs, mean
@@ -637,7 +642,7 @@ def _ho_closed(params: HOParams, svecs, x, cfg: QuadratureConfig) -> tuple:
     if params.k == 1.0:
         for i, s in enumerate(ss):
             try:
-                values[i] = ho_closed_forms(params, s, xs)
+                values[i] = _closed(params, s, xs)
             except DegeneracyError:
                 pass
     return values, ss, xs, mean
@@ -740,20 +745,30 @@ def ho_closed_forms(params: HOParams, s, x) -> float:
     (ties included) it raises DegeneracyError, and ho_eval takes the
     quadrature instead.  Where long double is double, eps_ld is eps, and
     the same rule admits fewer vectors.
+
+    s and x are checked as ho_eval checks them (length n, finite), and the
+    k = 0 sum is refused with ParameterError past MAX_PERMUTATION_TERMS
+    before it starts.
     """
-    n = params.n
-    s = tuple(float(v) for v in s)
-    x = tuple(float(v) for v in x)
-    if n == 1:
-        return math.exp(s[0] * x[0])
-    if params.k == 1.0:
-        return _harish_chandra(sorted(s, reverse=True),
-                               sorted(x, reverse=True))
-    if params.k != 0.0:
+    if params.n != 1 and params.k not in (0.0, 1.0):
         raise DomainError("closed forms cover k = 0, k = 1 or n = 1 only; "
-                          f"got k={params.k}, n={n}")
+                          f"got k={params.k}, n={params.n}")
+    (s,), xs = _checked(params, [s], x)
+    if params.k == 0.0:
+        _check_work(params, 1)
+    return _closed(params, s, xs)
+
+
+def _closed(params: HOParams, s: tuple, xs: list) -> float:
+    """ho_closed_forms at checked s and x, each sorted decreasingly, so
+    that every ordering of the inputs gives the same bits."""
+    n = params.n
+    if n == 1:
+        return math.exp(s[0] * xs[0])
+    if params.k == 1.0:
+        return _harish_chandra(list(s), xs)
     acc = 0.0
-    for perm in itertools.permutations(x):
+    for perm in itertools.permutations(xs):
         acc += math.exp(sum(si * xi for si, xi in zip(s, perm)))
     return acc / math.factorial(n)
 

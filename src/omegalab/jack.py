@@ -144,14 +144,16 @@ def _source(lam: tuple, theta: JackParam):
     return ("jack", n, lam, th), compute
 
 
-def _ones(lam: tuple):
-    return lambda: (Fraction(1),) * len(lam)
-
-
 def _normalized(lam: tuple, theta: JackParam):
-    """(P_lambda, P_lambda(1,...,1)) in one memo lookup; the caller checks
-    the normalizer."""
-    return cache._memoized(*_source(lam, theta), _ones(lam))
+    """(P_lambda, P_lambda(1,...,1)) in one memo lookup.  DegeneracyError
+    when the normalizer is not positive."""
+    p, denom = cache._memoized(*_source(lam, theta),
+                               lambda: (Fraction(1),) * len(lam))
+    if denom <= 0:
+        raise DegeneracyError(
+            f"normalizer {denom} of lambda={lam}, theta={theta!r} at "
+            f"(1,...,1) is not positive")
+    return p, denom
 
 
 def jack_expand(lam, theta) -> SymmetricPolynomial:
@@ -174,23 +176,13 @@ def _coerce_nonneg_point(x) -> tuple[Fraction, ...]:
     return pt
 
 
-def _positive(lam: tuple, theta: JackParam):
-    def check(denom):
-        if denom <= 0:
-            raise DegeneracyError(
-                f"normalizer {denom} of lambda={lam}, theta={theta!r} at "
-                f"(1,...,1) is not positive")
-    return check
-
-
 def omega_jack_at(theta, x):
     """lambda -> Omega_lambda(x; theta), with theta and x coerced and
     checked once.
 
-    Each shape then costs one memo lookup and one integer sum: the memo
-    entry of P_lambda keeps the cleared form of P_lambda / P_lambda(1,...,1)
-    (cache._memoized_form), and x is cleared of denominators here.  A
-    non-positive normalizer raises DegeneracyError.
+    Each shape then costs one memo lookup (_normalized) and one integer
+    sum over P_lambda's kept cleared form, divided by the normalizer in the
+    sum's one division; x is cleared of denominators here.
     """
     theta = JackParam(theta)
     x = _coerce_nonneg_point(x)
@@ -198,10 +190,8 @@ def omega_jack_at(theta, x):
     X, d = sympoly._cleared(x)
 
     def omega(lam) -> Fraction:
-        lam = partition_key(lam, n)
-        form = cache._memoized_form(*_source(lam, theta), _ones(lam),
-                                    _positive(lam, theta))
-        return _form_sum(form, X, d)
+        p, denom = _normalized(partition_key(lam, n), theta)
+        return _form_sum(p.form, X, d, denom)
 
     return omega
 

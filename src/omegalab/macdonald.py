@@ -259,40 +259,30 @@ def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in x)
 
 
-def _nonzero(lam: tuple, params: MacdonaldParams):
-    def check(denom):
-        if denom == 0:
-            raise DegeneracyError(
-                f"P_{lam} vanishes at t^delta for q={params.q}, "
-                f"t={params.t}")
-    return check
-
-
-def _normalized(lam, params: MacdonaldParams):
-    """(P_lambda, P_lambda(t^delta)) in one memo lookup.  DegeneracyError
-    when the normalizer is 0."""
-    lam = partition_key(lam, params.n)
+def _normalized(lam: tuple, params: MacdonaldParams):
+    """(P_lambda, P_lambda(t^delta)) in one memo lookup, for lambda a
+    partition key on params.n variables.  DegeneracyError when the
+    normalizer is 0."""
     p, denom = cache._memoized(*_source(lam, params), params.t_delta)
-    _nonzero(lam, params)(denom)
+    if denom == 0:
+        raise DegeneracyError(
+            f"P_{lam} vanishes at t^delta for q={params.q}, t={params.t}")
     return p, denom
 
 
 def omega_mac_at(params: MacdonaldParams, x):
     """lambda -> Omega_lambda(x; q, t), with x coerced and checked once.
 
-    Each shape then costs one memo lookup and one integer sum: the memo
-    entry of P_lambda keeps the cleared form of P_lambda / P_lambda(t^delta)
-    (cache._memoized_form), and x is cleared of denominators here.  A zero
-    normalizer raises DegeneracyError.
+    Each shape then costs one memo lookup (_normalized) and one integer
+    sum over P_lambda's kept cleared form, divided by the normalizer in the
+    sum's one division; x is cleared of denominators here.
     """
     n = params.n
     X, d = sympoly._cleared(_coerce_point(x, n))
 
     def omega(lam) -> Fraction:
-        lam = partition_key(lam, n)
-        form = cache._memoized_form(*_source(lam, params), params.t_delta,
-                                    _nonzero(lam, params))
-        return _form_sum(form, X, d)
+        p, denom = _normalized(partition_key(lam, n), params)
+        return _form_sum(p.form, X, d, denom)
 
     return omega
 

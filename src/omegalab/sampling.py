@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -37,26 +37,19 @@ class RationalSampler:
     """Uniform-ish rationals in [low, high] with bounded denominator.
 
     Each value uses two raw draws: one picks the denominator d in
-    [1, max_denominator], the other a numerator in [0, d], giving a
+    [1, MAX_DENOMINATOR], the other a numerator in [0, d], giving a
     fraction in [0,1] that is then scaled onto [low, high].
     """
 
-    def __init__(self, seed: int, low, high,
-                 max_denominator: int = MAX_DENOMINATOR):
+    def __init__(self, seed: int, low, high):
         self.seed = int(seed)
         self.low = Fraction(low)
         self.high = Fraction(high)
         if self.high < self.low:
             raise DomainError(f"empty range [{self.low}, {self.high}]")
-        max_denominator = int(max_denominator)
-        if not 1 <= max_denominator <= MAX_DENOMINATOR:
-            raise ParameterError(
-                f"max_denominator must lie in [1, {MAX_DENOMINATOR}]; "
-                f"got {max_denominator}")
-        self.max_denominator = max_denominator
 
     def value(self, counter: int) -> Fraction:
-        den = 1 + raw_draw(self.seed, 2 * counter) % self.max_denominator
+        den = 1 + raw_draw(self.seed, 2 * counter) % MAX_DENOMINATOR
         num = raw_draw(self.seed, 2 * counter + 1) % (den + 1)
         return self.low + (self.high - self.low) * Fraction(num, den)
 

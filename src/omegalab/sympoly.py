@@ -7,9 +7,12 @@ m_lambda(x) sums x^eta over the distinct rearrangements eta of lambda, each
 counted once.  Exact evaluation works in integers: the point is cleared of
 denominators once, each orbit sum at the integer point is kept in one
 bounded table shared by every polynomial evaluated there, and a single
-division at the end gives the canonical Fraction.  A polynomial over a
-rational scale is evaluated through its cleared form, integer coefficients
-over one common denominator, which a caller can build once and keep.
+division at the end gives the canonical Fraction.  The sum runs over the
+polynomial's cleared form, integer coefficients over one common
+denominator, which each polynomial builds from its terms on first
+evaluation and keeps; terms is not changed after construction.  A caller
+that divides by a rational scale passes it to the sum, which folds it into
+that one division.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def orbit_size(lam: Sequence[int]) -> int:
 class SymmetricPolynomial:
     """Rational combination of monomial symmetric polynomials, fixed n."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_form")
 
     def __init__(self, n: int, terms: Mapping[Exponent, Fraction] | None = None):
         if n < 1:
@@ -89,6 +92,7 @@ class SymmetricPolynomial:
                         f"exponent {key} has length {len(key)}, expected {n}")
                 clean[key] = c
         self.terms = clean
+        self._form = None
 
     # -- constructors ------------------------------------------------------
 
@@ -149,6 +153,14 @@ class SymmetricPolynomial:
         """Terms as (partition key, coefficient), heaviest key first."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
+    @property
+    def form(self) -> tuple:
+        """The cleared form of the polynomial (_cleared_form), built on
+        first use and kept."""
+        if self._form is None:
+            self._form = _cleared_form(self.terms)
+        return self._form
+
     def eval(self, x: Sequence) -> Fraction:
         return poly_eval(self, x)
 
@@ -202,35 +214,36 @@ def _orbit_sum(nu: Exponent, X: tuple):
     return total
 
 
-def _cleared_form(terms: Mapping[Exponent, Fraction], scale=1) -> tuple:
-    """p / scale, for p = sum c_nu m_nu over terms, as the cleared form
-    that _form_sum adds up.
+def _cleared_form(terms: Mapping[Exponent, Fraction]) -> tuple:
+    """p = sum c_nu m_nu over terms as the cleared form that _form_sum adds
+    up.
 
-    With L the lcm of the coefficient denominators, top the largest degree
-    and scale = a / b, p = sum (C_nu / L) m_nu for integers C_nu, and the
-    form is (b, a * L, top, ((nu, C_nu, top - |nu|), ...)).  A zero scale
-    is refused by the caller: the form's sum would divide by it.
+    With L the lcm of the coefficient denominators and top the largest
+    degree, p = sum (C_nu / L) m_nu for integers C_nu, and the form is
+    (L, top, ((nu, C_nu, top - |nu|), ...)).
     """
     degrees = [sum(nu) for nu in terms]
     top = max(degrees, default=0)
     lcm = math.lcm(*(c.denominator for c in terms.values()))
-    return (scale.denominator, scale.numerator * lcm, top,
+    return (lcm, top,
             tuple((nu, c.numerator * (lcm // c.denominator), top - deg)
                   for (nu, c), deg in zip(terms.items(), degrees)))
 
 
-def _form_sum(form: tuple, X: tuple, d: int, table: dict = None) -> Fraction:
-    """The value of a cleared form at x = X / d (_cleared), in integers
-    with a single division at the end.
+def _form_sum(form: tuple, X: tuple, d: int, scale=1,
+              table: dict = None) -> Fraction:
+    """p(x) / scale for the cleared form of p, at x = X / d (_cleared), in
+    integers with a single division at the end.
 
-    m_nu(x) = m_nu(X) / d^|nu|, so p(x) / scale is b * sum C_nu m_nu(X)
-    d^(top - |nu|) over a * L * d^top, and non-homogeneous polynomials need
-    nothing extra.  m_nu(X) is read from table, keyed by (nu, X), and
-    filled on a miss; None is the shared _MONOMIAL_MEMO.
+    m_nu(x) = m_nu(X) / d^|nu|, so with scale = a / b, p(x) / scale is
+    b * sum C_nu m_nu(X) d^(top - |nu|) over a * L * d^top, and
+    non-homogeneous polynomials need nothing extra.  A zero scale is
+    refused by the caller.  m_nu(X) is read from table, keyed by (nu, X),
+    and filled on a miss; None is the shared _MONOMIAL_MEMO.
     """
     if table is None:
         table = _MONOMIAL_MEMO
-    b, den, top, terms = form
+    lcm, top, terms = form
     num = 0
     for nu, c, drop in terms:
         key = (nu, X)
@@ -243,7 +256,8 @@ def _form_sum(form: tuple, X: tuple, d: int, table: dict = None) -> Fraction:
         if drop:
             m *= d ** drop
         num += c * m
-    return Fraction(num * b, den * d ** top)
+    return Fraction(num * scale.denominator,
+                    scale.numerator * lcm * d ** top)
 
 
 def monomial_eval(lam, x: Sequence) -> Fraction:
@@ -263,13 +277,16 @@ def _point_for(p: SymmetricPolynomial, x: Sequence) -> tuple:
 
 
 def poly_eval(p: SymmetricPolynomial, x: Sequence) -> Fraction:
-    """p(x), exact; the orbit sums are shared through the bounded memo."""
-    return _form_sum(_cleared_form(p.terms), *_cleared(_point_for(p, x)))
+    """p(x), exact, from p's kept form; the orbit sums are shared through
+    the bounded memo."""
+    return _form_sum(p.form, *_cleared(_point_for(p, x)))
 
 
 def poly_eval_fresh(p: SymmetricPolynomial, x: Sequence) -> Fraction:
-    """p(x) through a private, empty table: reads no shared memo."""
-    return _form_sum(_cleared_form(p.terms), *_cleared(_point_for(p, x)), {})
+    """p(x) from a form built afresh from p.terms, through a private, empty
+    table: reads neither p's kept form nor the shared memo."""
+    return _form_sum(_cleared_form(p.terms), *_cleared(_point_for(p, x)),
+                     table={})
 
 
 def poly_eval_float(p: SymmetricPolynomial, x: Sequence) -> float:

@@ -2,6 +2,7 @@
 permanent oracles, structural identities, and the failure modes."""
 
 import functools
+import itertools
 import math
 import os
 import pathlib
@@ -126,6 +127,40 @@ def test_zero_multiplicity_is_symmetrized_exponential():
 def test_closed_forms_reject_generic_multiplicity():
     with pytest.raises(DomainError):
         ho_closed_forms(HOParams(1.5, 2), (1.0, -1.0), (0.5, 0.0))
+
+
+def test_closed_forms_check_their_inputs():
+    # the permutation ceiling is met before any exponential is summed, and
+    # a point of the wrong length or with a non-finite coordinate is refused
+    with pytest.raises(ParameterError, match="permutation terms"):
+        ho_closed_forms(HOParams(0, 12), tuple(range(12)), tuple(range(12)))
+    for k in (0, 1, 2):
+        with pytest.raises(DomainError, match="length-1"):
+            ho_closed_forms(HOParams(k, 1), (2.5,), (0.9, 0.0))
+    with pytest.raises(DomainError, match="length-2"):
+        ho_closed_forms(HOParams(1, 2), (2.5, 1.0), (0.9,))
+    with pytest.raises(DomainError, match="finite coordinates"):
+        ho_closed_forms(HOParams(0, 2), (2.5, 1.0), (0.9, math.nan))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 0.5, 1, 2])
+def test_non_finite_coordinates_are_refused_on_every_branch(k, n):
+    s = tuple(float(n - i) for i in range(n))
+    for bad in (math.nan, math.inf, -math.inf):
+        x = (bad,) + tuple(-float(i) for i in range(1, n))
+        for call in (lambda: ho_eval(HOParams(k, n), s, x),
+                     lambda: ho_error_estimate(HOParams(k, n), s, x)):
+            with pytest.raises(DomainError, match="need finite coordinates"):
+                call()
+
+
+def test_zero_multiplicity_is_one_double_over_every_ordering():
+    s, x = (1.3, -0.2, 0.7), (0.4, -1.1, 0.9)
+    values = {ho_eval(HOParams(0, 3), ps, px).hex()
+              for ps in itertools.permutations(s)
+              for px in itertools.permutations(x)}
+    assert len(values) == 1
 
 
 def test_unit_multiplicity_matches_determinant():

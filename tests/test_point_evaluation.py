@@ -129,20 +129,52 @@ def test_refusals_keep_their_type_and_message(monkeypatch):
 
 
 def test_hunt_refuses_a_corrupted_cleared_form(monkeypatch):
-    # the lattice-only hunt finds nothing on sound values.  Scale the
-    # cached form of Omega_(1,1) up a billion times: the hunt now sees
-    # Omega_(2,0) < Omega_(1,1), and certification, which reads no form
-    # and no memo entry, must refuse it
+    # the lattice-only hunt finds nothing on sound values.  Scale the form
+    # that the memoized P_(1,1) keeps up a billion times: the hunt now sees
+    # Omega_(2,0) < Omega_(1,1), and certification, which reads no kept
+    # form and no memo entry, must refuse it
     mp = MacdonaldParams(Fraction(2, 5), Fraction(3, 7), 2)
     monkeypatch.setattr(cache, "_MEMO", {})
     hunt = lambda: hunt_violation(mp.q, mp.t, n=2, max_weight=2,
                                   lattice_only=True, label_bound=2)
     assert hunt()[0] is None
-    entry = cache._MEMO[("macdonald", mp.key(), (1, 1))]
-    b, den, top, terms = entry[2]
-    entry[2] = (b * 10 ** 9, den, top, terms)
+    p = cache._MEMO[("macdonald", mp.key(), (1, 1))][0]
+    lcm, top, terms = p.form
+    p._form = (lcm, top, tuple((nu, c * 10 ** 9, drop)
+                               for nu, c, drop in terms))
     with pytest.raises(CertificationError):
         hunt()
+
+
+def test_each_memoized_polynomial_builds_its_form_once(monkeypatch):
+    # the normalizer, eval, one-shape evaluation and a sweep row all read
+    # the one form each memoized polynomial keeps
+    monkeypatch.setattr(cache, "_MEMO", {})
+    built = []
+    cleared_form = sympoly._cleared_form
+
+    def counted(terms):
+        built.append(terms)
+        return cleared_form(terms)
+
+    monkeypatch.setattr(sympoly, "_cleared_form", counted)
+    half = Fraction(1, 2)
+    mp = MacdonaldParams(half, Fraction(1, 3), 3)
+    for _ in range(2):
+        for lam in ((2, 1, 0), (1, 1, 1), (3, 0, 0)):
+            assert jack_expand(lam, half).eval((3, 2, 1)) \
+                == omega_jack_eval(lam, half, (3, 2, 1)) \
+                * jack._normalized(lam, JackParam(half))[1]
+            assert macdonald_expand(lam, mp).eval((3, 2, 1)) \
+                == omega_mac_eval(lam, mp, (3, 2, 1)) \
+                * macdonald._normalized(lam, mp)[1]
+        check_schur_convexity("jack", 3, 3, samples=2, theta=half)
+        check_log_convexity("macdonald-lattice", 3, 3, q=mp.q, t=mp.t,
+                            label_bound=1)
+    polys = [entry[0] for key, entry in cache._MEMO.items()
+             if key[0] in ("jack", "macdonald")]
+    assert len(polys) > 6
+    assert sorted(map(id, built)) == sorted(id(p.terms) for p in polys)
 
 
 def test_sweeps_clear_each_point_once(monkeypatch):

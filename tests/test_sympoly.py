@@ -149,6 +149,20 @@ def test_poly_eval_matches_fraction_reference(case):
     assert poly_eval_fresh(p, x) == expected
 
 
+def test_poly_eval_fresh_ignores_a_corrupted_kept_form():
+    # poly_eval and eval read the form the polynomial keeps; poly_eval_fresh
+    # builds its own from the terms
+    p = SymmetricPolynomial(2, {(2, 0): Fraction(1, 3),
+                                (1, 1): Fraction(-2), (0, 0): Fraction(5)})
+    x = (Fraction(1, 2), 3)
+    value = reference_eval(p, x)
+    lcm, top, terms = p.form
+    p._form = (lcm, top, tuple((nu, c * 10 ** 9, drop)
+                               for nu, c, drop in terms))
+    assert poly_eval(p, x) == p.eval(x) == value * 10 ** 9
+    assert poly_eval_fresh(p, x) == value
+
+
 @given(polynomials_and_points())
 def test_monomial_eval_matches_fraction_reference(case):
     p, x = case
