@@ -123,9 +123,10 @@ def _add_globals(p: argparse.ArgumentParser):
 
 def _add_quadrature_flags(p: argparse.ArgumentParser):
     p.add_argument("--nodes", dest="nodes_per_dimension", type=_int_arg,
-                   help="quadrature nodes per panel, 4 to 1024: one "
-                        "panel per dimension, two for a k < 1 box near "
-                        "an outside coordinate")
+                   help="quadrature nodes per panel, 4 to 1024 (at most "
+                        "512 for a heckman-opdam check, whose error "
+                        "estimate doubles it): one panel per dimension, "
+                        "two for a k < 1 box near an outside coordinate")
     p.add_argument("--min-gap", dest="min_gap", type=_real_arg,
                    help="tie threshold on coordinates")
 

@@ -33,7 +33,8 @@ weight, so each level and the leaf compute the box-end edge factors once
 per mirror pair, for both its nodes.
 Nodes and weights depend on x and k only, so the L vectors share them, and
 the inequality sweeps evaluate every shape they need at a point in one
-pass per node count.  Each grid builder splits its rows at a fixed grid size
+pass, and their error estimates in one more where a comparison reads
+them.  Each grid builder splits its rows at a fixed grid size
 of 2^13 elements, so memory per level is bounded by L times that size (or
 by L times one point's grid, when that is larger; the leaf may take four
 times that size over all L), and no value depends on the split or on the
@@ -124,11 +125,11 @@ class HOParams:
 
 
 # ceilings on the work of one evaluation.  A node table of m nodes costs a
-# dense m x m eigen-solve, some 0.3 s at 1024 (so ho_error_estimate, which
-# doubles m, takes m up to 512).  An evaluation sums at most
-# per_dim^(n(n-1)/2) node terms per spectral vector, per_dim = 2m for k < 1
-# (every dimension near an outside coordinate) and m for k >= 1; 2^32 of
-# them take about a minute.  The workloads, criteria and sweeps stay far
+# dense m x m eigen-solve, some 0.3 s at 1024 (so ho_error_estimate and the
+# sweeps, whose error estimate doubles m, take m up to 512).  An evaluation
+# sums at most per_dim^(n(n-1)/2) node terms per spectral vector, per_dim =
+# 2m for k < 1 (every dimension near an outside coordinate) and m for
+# k >= 1; 2^32 of them take about a minute.  The workloads, criteria and sweeps stay far
 # below both: an n = 4 call at 8 nodes and k = 1/2 sums at most 16^6.  The
 # k = 0 closed form sums n! exponentials per vector in Python, 1.1 to
 # 1.4 us each at n = 8 to 10, so 2^26 of them take about a minute: one
@@ -921,21 +922,45 @@ def ho_direction_residual(params: HOParams, s, x, h: float,
     return abs(derivative - sum(s) * f0) / abs(f0)
 
 
+def _ho_eval_lazy(params: HOParams, svecs, x,
+                  cfg: QuadratureConfig = None) -> tuple:
+    """F at m nodes for every s in svecs, and a function that returns
+    ho_error_estimate's gap for each of them.
+
+    The checks and closed forms run once, and so do both work checks, the
+    2m one included, before any node is built: a batch that the estimate's
+    pass would refuse is refused here, even if its gaps are never read.
+    The values take one quadrature pass at m nodes.  Each call of the
+    function takes one at 2m, for the vectors the closed forms left, and
+    reuses the closed forms, so a vector one serves has gap 0.  A caller
+    that reads no gap builds no 2m node."""
+    cfg = cfg or QuadratureConfig()
+    m = cfg.nodes_per_dimension
+    if 2 * m > MAX_NODES:
+        raise ParameterError(
+            f"the error estimate doubles the node count, so it takes at "
+            f"most {MAX_NODES // 2} nodes per panel; got "
+            f"nodes_per_dimension={m}")
+    doubled = cfg.with_nodes(2 * m)
+    closed = _ho_closed(params, svecs, x, cfg)
+    _check_work(params, closed[0].count(None), doubled)
+    values = _ho_pass(params, closed, x, cfg)
+
+    def gaps():
+        fine = _ho_pass(params, closed, x, doubled)
+        return [abs(f - c) for c, f in zip(values, fine)]
+
+    return values, gaps
+
+
 def _ho_eval_and_gap(params: HOParams, svecs, x,
                      cfg: QuadratureConfig = None) -> list:
-    """(F at m nodes, ho_error_estimate's gap) for every s in svecs.
-
-    The checks and closed forms run once, so a vector that a closed form
-    serves is evaluated once and its gap is 0.  The rest take one
-    quadrature pass at 2m nodes and one at m.  The 2m pass runs first, so
-    its work check refuses a batch before any node is built: the m pass
-    takes the same vectors at fewer nodes."""
-    cfg = cfg or QuadratureConfig()
-    doubled = cfg.with_nodes(2 * cfg.nodes_per_dimension)
-    closed = _ho_closed(params, svecs, x, cfg)
-    fine = _ho_pass(params, closed, x, doubled)
-    coarse = _ho_pass(params, closed, x, cfg)
-    return [(c, abs(f - c)) for c, f in zip(coarse, fine)]
+    """(F at m nodes, ho_error_estimate's gap) for every s in svecs: the
+    values and gaps of _ho_eval_lazy, so the vectors the closed forms leave
+    take one pass at m nodes and one at 2m, and the rest are evaluated once
+    with gap 0."""
+    values, gaps = _ho_eval_lazy(params, svecs, x, cfg)
+    return list(zip(values, gaps()))
 
 
 def ho_error_estimate(params: HOParams, s, x,

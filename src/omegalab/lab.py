@@ -20,11 +20,12 @@ Probes are pure functions of (pair, point), so sweeps are trivially
 data-parallel; this implementation runs them in order and the report is the
 single merge point.  The sweep loops over points outside and pairs inside:
 at each point one family call evaluates every shape a pair compares, so the
-floating family builds its quadrature tree once per point and node count,
-the exact Jack and Macdonald families check and clear the point once
-(omega_jack_at, omega_mac_at), and the row is dropped once that point's
-pairs are compared.  Violations are still listed pair by pair, point by
-point.
+floating family builds one quadrature tree per point for the values, and
+one more at twice the nodes for their error estimates only at a point where
+some pair's gap passes the noise floor; the exact Jack and Macdonald
+families check and clear the point once (omega_jack_at, omega_mac_at), and
+the row is dropped once that point's pairs are compared.  Violations are
+still listed pair by pair, point by point.
 
 The hunt also runs points first, with one evaluator bound per point, but
 evaluates each shape only when a pair first needs it.  It usually stops at
@@ -44,7 +45,7 @@ from .classical import muirhead_eval, powersum_eval
 from .errors import (CertificationError, DegeneracyError, DomainError,
                      ParameterError, TieError, count_text)
 # ho_eval and ho_error_estimate stay bound for the benchmark tracer's patches
-from .heckman_opdam import (HOParams, QuadratureConfig, _ho_eval_and_gap,
+from .heckman_opdam import (HOParams, QuadratureConfig, _ho_eval_lazy,
                             ho_error_estimate, ho_eval)
 # omega_jack_eval and omega_mac_eval stay bound for the benchmark tracer's
 # patches; the sweeps and the hunt bind one evaluator per point instead
@@ -179,10 +180,11 @@ class InequalityReport:
 class _Family:
     """Evaluation strategy shared by the sweep driver.
 
-    probe(lams, x) returns one (value, err) per partition: the normalized
-    family member at x and its error estimate.  Exact families return a
-    Fraction and err 0; the floating family returns floats, err from its
-    quadrature, and evaluates every partition from one quadrature tree.
+    probe(lams, x) returns the normalized family member at x for every
+    partition: a list of Fractions for the exact families.  The floating
+    family returns (values, gaps): the floats, every partition's from one
+    quadrature tree, and a function that returns their quadrature error
+    estimates, from one more tree at twice the nodes.
     """
 
     __slots__ = ("name", "params", "exact", "probe")
@@ -199,7 +201,7 @@ def _exact_probe(bind):
     a family can check and clear x once per point, not once per shape."""
     def probe(lams, x):
         omega = bind(x)
-        return [(omega(lam), 0) for lam in lams]
+        return [omega(lam) for lam in lams]
     return probe
 
 
@@ -231,7 +233,7 @@ def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
         rho = tuple(float(r) for r in hop.rho)
 
         def probe(lams, x):
-            return _ho_eval_and_gap(
+            return _ho_eval_lazy(
                 hop, [tuple(p + hop.k * r for p, r in zip(lam.parts, rho))
                       for lam in lams], x, cfg)
 
@@ -307,29 +309,31 @@ def _resolved_params(fam: _Family, label_bound, x_low, x_high,
 
 
 # lhs >= rhs over the pairs of one enumeration mode: shapes(lam, mu) lists
-# the partitions probed per pair, sides(probes) and tolerance(probes) read
-# their (value, err) probes; the tolerance is computed for floats only
+# the partitions probed per pair, sides(values) reads their values, and
+# tolerance(values, errs) their values and error estimates; the tolerance
+# is computed for floats only
 _Statement = namedtuple("_Statement", "command mode shapes sides tolerance")
 
 
-def _order_sides(probes):
-    (lhs, _), (rhs, _) = probes
+def _order_sides(values):
+    lhs, rhs = values
     return lhs, rhs
 
 
-def _order_tolerance(probes):
-    (_, el), (_, er) = probes
+def _order_tolerance(values, errs):
+    el, er = errs
     return 10 * (el + er)
 
 
-def _midpoint_sides(probes):
-    (vl, _), (vm, _), (vc, _) = probes
+def _midpoint_sides(values):
+    vl, vm, vc = values
     return vl * vm, vc * vc
 
 
-def _midpoint_tolerance(probes):
+def _midpoint_tolerance(values, errs):
     # the per-value estimates propagated to first order
-    (vl, el), (vm, em), (vc, ec) = probes
+    vl, vm, vc = values
+    el, em, ec = errs
     return 10 * (el * abs(vm) + em * abs(vl) + 2 * ec * abs(vc))
 
 
@@ -352,6 +356,12 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
     evaluates per point; a tie there skips the point for every pair.
     Violations are gathered per pair, so the report lists them pair by
     pair, point by point.
+
+    A floating gap at or below the noise floor is neither a violation nor
+    a near-miss, whatever the tolerance (it is never negative), so the
+    error estimates are read only past it: the first such pair at a point
+    takes them for every shape, and a point with none never builds the
+    estimate's quadrature.
     """
     start = time.monotonic()
     _check_variables(n)
@@ -373,17 +383,25 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
         except TieError:
             skipped += len(pairs)
             continue
+        if not fam.exact:
+            row, gaps = row
+            errs = None
         for (lam, mu), slot, hits in zip(pairs, pair_slots, found):
-            probes = [row[i] for i in slot]
-            lhs, rhs = stmt.sides(probes)
+            values = [row[i] for i in slot]
+            lhs, rhs = stmt.sides(values)
             if fam.exact:
                 failed = lhs < rhs
             else:
                 gap = rhs - lhs
                 noise = NOISE_FLOOR * (abs(lhs) + abs(rhs))
-                failed = gap > stmt.tolerance(probes) + noise
-                if not failed and gap > noise:
-                    near_misses += 1
+                failed = False
+                if gap > noise:
+                    if errs is None:
+                        errs = gaps()
+                    failed = gap > stmt.tolerance(
+                        values, [errs[i] for i in slot]) + noise
+                    if not failed:
+                        near_misses += 1
             if failed:
                 hits.append(Witness(fam.name, fam.params, lam, mu, x, lhs,
                                     rhs))
@@ -405,7 +423,9 @@ def check_schur_convexity(family, n, max_weight, samples=100, seed=0, *,
     strictly majorizes mu in every probe.  Exact families compare Fractions;
     the Heckman-Opdam family uses the tolerance 10 * (sum of the two
     quadrature error estimates) plus a machine-noise floor, and counts
-    sub-tolerance failures above the noise floor as near-misses.
+    sub-tolerance failures above the noise floor as near-misses.  The
+    estimates are computed only at points where some pair's gap passes the
+    noise floor; a gap at or below it passes whatever the tolerance.
     """
     return _sweep(_SCHUR, family, n, max_weight, samples, seed, theta=theta,
                   q=q, t=t, a=a, k=k, label_bound=label_bound, x_low=x_low,
@@ -422,7 +442,8 @@ def check_log_convexity(family, n, max_weight, samples=100, seed=0, *,
     entrywise midpoint, lambda = mu included (a trivial equality).  Witness
     lhs/rhs record the compared products.  Floating tolerance propagates the
     per-value quadrature estimates to first order; as in the order sweep,
-    only failures above the noise floor count as near-misses.
+    only failures above the noise floor count as near-misses, and a point
+    computes its estimates only where some pair's gap passes that floor.
     """
     return _sweep(_LOGCONVEX, family, n, max_weight, samples, seed,
                   theta=theta, q=q, t=t, a=a, k=k, label_bound=label_bound,
@@ -506,7 +527,7 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
                    f"for {lam} vs {mu} under {family}")
     for value in (1 << e for e in range(PARAMETER_CEILING.bit_length())):
         x, where = point(value)
-        (lhs, _), (rhs, _) = fam.probe([lam, mu], x)
+        lhs, rhs = fam.probe([lam, mu], x)
         if rhs > lhs:
             return Witness(family, dict(fam.params, **where), lam, mu, x,
                            lhs, rhs)

@@ -493,6 +493,19 @@ def test_min_gap_takes_a_fraction(capsys):
     assert capsys.readouterr().out == "1.6487212707001282\n"
 
 
+def test_sweep_node_ceiling_names_the_error_estimate(capsys):
+    # the sweeps' error estimate doubles --nodes; 600 is refused quoting the
+    # count given and the most the estimate takes, not the doubled 1200
+    argv = ["check", "schur", "--family", "heckman-opdam", "--k", "2",
+            "--n", "2", "--max-weight", "2", "--nodes", "600"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the error estimate doubles the node "
+                            "count, so it takes at most 512 nodes per "
+                            "panel; got nodes_per_dimension=600\n")
+
+
 def test_underflowing_quadrature_checks_exit_two(capsys):
     assert_exit_two(UNDERFLOWING, capsys)
 

@@ -1015,10 +1015,19 @@ def test_work_ceilings_refuse_before_any_node_is_built(monkeypatch):
         assert f"ceiling of {MAX_NODE_TERMS}" in message, message
     # the error estimate's 2m pass: five vectors at n = 4, k = 1/2 and 8
     # nodes take 5 * 16^6 terms at m, below the ceiling, and 5 * 32^6 at
-    # 2m, above it; the m pass must not run first
+    # 2m, above it; the 2m work check runs before the m pass
     with pytest.raises(ParameterError, match=f"{5 * 32 ** 6} node terms"):
         _ho_eval_and_gap(HOParams(0.5, 4), [(1.0, 0.0, -1.0, -2.0)] * 5,
                          (0.9, 0.3, -0.2, -1.0), QuadratureConfig(8))
+    # the error estimate doubles m, so past MAX_NODES // 2 it is refused
+    # with the m it was given, not the doubled count
+    with pytest.raises(ParameterError) as caught:
+        ho_error_estimate(HOParams(2, 2), (1.0, 0.0), (0.9, -0.3),
+                          QuadratureConfig(MAX_NODES // 2 + 1))
+    message = str(caught.value)
+    assert "doubles the node count" in message, message
+    assert f"at most {MAX_NODES // 2} nodes per panel" in message, message
+    assert f"nodes_per_dimension={MAX_NODES // 2 + 1}" in message, message
     # k = 0 is a closed form and builds no nodes
     assert ho_eval(HOParams(0, 5), (4, 3, 2, 1, 0), (5, 4, 3, 2, 1)) > 0
 
@@ -1259,7 +1268,7 @@ def test_error_estimate_tries_each_determinant_once(monkeypatch):
     # a vector the k = 1 determinant serves has one value in both passes
     # and gap 0, so one _ho_eval_and_gap tries each vector's determinant
     # once, served or not; only the near tie in s, which falls back, takes
-    # the 2m pass and then the m pass.  Values are ho_eval's and
+    # the m pass and then the 2m pass.  Values are ho_eval's and
     # ho_error_estimate's bit for bit
     p, cfg = HOParams(1, 3), QuadratureConfig(8)
     x = (0.9, 0.3, -0.6)
@@ -1285,7 +1294,7 @@ def test_error_estimate_tries_each_determinant_once(monkeypatch):
     assert _ho_eval_and_gap(p, svecs, x, cfg) == expected
     assert sorted(tried) == sorted(tuple(sorted(s, reverse=True))
                                    for s in svecs)
-    assert passes == [(16, 1), (8, 1)]
+    assert passes == [(8, 1), (16, 1)]
     assert [gap for _, gap in expected[:-1]] == [0.0] * (len(svecs) - 1)
 
 

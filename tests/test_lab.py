@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -176,15 +177,49 @@ REPORT_DIGEST = ("88182e6e46ec19221902bda4092b7ef7"
                  "bc98621f5b7076e1493668ad3333927a")
 
 
-def test_sweep_reports_match_pinned_digest():
+# near-tie Heckman-Opdam sweeps: 4 and 5 nodes, sample boxes as narrow as
+# 10^-6 and min_gap 1e-12, so some order pairs land above the noise floor
+# and read the error estimate
+NEAR_TIE_SWEEPS = [
+    (sweep, ("heckman-opdam", n, 4),
+     dict(samples=4, seed=n + nodes, k=k, x_high=x_high,
+          cfg=QuadratureConfig(nodes, min_gap=1e-12)))
+    for sweep in (check_schur_convexity, check_log_convexity)
+    for n in (2, 3)
+    for k in (Fraction(1, 20), Fraction(1, 4), Fraction(1, 2), Fraction(3, 2),
+              2, 6)
+    for x_high in (Fraction(1, 1000), Fraction(1, 10 ** 6), 60)
+    for nodes in (4, 5)
+]
+
+# sha256 of the NEAR_TIE_SWEEPS reports, recorded while every probe still
+# computed the error estimate at every point
+NEAR_TIE_DIGEST = ("4d3f823921460d7ab194324416d0b917"
+                   "5b6c317e08ebbdb3f1ee8a3f93728c6b")
+
+
+def sweep_reports(sweeps) -> list:
     reports = []
-    for sweep, args, kwargs in DIGEST_SWEEPS:
+    for sweep, args, kwargs in sweeps:
         data = sweep(*args, **kwargs).to_json()
         # timing varies run to run; the version is not a sweep result
         del data["elapsed_ms"], data["version"]
         reports.append(data)
-    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
-    assert digest == REPORT_DIGEST
+    return reports
+
+
+def digest(reports) -> str:
+    return hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+
+
+def test_sweep_reports_match_pinned_digest():
+    assert digest(sweep_reports(DIGEST_SWEEPS)) == REPORT_DIGEST
+
+
+def test_near_tie_reports_match_pinned_digest():
+    reports = sweep_reports(NEAR_TIE_SWEEPS)
+    assert sum(r["near_misses"] for r in reports) == 37
+    assert digest(reports) == NEAR_TIE_DIGEST
 
 
 def test_tied_points_are_skipped_and_counted():
@@ -201,9 +236,23 @@ def test_tied_points_are_skipped_and_counted():
         assert report.passed and report.near_misses == 0
 
 
-def test_heckman_opdam_probe_evaluates_each_node_count_once(monkeypatch):
-    # one probe runs the quadrature once at 2m nodes for the error estimate
-    # and once at m, for every shape at once; each value is the
+def count_passes(monkeypatch) -> list:
+    """Patch heckman_opdam._ho_pass to log (nodes, vectors summed) per
+    quadrature pass, and return the log."""
+    calls = []
+    original = heckman_opdam._ho_pass
+
+    def counted(params, closed, x, cfg):
+        calls.append((cfg.nodes_per_dimension, closed[0].count(None)))
+        return original(params, closed, x, cfg)
+
+    monkeypatch.setattr(heckman_opdam, "_ho_pass", counted)
+    return calls
+
+
+def test_heckman_opdam_probe_defers_the_error_estimate(monkeypatch):
+    # one probe runs the quadrature once at m nodes, for every shape at
+    # once, and its gap function once at 2m; each value and gap is the
     # one-at-a-time one
     cfg = QuadratureConfig(8)
     x = (1.5, 0.25)
@@ -214,34 +263,52 @@ def test_heckman_opdam_probe_evaluates_each_node_count_once(monkeypatch):
         s = tuple(p + 2 * r for p, r in zip(lam.parts, (0.5, -0.5)))
         expected.append((heckman_opdam.ho_eval(hop, s, x, cfg),
                          heckman_opdam.ho_error_estimate(hop, s, x, cfg)))
-    calls = []
-    original = heckman_opdam._ho_pass
-
-    def counted(params, closed, x, cfg):
-        calls.append((cfg.nodes_per_dimension, closed[0].count(None)))
-        return original(params, closed, x, cfg)
-
-    monkeypatch.setattr(heckman_opdam, "_ho_pass", counted)
-    probe = _make_family("heckman-opdam", 2, k=2, cfg=cfg).probe
-    assert probe(shapes, x) == expected
-    assert calls == [(16, 3), (8, 3)]
+    calls = count_passes(monkeypatch)
+    values, gaps = _make_family("heckman-opdam", 2, k=2, cfg=cfg).probe(
+        shapes, x)
+    assert calls == [(8, 3)]
+    assert list(zip(values, gaps())) == expected
+    assert calls == [(8, 3), (16, 3)]
 
 
-def test_sweep_probes_every_shape_at_a_point_in_one_batch(monkeypatch):
-    # five shapes at each of two n=3 points: one 2m-node and one m-node
-    # quadrature per point
-    calls = []
-    original = heckman_opdam._ho_pass
-
-    def counted(params, closed, x, cfg):
-        calls.append((cfg.nodes_per_dimension, closed[0].count(None)))
-        return original(params, closed, x, cfg)
-
-    monkeypatch.setattr(heckman_opdam, "_ho_pass", counted)
+def test_clean_sweep_makes_no_error_estimate_pass(monkeypatch):
+    # five shapes at each of two n=3 points: no pair's gap passes the noise
+    # floor, so each point takes one m-node pass and no 2m-node pass
+    calls = count_passes(monkeypatch)
     report = check_schur_convexity("heckman-opdam", 3, 3, samples=2, seed=0,
                                    k=2, cfg=QuadratureConfig(4))
     assert report.pairs_checked == 4 and report.passed
-    assert calls == [(8, 5), (4, 5)] * 2
+    assert report.near_misses == 0
+    assert calls == [(4, 5)] * 2
+
+
+def test_error_estimate_pass_runs_once_where_a_pair_reads_it(monkeypatch):
+    # nine shapes at each of four points; five pairs at the first point
+    # pass the noise floor (each a near-miss) and share one 2m-node pass
+    # over all nine shapes, and the other points take none
+    calls = count_passes(monkeypatch)
+    report = check_schur_convexity(
+        "heckman-opdam", 3, 4, samples=4, seed=7, k=Fraction(1, 20),
+        x_high=Fraction(1, 10 ** 6), cfg=QuadratureConfig(4, min_gap=1e-12))
+    assert report.passed and report.near_misses == 5
+    assert calls == [(4, 9), (8, 9), (4, 9), (4, 9), (4, 9)]
+
+
+def test_n4_order_sweep_passes_without_an_error_estimate_pass(monkeypatch):
+    calls = count_passes(monkeypatch)
+    report = check_schur_convexity("heckman-opdam", 4, 3, samples=2, seed=0,
+                                   k=2, cfg=QuadratureConfig(8))
+    assert report.pairs_checked == 4 and report.passed
+    assert calls == [(8, 5)] * 2
+    # at k = 1/2 every box might be near: the estimate's 2m pass would sum
+    # 5 * 32^6 node terms, so the sweep is refused before any pass
+    calls.clear()
+    with pytest.raises(ParameterError) as caught:
+        check_schur_convexity("heckman-opdam", 4, 3, samples=2, seed=0,
+                              k=Fraction(1, 2), cfg=QuadratureConfig(8))
+    assert "5368709120 node terms" in str(caught.value)
+    assert "with 16 nodes per panel" in str(caught.value)
+    assert calls == []
 
 
 def test_sweep_lists_violations_pair_by_pair_point_by_point(monkeypatch):
@@ -500,6 +567,35 @@ def test_last_soundness_checks_raise_under_optimization():
     assert out == ["DegeneracyError", "DomainError", "DimensionMismatchError",
                    "DimensionMismatchError", "DegeneracyError",
                    "DomainError"], err
+
+
+@pytest.mark.parametrize("err", [1e-9, 0.0])
+def test_midpoint_gap_past_the_noise_floor_reads_the_estimates(err,
+                                                              monkeypatch):
+    # the quadrature is log-convex in s, so no real sweep's midpoint gap
+    # passes the noise floor.  Values exp(-1e-9 |s|^2) break log-convexity
+    # by a relative 5e-10 |lam - mu|^2: inside the band 10 (el |vm| + em |vl|
+    # + 2 ec |vc|) = 4e-8 at err 1e-9, past it at err 0.  Each point takes
+    # its estimates once
+    reads = []
+
+    def fake(hop, svecs, x, cfg):
+        def gaps():
+            reads.append(x)
+            return [err] * len(svecs)
+        return [math.exp(-1e-9 * sum(v * v for v in s)) for s in svecs], gaps
+
+    monkeypatch.setattr(lab, "_ho_eval_lazy", fake)
+    report = check_log_convexity("heckman-opdam", 2, 2, samples=3, seed=1,
+                                 k=2)
+    unequal = sum(lam != mu for lam, mu in
+                  enumerate_pairs(2, 2, "midpoint-integral"))
+    assert unequal > 0 and len(set(reads)) == len(reads) == 3
+    if err:
+        assert report.passed and report.near_misses == 3 * unequal
+    else:
+        assert len(report.violations) == 3 * unequal
+        assert report.near_misses == 0
 
 
 def test_exact_identities_are_not_near_misses():
