@@ -534,7 +534,10 @@ def _leaf_rows(k: float, s, x0, x1, tilt, vpow: float, logc, nodes: int):
     terms[:, :centre.stop] += node
     terms[:, upper] += node[lower]
     terms += row[:, None, :]
-    np.exp(terms, out=terms)
+    # an exponent past the double range gives inf, which the caller's
+    # finite check refuses
+    with np.errstate(over="ignore"):
+        np.exp(terms, out=terms)
     if x0.size > 1:
         # summed node by node; numpy sums a lone row pairwise instead
         return terms.sum(axis=1)
@@ -888,14 +891,17 @@ def ho_jack_consistency(lam, params: HOParams, x,
     s = tuple(float(Fraction(li) + theta.theta * r)
               for li, r in zip(lam, params.rho))
     p, denom = _jack_normalized(lam, theta)
-    y = [math.exp(float(v)) for v in x]
-    jack_side = poly_eval_float(p, y) / float(denom)
-    ho_side = ho_eval(params, s, x, cfg)
-    if not jack_side > 0:
+    try:
+        jack_side = poly_eval_float(
+            p, [math.exp(float(v)) for v in x]) / float(denom)
+    except (OverflowError, DegeneracyError):
+        # e^x, or the value, past the double range
+        jack_side = math.inf
+    if not 0 < jack_side < math.inf:
         raise DegeneracyError(
             f"Omega_{lam}(e^x; k={params.k}) is {jack_side} in floating "
             f"point at x={tuple(x)}; the relative gap is undefined")
-    return abs(ho_side - jack_side) / jack_side
+    return abs(ho_eval(params, s, x, cfg) - jack_side) / jack_side
 
 
 def ho_direction_residual(params: HOParams, s, x, h: float,

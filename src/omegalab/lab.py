@@ -536,7 +536,8 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
 
 def _certified_omega(lam: Partition, mp: MacdonaldParams, x) -> Fraction:
     """Omega recomputed from a fresh expansion, bypassing every cache: the
-    evaluation uses a private table of orbit sums, never the shared one."""
+    evaluation uses a private table of monomial values, never the shared
+    one."""
     p = macdonald._expand_uncached(lam.parts, mp)
     denom = poly_eval_fresh(p, mp.t_delta())
     if denom == 0:

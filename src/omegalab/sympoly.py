@@ -5,14 +5,15 @@ monomial symmetric polynomials m_lambda, stored as a dict from the sorted
 exponent tuple (the partition, trailing zeros kept) to a nonzero Fraction.
 m_lambda(x) sums x^eta over the distinct rearrangements eta of lambda, each
 counted once.  Exact evaluation works in integers: the point is cleared of
-denominators once, each orbit sum at the integer point is kept in one
-bounded table shared by every polynomial evaluated there, and a single
-division at the end gives the canonical Fraction.  The sum runs over the
-polynomial's cleared form, integer coefficients over one common
-denominator, which each polynomial builds from its terms on first
-evaluation and keeps; terms is not changed after construction.  A caller
-that divides by a rational scale passes it to the sum, which folds it into
-that one division.
+denominators once, and m_nu at the integer point comes from one table per
+point, filled by peeling one variable at a time and shared by every
+polynomial evaluated there; a single division at the end gives the
+canonical Fraction.  The sum runs over the polynomial's cleared form,
+integer coefficients over one common denominator, which each polynomial
+builds from its terms on first evaluation and keeps; terms is not changed
+after construction.  A caller that divides by a rational scale passes it
+to the sum, which folds it into that one division.  Floating evaluation is
+the exact value at the floating point, rounded once.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (DimensionMismatchError, DomainError, ParameterError,
-                     count_text)
+from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
+                     ParameterError, count_text)
 from .partitions import partition_key
 
 Exponent = tuple  # tuple[int, ...]
@@ -60,15 +61,9 @@ def distinct_permutations(seq: Sequence) -> Iterator[tuple]:
 
 def orbit_size(lam: Sequence[int]) -> int:
     """Number of distinct rearrangements of lam, i.e. m_lambda(1,...,1)."""
-    from math import factorial
-
-    counts: dict = {}
-    for p in lam:
-        counts[p] = counts.get(p, 0) + 1
-    size = factorial(len(tuple(lam)))
-    for c in counts.values():
-        size //= factorial(c)
-    return size
+    lam = tuple(lam)
+    return math.factorial(len(lam)) // math.prod(
+        math.factorial(lam.count(p)) for p in set(lam))
 
 
 class SymmetricPolynomial:
@@ -171,10 +166,15 @@ class SymmetricPolynomial:
         return f"SymmetricPolynomial({self.n}, {body})"
 
 
-# bound on the shared table of integer orbit sums; the table is emptied
-# when it reaches this many entries
+# the shared tables of integer monomial values, one per cleared point X:
+# _MONOMIAL_MEMO[X] maps nu to m_nu(X_1, ..., X_len(nu)).  _memo_entries
+# counts the entries filled since the memo was last emptied, a private
+# table's included, and a new point that finds it at MONOMIAL_MEMO_SIZE or
+# more empties the memo first: the tables hold at most that many entries
+# besides those filled since the last new point
 MONOMIAL_MEMO_SIZE = 1 << 15
-_MONOMIAL_MEMO: dict[tuple, int] = {}
+_MONOMIAL_MEMO: dict[tuple, dict] = {}
+_memo_entries = 0
 
 
 def _cleared(x: Sequence) -> tuple[tuple[int, ...], int]:
@@ -184,34 +184,42 @@ def _cleared(x: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (d // v.denominator) for v in xs), d
 
 
-# ceiling on the rearrangements one orbit walk visits, in _orbit_sum and
-# in poly_multiply.  At n = 100 a rearrangement takes about 11 us in an
-# orbit sum and 18 us in a product, at n <= 20 some 2 to 4 us, so 2^22 of
-# them take about a minute at n = 100; m_(1^6) at n = 100 has C(100, 6),
-# about 1.2e9
+# ceiling on the work of one walk or one fill: the rearrangements that
+# poly_multiply walks, and the states that one monomial's fill (_fill)
+# visits, checked when a form is built.  At n = 100 a rearrangement takes
+# about 18 us in a product, and a state about 25 us and 0.6 KiB, so 2^22
+# of either take one to two minutes, and a fill that many GiB.  m_(1^6)
+# at n = 100 visits 7 * 95 = 665 states; 22 distinct parts and a zero,
+# 2^23
 MAX_ORBIT_TERMS = 1 << 22
 
 
 def _check_walk(count: int, what: str):
+    """ParameterError when count passes MAX_ORBIT_TERMS; what names the
+    work, with {} where the count goes."""
     if count > MAX_ORBIT_TERMS:
-        raise ParameterError(
-            f"{what} walks {count_text(count)} rearrangements, past the "
-            f"ceiling of {MAX_ORBIT_TERMS}")
+        raise ParameterError(f"{what.format(count_text(count))}, past the "
+                             f"ceiling of {MAX_ORBIT_TERMS}")
 
 
-def _orbit_sum(nu: Exponent, X: tuple):
-    """m_nu(X) as a plain sum over the orbit: exact at an integer point,
-    and the floating evaluation's loop at a floating one.  An orbit past
-    MAX_ORBIT_TERMS is refused before the walk."""
-    _check_walk(orbit_size(nu), "an orbit sum")
-    total = 0
-    for eta in distinct_permutations(nu):
-        term = 1
-        for xi, e in zip(X, eta):
-            if e:
-                term *= xi ** e
-        total += term
-    return total
+def _fill(nu: Exponent, X: tuple, table: dict) -> int:
+    """m_nu(X_1, ..., X_len(nu)), read from table or put into it, with
+    every sub-multiset of nu that the sum needs.
+
+    Peeling the last variable, m_mu(X_1, ..., X_j) is the sum over the
+    distinct entries p of mu of X_j^p m_{mu - p}(X_1, ..., X_{j-1}), and
+    m_() = 1, so a fill visits at most prod(multiplicity + 1) keys over the
+    distinct entries of nu, and recurses len(nu) calls deep.
+    """
+    m = table.get(nu)
+    if m is None:
+        m = 0 if nu else 1
+        x = X[len(nu) - 1]
+        for i, p in enumerate(nu):
+            if not i or nu[i - 1] != p:
+                m += x ** p * _fill(nu[:i] + nu[i + 1:], X, table)
+        table[nu] = m
+    return m
 
 
 def _cleared_form(terms: Mapping[Exponent, Fraction]) -> tuple:
@@ -220,8 +228,13 @@ def _cleared_form(terms: Mapping[Exponent, Fraction]) -> tuple:
 
     With L the lcm of the coefficient denominators and top the largest
     degree, p = sum (C_nu / L) m_nu for integers C_nu, and the form is
-    (L, top, ((nu, C_nu, top - |nu|), ...)).
+    (L, top, ((nu, C_nu, top - |nu|), ...)).  A term whose fill would
+    visit more than MAX_ORBIT_TERMS states is refused here, before any
+    table is filled.
     """
+    _check_walk(max((math.prod(nu.count(p) + 1 for p in set(nu))
+                     for nu in terms), default=1),
+                "a monomial's table fill visits {} states")
     degrees = [sum(nu) for nu in terms]
     top = max(degrees, default=0)
     lcm = math.lcm(*(c.denominator for c in terms.values()))
@@ -238,24 +251,23 @@ def _form_sum(form: tuple, X: tuple, d: int, scale=1,
     m_nu(x) = m_nu(X) / d^|nu|, so with scale = a / b, p(x) / scale is
     b * sum C_nu m_nu(X) d^(top - |nu|) over a * L * d^top, and
     non-homogeneous polynomials need nothing extra.  A zero scale is
-    refused by the caller.  m_nu(X) is read from table, keyed by (nu, X),
-    and filled on a miss; None is the shared _MONOMIAL_MEMO.
+    refused by the caller.  m_nu(X) is read from table and filled on a miss
+    (_fill); None is X's table in the shared _MONOMIAL_MEMO.
     """
+    global _memo_entries
     if table is None:
-        table = _MONOMIAL_MEMO
+        table = _MONOMIAL_MEMO.get(X)
+        if table is None:
+            if _memo_entries >= MONOMIAL_MEMO_SIZE:
+                _MONOMIAL_MEMO.clear()
+                _memo_entries = 0
+            table = _MONOMIAL_MEMO[X] = {}
+    _memo_entries -= len(table)
     lcm, top, terms = form
     num = 0
     for nu, c, drop in terms:
-        key = (nu, X)
-        m = table.get(key)
-        if m is None:
-            m = _orbit_sum(nu, X)
-            if len(table) >= MONOMIAL_MEMO_SIZE:
-                table.clear()
-            table[key] = m
-        if drop:
-            m *= d ** drop
-        num += c * m
+        num += c * _fill(nu, X, table) * d ** drop
+    _memo_entries += len(table)
     return Fraction(num * scale.denominator,
                     scale.numerator * lcm * d ** top)
 
@@ -277,8 +289,7 @@ def _point_for(p: SymmetricPolynomial, x: Sequence) -> tuple:
 
 
 def poly_eval(p: SymmetricPolynomial, x: Sequence) -> Fraction:
-    """p(x), exact, from p's kept form; the orbit sums are shared through
-    the bounded memo."""
+    """p(x), exact, from p's kept form and x's shared table."""
     return _form_sum(p.form, *_cleared(_point_for(p, x)))
 
 
@@ -290,13 +301,17 @@ def poly_eval_fresh(p: SymmetricPolynomial, x: Sequence) -> Fraction:
 
 
 def poly_eval_float(p: SymmetricPolynomial, x: Sequence) -> float:
-    """Floating evaluation of an exact expansion at a floating point,
-    through the orbit loop of exact evaluation."""
-    xs = tuple(float(c) for c in _point_for(p, x))
-    total = 0.0
-    for nu, c in p.terms.items():
-        total += float(c) * _orbit_sum(nu, xs)
-    return total
+    """p(x) at a floating point, correctly rounded: each coordinate is
+    taken as a double, an exact dyadic rational, and the exact value there
+    (poly_eval) is rounded once.  A coordinate that is not finite raises
+    DomainError, and a value past the double range DegeneracyError."""
+    xs = [float(c) for c in _point_for(p, x)]
+    if not all(map(math.isfinite, xs)):
+        raise DomainError("need finite coordinates")
+    try:
+        return float(poly_eval(p, xs))
+    except OverflowError:
+        raise DegeneracyError("the value is past the floating range") from None
 
 
 def poly_combine(pairs: Iterable[tuple[Fraction, SymmetricPolynomial]]) -> SymmetricPolynomial:
@@ -313,11 +328,8 @@ def poly_combine(pairs: Iterable[tuple[Fraction, SymmetricPolynomial]]) -> Symme
         if c0 == 0:
             continue
         for key, c in poly.terms.items():
-            new = acc.get(key, Fraction(0)) + c0 * c
-            if new == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = new
+            acc[key] = acc.get(key, 0) + c0 * c
+    # the constructor drops the terms that cancelled
     return SymmetricPolynomial(n, acc)
 
 
@@ -331,7 +343,7 @@ def poly_multiply(p: SymmetricPolynomial, q: SymmetricPolynomial) -> SymmetricPo
     swapped = len(q.terms) * sum(map(orbit_size, p.terms))
     if swapped < walk:
         p, q, walk = q, p, swapped
-    _check_walk(walk, "the product")
+    _check_walk(walk, "the product walks {} rearrangements")
     acc: dict[Exponent, Fraction] = {}
     for lam, c in p.terms.items():
         size = orbit_size(lam)

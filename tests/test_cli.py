@@ -376,16 +376,35 @@ HOSTILE = [
     ["eval", "--family", "classical", "--lambda", "2", "--n", "100000000",
      "--x", "1"],
     ["expand", "--family", "classical", "--lambda", ",".join(["1"] * 200)],
-    # walks past their ceilings, refused before they start: C(100, 6) terms
-    # of one orbit sum, a product walking the C(100, 5) rearrangements of
-    # e_5, and the Kostka table of weight 3 on 100 variables
-    ["eval", "--family", "classical", "--lambda", "1,1,1,1,1,1", "--n", "100",
-     "--x", ",".join(str(i) for i in range(1, 101))],
+    # work past its ceilings, refused before it starts: a monomial with 23
+    # distinct parts, whose table fill would visit 2^23 states, a product
+    # walking the C(100, 5) rearrangements of e_5, and the Kostka table of
+    # weight 3 on 100 variables
+    ["eval", "--family", "classical", "--lambda",
+     ",".join(str(i) for i in range(23, 0, -1)),
+     "--x", ",".join(str(i) for i in range(1, 24))],
     ["expand", "--family", "classical", "--basis", "elementary", "--lambda",
      "5,5", "--n", "100"],
     ["expand", "--family", "macdonald", "--lambda", "3", "--q", "1/2", "--t",
      "1/3", "--n", "100"],
+    # floating values past the double range: e^800 itself, and
+    # Omega_(3,1)(e^300, 1) near e^1200
+    ["ho", "verify", "--k", "1/2", "--lambda", "1,0", "--x", "800,0"],
+    ["ho", "verify", "--k", "2", "--lambda", "3,1", "--x", "300,0"],
+    # node exponents past the double range, refused by the finite check
+    # with no numpy warning before the error line
+    ["ho", "eval", "--k", "1/2", "--s", "1e308,0", "--x", "1,0"],
+    ["ho", "residual", "--k", "1/2", "--s", "1e308,0", "--x", "1,0"],
 ]
+
+
+def test_a_large_orbit_is_evaluated(capsys):
+    # m_(1^6) at n = 100 walks C(100, 6), about 1.2e9, rearrangements, but
+    # its table fill visits 7 * 95 = 665 states; the value is e_6(1..100)
+    assert run(["eval", "--family", "classical", "--lambda", "1,1,1,1,1,1",
+                "--n", "100",
+                "--x", ",".join(str(i) for i in range(1, 101))]) == 0
+    assert capsys.readouterr().out == "18802604432559339700\n"
 
 # arguments that argparse refuses (exit 2) with a bounded error: reals out
 # of floating range, and integers past int()'s digit limit
@@ -519,12 +538,13 @@ OUT_OF_RANGE = ["ho", "eval", "--k", "1/2", "--s", "3,-1", "--x", "400,-400"]
 
 
 def test_quadrature_values_out_of_range_exit_two(capsys):
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert_exit_two([OUT_OF_RANGE], capsys)
+    # the suite turns RuntimeWarning into an error, so this also shows that
+    # numpy's overflow in the leaf's exponential stays silent
+    assert_exit_two([OUT_OF_RANGE], capsys)
 
 
 def test_quadrature_values_out_of_range_exit_two_under_optimization():
-    # numpy's overflow warning precedes the error line on stderr
+    # the error line is the whole of stderr: no numpy warning precedes it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
         os.path.dirname(os.path.dirname(omegalab.__file__)),
         os.environ.get("PYTHONPATH")))))
@@ -532,7 +552,7 @@ def test_quadrature_values_out_of_range_exit_two_under_optimization():
                            *OUT_OF_RANGE], env=env, capture_output=True,
                           text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
-    assert "\nerror: F_{k,s}(x) is inf" in proc.stderr
+    assert proc.stderr.startswith("error: F_{k,s}(x) is inf"), proc.stderr
 
 
 # str() refuses integers of more than 4300 digits; each command prints

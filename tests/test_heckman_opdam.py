@@ -890,12 +890,14 @@ def test_small_multiplicity_on_a_wide_box_is_finite():
 
 
 def test_values_out_of_floating_range_raise():
-    # F is near e^1600 at the first point and near 3e328 at the second
+    # F is near e^1600 at the first point and near 3e328 at the second;
+    # the leaf's exponential overflows to inf without a RuntimeWarning
     cases = [(HOParams(0.5, 2), (3.0, -1.0), (400.0, -400.0)),
              (HOParams(0.05, 3), (1.0, 0.0, -1.0), (400.0, 0.0, -400.0))]
     for p, s, x in cases:
-        with pytest.warns(RuntimeWarning), \
+        with warnings.catch_warnings(), \
                 pytest.raises(DegeneracyError) as caught:
+            warnings.simplefilter("error", RuntimeWarning)
             ho_eval(p, s, x, QuadratureConfig(8))
         message = str(caught.value)
         assert f"k={p.k}" in message and f"x={x}" in message
@@ -1335,3 +1337,25 @@ def test_reflection_holds_to_its_bound(n, nodes):
 @pytest.mark.parametrize("n", [3, 4])
 def test_reflection_fails_on_a_four_node_rule(n):
     assert reflection_gap(n, 4) > REFLECTION_BOUNDS[n, 8]
+
+
+def test_values_past_the_double_range_raise_a_package_error():
+    # e^800 overflows math.exp, and Omega_(3,1)(e^300, 1) near e^1200
+    # overflows the rounded Jack side: both are DegeneracyError, not the
+    # bare OverflowError the CLI would report as a crash, and both are
+    # refused before the quadrature runs
+    with pytest.raises(DegeneracyError, match="is inf in floating point"):
+        ho_jack_consistency((1, 0), HOParams(0.5, 2), (800, 0))
+    with pytest.raises(DegeneracyError, match="is inf in floating point"):
+        ho_jack_consistency((3, 1), HOParams(2, 2), (300, 0))
+
+
+def test_exponents_past_the_double_range_warn_nothing():
+    # the leaf's exponential overflows to inf at s = (1e308, 0); the finite
+    # check refuses the value, and no RuntimeWarning comes first
+    params = HOParams(0.5, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for evaluate in (ho_eval, ho_error_estimate):
+            with pytest.raises(DegeneracyError, match="is inf"):
+                evaluate(params, (1e308, 0), (1, 0))

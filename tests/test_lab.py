@@ -491,12 +491,13 @@ def test_broken_operator_rows_raise_under_optimization():
 
 
 def test_certification_reads_no_shared_table(monkeypatch):
-    # inflate m_(1,1) at the first lattice point in the shared table: the
+    # inflate m_(1,1) in the shared table of the first lattice point: the
     # lattice-only hunt, which finds nothing on sound values, now sees
     # Omega_(2,0) < Omega_(1,1) there, and certification must refuse it
     mp = MacdonaldParams(Fraction(2, 5), Fraction(3, 7), 2)
     X, _ = sympoly._cleared(lattice_point((0, 0), mp).coords)
-    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {((1, 1), X): 10 ** 9})
+    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {X: {(1, 1): 10 ** 9}})
+    monkeypatch.setattr(sympoly, "_memo_entries", 0)
     with pytest.raises(CertificationError):
         hunt_violation(mp.q, mp.t, n=2, max_weight=2, lattice_only=True,
                        label_bound=2)

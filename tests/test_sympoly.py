@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omegalab import sympoly
-from omegalab.errors import DimensionMismatchError, DomainError, ParameterError
+from omegalab.errors import (DegeneracyError, DimensionMismatchError,
+                             DomainError, ParameterError)
 from omegalab.macdonald import MacdonaldParams, lattice_point
 from omegalab.jack import jack_expand
 from omegalab.sympoly import (SymmetricPolynomial, distinct_permutations,
@@ -202,15 +203,32 @@ def test_monomial_eval_rejects_negative_exponents():
         monomial_eval((1, -1), (Fraction(2), Fraction(3)))
 
 
+def memo_entries():
+    return sum(map(len, sympoly._MONOMIAL_MEMO.values()))
+
+
 def test_shared_table_stays_bounded(monkeypatch):
     monkeypatch.setattr(sympoly, "MONOMIAL_MEMO_SIZE", 5)
     monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {})
+    monkeypatch.setattr(sympoly, "_memo_entries", 0)
     p = SymmetricPolynomial(2, {(2, 0): Fraction(1), (1, 1): Fraction(3),
                                 (1, 0): Fraction(-2)})
     for i in range(1, 12):
         x = (Fraction(i, 7), Fraction(-i, 3))
         assert p.eval(x) == reference_eval(p, x)
-        assert len(sympoly._MONOMIAL_MEMO) <= 5
+        # a point's table holds the 7 sub-multisets of p's three terms
+        assert len(sympoly._MONOMIAL_MEMO[sympoly._cleared(x)[0]]) == 7
+        assert memo_entries() <= 5 + 7
+    # the bound is on entries, not points: a table at the states ceiling
+    # is not kept once per point
+    monkeypatch.setattr(sympoly, "MAX_ORBIT_TERMS", 64)
+    monkeypatch.setattr(sympoly, "MONOMIAL_MEMO_SIZE", 100)
+    key = (6, 5, 4, 3, 2, 1)
+    for i in range(1, 21):
+        x = tuple(range(i, i + 6))
+        assert monomial_eval(key, x) == reference_monomial(key, x)
+        assert len(sympoly._MONOMIAL_MEMO[x]) == 64
+        assert memo_entries() <= 100 + 64
 
 
 # -- non-integral exponents are refused, not truncated --------------------------
@@ -298,49 +316,83 @@ def test_products_walk_the_smaller_orbit(monkeypatch):
     assert walks == [1, 1]
 
 
-# -- floating evaluation against a plain loop -----------------------------------
-
-
-def reference_float(p, x):
-    """p(x) in floats, term by term in the polynomial's own order."""
-    total = 0.0
-    for key, c in p.terms.items():
-        orbit = 0
-        for eta in distinct_permutations(key):
-            term = 1
-            for xi, e in zip(x, eta):
-                if e:
-                    term *= xi ** e
-            orbit += term
-        total += float(c) * orbit
-    return total
+# -- floating evaluation: the exact value, rounded once --------------------------
 
 
 @given(polynomials_and_points())
-def test_float_evaluation_matches_the_loop_bitwise(case):
+def test_float_evaluation_is_the_exact_value_rounded(case):
     p, x = case
     xs = tuple(float(v) for v in x)
     assert float.hex(poly_eval_float(p, xs)) == float.hex(
-        reference_float(p, xs))
+        float(poly_eval(p, [Fraction(v) for v in xs])))
 
 
-def test_orbit_walks_past_the_ceiling_are_refused():
+def test_float_evaluation_refuses_what_a_double_cannot_hold():
+    p = SymmetricPolynomial.monomial((3, 1), 2)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            poly_eval_float(p, (bad, 1.0))
+    # (1e300)^3 * 1e10 is past the double range, though both coordinates
+    # are finite doubles
+    with pytest.raises(DegeneracyError):
+        poly_eval_float(p, (1e300, 1e10))
+    assert poly_eval_float(p, (-1e-300, 1e-300)) == 0.0
+
+
+def test_orbit_walks_past_the_ceiling_are_refused(monkeypatch):
+    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {})
     ceiling = sympoly.MAX_ORBIT_TERMS
-    x = tuple(range(1, 101))
     e5 = SymmetricPolynomial.monomial((1,) * 5, 100)
-    for walk, count in ((lambda: monomial_eval((1,) * 6, x),
-                         math.comb(100, 6)),
-                        (lambda: poly_multiply(e5, e5), math.comb(100, 5))):
-        assert count > ceiling
-        with pytest.raises(ParameterError,
-                           match=f"walks {count} rearrangements, past the "
-                                 f"ceiling of {ceiling}"):
-            walk()
-    # the check runs on a table miss only: a value already in the table is
-    # read without it
-    key = ((1,) * 6 + (0,) * 94, x)
-    sympoly._MONOMIAL_MEMO[key] = 7
-    try:
-        assert monomial_eval((1,) * 6, x) == 7
-    finally:
-        sympoly._MONOMIAL_MEMO.pop(key)
+    count = math.comb(100, 5)
+    assert count > ceiling
+    with pytest.raises(ParameterError,
+                       match=f"the product walks {count} rearrangements, "
+                             f"past the ceiling of {ceiling}"):
+        poly_multiply(e5, e5)
+    # a fill visits prod(multiplicity + 1) states: 2^23 for 23 distinct
+    # parts, refused when the form is built, before any table is filled
+    parts = tuple(range(23, 0, -1))
+    x = tuple(range(1, 24))
+    with pytest.raises(ParameterError,
+                       match=f"visits {2 ** 23} states, past the ceiling of "
+                             f"{ceiling}"):
+        monomial_eval(parts, x)
+    assert sympoly._MONOMIAL_MEMO == {}
+    p = SymmetricPolynomial.monomial(parts + (0,), 24)
+    with pytest.raises(ParameterError):
+        poly_eval_fresh(p, x + (0,))
+
+
+def test_a_large_orbit_fills_a_small_table(monkeypatch):
+    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {})
+    # m_(1^6) at n = 100 has C(100, 6), about 1.2e9, rearrangements but
+    # visits 7 * 95 = 665 states; its value is e_6(1, ..., 100), which the
+    # recurrence e_k += x e_(k-1) gives independently
+    x = tuple(range(1, 101))
+    e = [1] + [0] * 6
+    for v in x:
+        for k in range(6, 0, -1):
+            e[k] += v * e[k - 1]
+    assert monomial_eval((1,) * 6, x) == e[6] == 18802604432559339700
+    assert len(sympoly._MONOMIAL_MEMO[x]) == 665
+
+
+# -- the peeling fill against a plain walk of the orbit -------------------------
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=6),
+       st.data())
+def test_the_fill_is_the_orbit_sum(parts, data):
+    key = tuple(sorted(parts, reverse=True))
+    X = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=len(key),
+                                 max_size=len(key))))
+    walk = 0
+    for eta in distinct_permutations(key):
+        term = 1
+        for xi, e in zip(X, eta):
+            term *= xi ** e
+        walk += term
+    table = {}
+    assert sympoly._fill(key, X, table) == walk
+    assert len(table) <= math.prod(key.count(p) + 1 for p in set(key))
+    assert monomial_eval(key, X) == walk
