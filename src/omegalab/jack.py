@@ -14,14 +14,14 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from . import cache, sympoly
+from . import cache
 from .classical import expand_classical
 from .eigensolve import (cached_rows, dominance_ideal,
                          solve_eigen_expansion)
 from .errors import DegeneracyError, DomainError, ParameterError
 from .macdonald import MacdonaldParams, macdonald_expand
 from .partitions import Partition, partition_key
-from .sympoly import (SymmetricPolynomial, _decimal_text, _form_sum,
+from .sympoly import (FamilyValues, SymmetricPolynomial, _decimal_text,
                       poly_eval_float)
 
 INFINITE = math.inf
@@ -176,24 +176,22 @@ def _coerce_nonneg_point(x) -> tuple[Fraction, ...]:
     return pt
 
 
-def omega_jack_at(theta, x):
-    """lambda -> Omega_lambda(x; theta), with theta and x coerced and
-    checked once.
+class JackValues(FamilyValues):
+    """Omega_lambda(x; theta) for one theta, as integer pairs (N, D) with
+    D > 0: theta is coerced and checked here, each point once in at(x),
+    and each shape's kept form and normalizer (_normalized) are looked up
+    once, on the first point that asks for the shape."""
 
-    Each shape then costs one memo lookup (_normalized) and one integer
-    sum over P_lambda's kept cleared form, divided by the normalizer in the
-    sum's one division; x is cleared of denominators here.
-    """
-    theta = JackParam(theta)
-    x = _coerce_nonneg_point(x)
-    n = len(x)
-    X, d = sympoly._cleared(x)
+    __slots__ = ("theta",)
 
-    def omega(lam) -> Fraction:
-        p, denom = _normalized(partition_key(lam, n), theta)
-        return _form_sum(p.form, X, d, denom)
+    def __init__(self, theta):
+        super().__init__()
+        self.theta = JackParam(theta)
 
-    return omega
+    _point = staticmethod(_coerce_nonneg_point)
+
+    def _resolve(self, lam, n):
+        return _normalized(partition_key(lam, n), self.theta)
 
 
 def omega_jack_eval(lam, theta, x) -> Fraction:
@@ -203,9 +201,12 @@ def omega_jack_eval(lam, theta, x) -> Fraction:
     e_conj(x)/e_conj(1) for the conjugate shape, finite positive theta
     evaluates the monic expansion.  Exact.  lambda is a partition on
     len(x) variables (partition_key), padded with zeros.  The one-shape
-    case of omega_jack_at.
+    case of JackValues, refusing in its order: theta, x, lambda, then the
+    normalizer.
     """
-    return omega_jack_at(theta, x)(lam)
+    values = JackValues(theta)
+    x = tuple(x)
+    return Fraction(*values.at(x)(partition_key(lam, len(x))))
 
 
 def _floor_scaled_log(k: int, ratio: Fraction) -> int:

@@ -8,13 +8,17 @@ point-first hunter for off-lattice Macdonald violations.
 
 Every exact family is compared with exact rational arithmetic, so a reported
 violation is a theorem and an empty report is a finished finite check, not a
-statistical statement.  The floating Heckman-Opdam family instead carries a
-quadrature tolerance: margins inside the tolerance band are counted as
-near-misses, never as violations.  Not every floating check can fail: the
-quadrature is a positive-weight sum of exp<s, T> over its nodes, so it is
-log-convex in s by construction, and the Heckman-Opdam log-convexity sweep
-tests only rounding.  The order sweep can fail, as can the Jack
-consistency and reflection checks on the quadrature itself.
+statistical statement.  Exact values travel as integer pairs (N, D) with
+D > 0, unreduced, and every exact comparison, in the sweeps, the hunt and
+the witness builder alike, is one integer cross-product test (_below); a
+Fraction is built only for a witness or its certification.  The floating
+Heckman-Opdam family instead carries a quadrature tolerance: margins inside
+the tolerance band are counted as near-misses, never as violations.  Not
+every floating check can fail: the quadrature is a positive-weight sum of
+exp<s, T> over its nodes, so it is log-convex in s by construction, and the
+Heckman-Opdam log-convexity sweep tests only rounding.  The order sweep can
+fail, as can the Jack consistency and reflection checks on the quadrature
+itself.
 
 Probes are pure functions of (pair, point), so sweeps are trivially
 data-parallel; this implementation runs them in order and the report is the
@@ -23,15 +27,16 @@ at each point one family call evaluates every shape a pair compares, so the
 floating family builds one quadrature tree per point for the values, and
 one more at twice the nodes for their error estimates only at a point where
 some pair's gap passes the noise floor; the exact Jack and Macdonald
-families check and clear the point once (omega_jack_at, omega_mac_at), and
-the row is dropped once that point's pairs are compared.  Violations are
-still listed pair by pair, point by point.
+families hold one evaluator per sweep (JackValues, MacdonaldValues), which
+looks each shape's form and normalizer up once and checks and clears each
+point once, and the row is dropped once that point's pairs are compared.
+Violations are still listed pair by pair, point by point.
 
-The hunt also runs points first, with one evaluator bound per point, but
-evaluates each shape only when a pair first needs it.  It usually stops at
-its first probe, and evaluating the whole row there first solves every
-expansion up to max_weight: that made the off-lattice hunt at n=4,
-max_weight 8 some 40 to 80 times slower.
+The hunt also runs points first, through one evaluator, but evaluates each
+shape only when a pair first needs it.  It usually stops at its first
+probe, and evaluating the whole row there first solves every expansion up
+to max_weight: that made the off-lattice hunt at n=4, max_weight 8 some 40
+to 80 times slower.
 """
 
 import itertools
@@ -48,9 +53,9 @@ from .errors import (CertificationError, DegeneracyError, DomainError,
 from .heckman_opdam import (HOParams, QuadratureConfig, _ho_eval_lazy,
                             ho_error_estimate, ho_eval)
 # omega_jack_eval and omega_mac_eval stay bound for the benchmark tracer's
-# patches; the sweeps and the hunt bind one evaluator per point instead
-from .jack import JackParam, omega_jack_at, omega_jack_eval
-from .macdonald import (MacdonaldParams, lattice_point, omega_mac_at,
+# patches; the sweeps and the hunt hold one evaluator per parameter set
+from .jack import JackValues, omega_jack_eval
+from .macdonald import (MacdonaldParams, MacdonaldValues, lattice_point,
                         omega_mac_eval)
 from .partitions import (Partition, enumerate_pairs, majorizes, midpoint,
                          partitions_of)
@@ -181,10 +186,11 @@ class _Family:
     """Evaluation strategy shared by the sweep driver.
 
     probe(lams, x) returns the normalized family member at x for every
-    partition: a list of Fractions for the exact families.  The floating
-    family returns (values, gaps): the floats, every partition's from one
-    quadrature tree, and a function that returns their quadrature error
-    estimates, from one more tree at twice the nodes.
+    partition: for the exact families a list of integer pairs (N, D) with
+    D > 0, compared by _below.  The floating family returns (values,
+    gaps): the floats, every partition's from one quadrature tree, and a
+    function that returns their quadrature error estimates, from one more
+    tree at twice the nodes.
     """
 
     __slots__ = ("name", "params", "exact", "probe")
@@ -196,36 +202,48 @@ class _Family:
         self.probe = probe
 
 
-def _exact_probe(bind):
-    """An exact family's probe: bind(x) returns lam -> the value at x, so
-    a family can check and clear x once per point, not once per shape."""
+def _below(lhs, rhs) -> bool:
+    """lhs < rhs for exact values held as integer pairs (N, D), D > 0."""
+    return lhs[0] * rhs[1] < rhs[0] * lhs[1]
+
+
+def _exact_probe(at):
+    """An exact family's probe: at(x) returns lam -> the value at x as an
+    integer pair, so a family can check and clear x once per point, not
+    once per shape."""
     def probe(lams, x):
-        omega = bind(x)
-        return [omega(lam) for lam in lams]
+        return list(map(at(x), lams))
+    return probe
+
+
+def _fraction_probe(value):
+    """The probe of a family whose value(lam, x) is a Fraction."""
+    def probe(lams, x):
+        return [(v.numerator, v.denominator)
+                for v in (value(lam, x) for lam in lams)]
     return probe
 
 
 def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
                  cfg=None) -> _Family:
     if family == "muirhead":
-        return _Family(family, {}, True, _exact_probe(
-            lambda x: lambda lam: muirhead_eval(lam, x)))
+        return _Family(family, {}, True, _fraction_probe(muirhead_eval))
     if family == "powersum":
-        return _Family(family, {}, True, _exact_probe(
-            lambda x: lambda lam: powersum_eval(lam, x)))
+        return _Family(family, {}, True, _fraction_probe(powersum_eval))
     if family == "jack":
         if theta is None:
             raise ParameterError("the jack family needs theta")
-        th = JackParam(theta)
+        values = JackValues(theta)
+        th = values.theta
         label = "inf" if th.is_infinite else th.theta
-        return _Family(family, {"theta": label}, True, _exact_probe(
-            lambda x: omega_jack_at(th, x)))
+        return _Family(family, {"theta": label}, True,
+                       _exact_probe(values.at))
     if family == "macdonald-lattice":
         if q is None or t is None:
             raise ParameterError("the macdonald-lattice family needs q and t")
         mp = MacdonaldParams(q, t, n, Fraction(1) if a is None else a)
         return _Family(family, {"q": mp.q, "t": mp.t, "a": mp.a}, True,
-                       _exact_probe(lambda x: omega_mac_at(mp, x)))
+                       _exact_probe(MacdonaldValues(mp).at))
     if family == "heckman-opdam":
         if k is None:
             raise ParameterError("the heckman-opdam family needs k")
@@ -309,10 +327,11 @@ def _resolved_params(fam: _Family, label_bound, x_low, x_high,
 
 
 # lhs >= rhs over the pairs of one enumeration mode: shapes(lam, mu) lists
-# the partitions probed per pair, sides(values) reads their values, and
-# tolerance(values, errs) their values and error estimates; the tolerance
-# is computed for floats only
-_Statement = namedtuple("_Statement", "command mode shapes sides tolerance")
+# the partitions probed per pair, sides(values) reads their floating
+# values, pair_sides(values) their exact values as integer pairs, and
+# tolerance(values, errs) the floating values and error estimates
+_Statement = namedtuple("_Statement",
+                        "command mode shapes sides pair_sides tolerance")
 
 
 def _order_sides(values):
@@ -330,6 +349,11 @@ def _midpoint_sides(values):
     return vl * vm, vc * vc
 
 
+def _midpoint_pair_sides(values):
+    (nl, dl), (nm, dm), (nc, dc) = values
+    return (nl * nm, dl * dm), (nc * nc, dc * dc)
+
+
 def _midpoint_tolerance(values, errs):
     # the per-value estimates propagated to first order
     vl, vm, vc = values
@@ -338,18 +362,21 @@ def _midpoint_tolerance(values, errs):
 
 
 _SCHUR = _Statement("check schur", "same-weight-comparable",
-                    lambda lam, mu: (lam, mu), _order_sides, _order_tolerance)
+                    lambda lam, mu: (lam, mu), _order_sides, _order_sides,
+                    _order_tolerance)
 _LOGCONVEX = _Statement("check logconvex", "midpoint-integral",
                         lambda lam, mu: (lam, mu, midpoint(lam, mu)),
-                        _midpoint_sides, _midpoint_tolerance)
+                        _midpoint_sides, _midpoint_pair_sides,
+                        _midpoint_tolerance)
 _WEAK = _SCHUR._replace(command="check weak", mode="weak-comparable")
 
 
 def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
            theta=None, q=None, t=None, a=None, k=None, label_bound=None,
            x_low, x_high, cfg: QuadratureConfig = None) -> InequalityReport:
-    """Probe stmt at every (pair, point); exact families fail on lhs < rhs,
-    the floating family on rhs - lhs past its tolerance plus noise.
+    """Probe stmt at every (pair, point); exact families fail on lhs < rhs
+    (_below on integer pairs), the floating family on rhs - lhs past its
+    tolerance plus noise.
 
     Points run outside, pairs inside.  Each pair's shapes are held as slots
     (indices) into one list of distinct shapes, which one family call
@@ -388,10 +415,13 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
             errs = None
         for (lam, mu), slot, hits in zip(pairs, pair_slots, found):
             values = [row[i] for i in slot]
-            lhs, rhs = stmt.sides(values)
             if fam.exact:
-                failed = lhs < rhs
+                lhs, rhs = stmt.pair_sides(values)
+                failed = _below(lhs, rhs)
+                if failed:
+                    lhs, rhs = Fraction(*lhs), Fraction(*rhs)
             else:
+                lhs, rhs = stmt.sides(values)
                 gap = rhs - lhs
                 noise = NOISE_FLOOR * (abs(lhs) + abs(rhs))
                 failed = False
@@ -420,10 +450,11 @@ def check_schur_convexity(family, n, max_weight, samples=100, seed=0, *,
     """Sweep Omega_lambda(x) >= Omega_mu(x) over comparable same-weight pairs.
 
     Pairs come from enumerate_pairs(same-weight-comparable), so lambda
-    strictly majorizes mu in every probe.  Exact families compare Fractions;
-    the Heckman-Opdam family uses the tolerance 10 * (sum of the two
-    quadrature error estimates) plus a machine-noise floor, and counts
-    sub-tolerance failures above the noise floor as near-misses.  The
+    strictly majorizes mu in every probe.  Exact families compare exact
+    values by integer cross-products; the Heckman-Opdam family uses the
+    tolerance 10 * (sum of the two quadrature error estimates) plus a
+    machine-noise floor, and counts sub-tolerance failures above the noise
+    floor as near-misses.  The
     estimates are computed only at points where some pair's gap passes the
     noise floor; a gap at or below it passes whatever the tolerance.
     """
@@ -528,9 +559,9 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
     for value in (1 << e for e in range(PARAMETER_CEILING.bit_length())):
         x, where = point(value)
         lhs, rhs = fam.probe([lam, mu], x)
-        if rhs > lhs:
+        if _below(lhs, rhs):
             return Witness(family, dict(fam.params, **where), lam, mu, x,
-                           lhs, rhs)
+                           Fraction(*lhs), Fraction(*rhs))
     raise DomainError(failure)
 
 
@@ -623,9 +654,10 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
                        for lab in _lattice_labels(n, label_bound)])
     else:
         points = _hunt_points(n, seed)
+    evaluator = MacdonaldValues(mp)
     probes = 0
     for x in points if pairs else ():
-        omega = omega_mac_at(mp, x)
+        omega = evaluator.at(x)
         values = {}
         for lam, mu in pairs:
             if probes >= budget:
@@ -635,7 +667,8 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
                 if p not in values:
                     values[p] = omega(p)
             lhs, rhs = values[lam], values[mu]
-            if lhs < rhs:
+            if _below(lhs, rhs):
+                lhs, rhs = Fraction(*lhs), Fraction(*rhs)
                 # soundness: recompute both sides from fresh expansions
                 for p, value in ((lam, lhs), (mu, rhs)):
                     if _certified_omega(p, mp, x) != value:

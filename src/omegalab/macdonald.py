@@ -13,14 +13,14 @@ import functools
 import math
 from fractions import Fraction
 
-from . import cache, sympoly
+from . import cache
 from .eigensolve import (cached_rows, dominance_ideal, solve_eigen_expansion,
                          solve_linear_system)
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      ParameterError, count_text)
 from .partitions import (as_int_vector, contains, partition_key,
                          partitions_of)
-from .sympoly import (SymmetricPolynomial, _decimal_text, _form_sum,
+from .sympoly import (FamilyValues, SymmetricPolynomial, _decimal_text,
                       distinct_permutations, monomial_eval)
 
 
@@ -270,27 +270,31 @@ def _normalized(lam: tuple, params: MacdonaldParams):
     return p, denom
 
 
-def omega_mac_at(params: MacdonaldParams, x):
-    """lambda -> Omega_lambda(x; q, t), with x coerced and checked once.
+class MacdonaldValues(FamilyValues):
+    """Omega_lambda(x; q, t) for one parameter set, as integer pairs (N, D)
+    with D > 0: each point is coerced and checked once in at(x), and each
+    shape's kept form and normalizer (_normalized) are looked up once, on
+    the first point that asks for the shape."""
 
-    Each shape then costs one memo lookup (_normalized) and one integer
-    sum over P_lambda's kept cleared form, divided by the normalizer in the
-    sum's one division; x is cleared of denominators here.
-    """
-    n = params.n
-    X, d = sympoly._cleared(_coerce_point(x, n))
+    __slots__ = ("params",)
 
-    def omega(lam) -> Fraction:
-        p, denom = _normalized(partition_key(lam, n), params)
-        return _form_sum(p.form, X, d, denom)
+    def __init__(self, params: MacdonaldParams):
+        super().__init__()
+        self.params = params
 
-    return omega
+    def _point(self, x):
+        return _coerce_point(x, self.params.n)
+
+    def _resolve(self, lam, n):
+        return _normalized(partition_key(lam, n), self.params)
 
 
 def omega_mac_eval(lam, params: MacdonaldParams, x) -> Fraction:
     """Omega_lambda(x; q, t) = P_lambda(x) / P_lambda(t^delta), exact; the
-    one-shape case of omega_mac_at."""
-    return omega_mac_at(params, x)(lam)
+    one-shape case of MacdonaldValues, refusing in its order: x, lambda,
+    then the normalizer."""
+    omega = MacdonaldValues(params).at(x)
+    return Fraction(*omega(partition_key(lam, params.n)))
 
 
 class LatticePoint:

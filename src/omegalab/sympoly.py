@@ -12,8 +12,11 @@ canonical Fraction.  The sum runs over the polynomial's cleared form,
 integer coefficients over one common denominator, which each polynomial
 builds from its terms on first evaluation and keeps; terms is not changed
 after construction.  A caller that divides by a rational scale passes it
-to the sum, which folds it into that one division.  Floating evaluation is
-the exact value at the floating point, rounded once.
+to the sum, which folds it into that one division.  The sum itself returns
+the unreduced integer pair (numerator, positive denominator), which a
+caller that only compares values (FamilyValues, the exact sweeps) compares
+by cross-multiplying, with no Fraction built.  Floating evaluation is the
+exact value at the floating point, rounded once.
 """
 
 from __future__ import annotations
@@ -243,33 +246,99 @@ def _cleared_form(terms: Mapping[Exponent, Fraction]) -> tuple:
                   for (nu, c), deg in zip(terms.items(), degrees)))
 
 
+def _point_table(X: tuple) -> dict:
+    """X's table in the shared _MONOMIAL_MEMO, made on first use; a new
+    point that finds the memo at MONOMIAL_MEMO_SIZE entries or more
+    empties it first."""
+    global _memo_entries
+    table = _MONOMIAL_MEMO.get(X)
+    if table is None:
+        if _memo_entries >= MONOMIAL_MEMO_SIZE:
+            _MONOMIAL_MEMO.clear()
+            _memo_entries = 0
+        table = _MONOMIAL_MEMO[X] = {}
+    return table
+
+
 def _form_sum(form: tuple, X: tuple, d: int, scale=1,
-              table: dict = None) -> Fraction:
-    """p(x) / scale for the cleared form of p, at x = X / d (_cleared), in
-    integers with a single division at the end.
+              table: dict = None) -> tuple[int, int]:
+    """p(x) / scale for the cleared form of p, at x = X / d (_cleared), as
+    an integer pair (N, D) with D > 0 and p(x) / scale = N / D, unreduced.
 
     m_nu(x) = m_nu(X) / d^|nu|, so with scale = a / b, p(x) / scale is
     b * sum C_nu m_nu(X) d^(top - |nu|) over a * L * d^top, and
     non-homogeneous polynomials need nothing extra.  A zero scale is
-    refused by the caller.  m_nu(X) is read from table and filled on a miss
-    (_fill); None is X's table in the shared _MONOMIAL_MEMO.
+    refused by the caller; a negative one flips both signs.  m_nu(X) is
+    read from table and filled on a miss (_fill); None is X's table in the
+    shared _MONOMIAL_MEMO.  A fill deeper than the interpreter's recursion
+    limit (about 900 variables) raises ParameterError, and the entries it
+    did put in the table are counted.
     """
     global _memo_entries
     if table is None:
-        table = _MONOMIAL_MEMO.get(X)
-        if table is None:
-            if _memo_entries >= MONOMIAL_MEMO_SIZE:
-                _MONOMIAL_MEMO.clear()
-                _memo_entries = 0
-            table = _MONOMIAL_MEMO[X] = {}
-    _memo_entries -= len(table)
+        table = _point_table(X)
+    held = len(table)
     lcm, top, terms = form
     num = 0
-    for nu, c, drop in terms:
-        num += c * _fill(nu, X, table) * d ** drop
-    _memo_entries += len(table)
-    return Fraction(num * scale.denominator,
-                    scale.numerator * lcm * d ** top)
+    try:
+        for nu, c, drop in terms:
+            num += c * _fill(nu, X, table) * d ** drop
+    except RecursionError:
+        raise ParameterError(
+            f"a monomial table fill on {count_text(len(X))} variables "
+            f"recurses past the interpreter's limit") from None
+    finally:
+        _memo_entries += len(table) - held
+    num *= scale.denominator
+    den = scale.numerator * lcm * d ** top
+    return (-num, -den) if den < 0 else (num, den)
+
+
+def _form_value(form: tuple, X: tuple, d: int, scale=1,
+                table: dict = None) -> Fraction:
+    """_form_sum as a reduced Fraction."""
+    return Fraction(*_form_sum(form, X, d, scale, table))
+
+
+class FamilyValues:
+    """Omega_lambda(x) = p_lambda(x) / c_lambda for one family at one
+    parameter set, as integer pairs (N, D) with D > 0.
+
+    A subclass checks a point (_point(x), returning it as a tuple) and
+    resolves a shape on a point's variable count (_resolve(lam, n),
+    returning p_lambda and its nonzero rational normalizer c_lambda).  A
+    shape is resolved once per variable count, on the first point that asks
+    for it, and its kept form and normalizer are held from then on, so a
+    point pays no memo lookup per shape.  Shapes are held as given, so they
+    must be hashable.
+    """
+
+    __slots__ = ("_shapes",)
+
+    def __init__(self):
+        self._shapes: dict[int, dict] = {}
+
+    def at(self, x):
+        """lambda -> Omega_lambda(x) as (N, D), with x checked and cleared
+        once, here."""
+        x = self._point(x)
+        n = len(x)
+        X, d = _cleared(x)
+        shapes = self._shapes.setdefault(n, {})
+        resolve = self._resolve
+        table = _point_table(X)
+
+        def value(lam) -> tuple[int, int]:
+            nonlocal table
+            got = shapes.get(lam)
+            if got is None:
+                p, c = resolve(lam, n)
+                got = shapes[lam] = (p.form, c)
+                # a normalizer evaluated on a miss may empty the memo
+                table = _point_table(X)
+            return _form_sum(got[0], X, d, got[1], table)
+
+        return value
 
 
 def monomial_eval(lam, x: Sequence) -> Fraction:
@@ -277,7 +346,7 @@ def monomial_eval(lam, x: Sequence) -> Fraction:
     which may be given in any order and is padded to the length of x."""
     x = tuple(x)
     parts = partition_key(sorted(lam, reverse=True), len(x))
-    return _form_sum(_cleared_form({parts: Fraction(1)}), *_cleared(x))
+    return _form_value(_cleared_form({parts: Fraction(1)}), *_cleared(x))
 
 
 def _point_for(p: SymmetricPolynomial, x: Sequence) -> tuple:
@@ -290,14 +359,14 @@ def _point_for(p: SymmetricPolynomial, x: Sequence) -> tuple:
 
 def poly_eval(p: SymmetricPolynomial, x: Sequence) -> Fraction:
     """p(x), exact, from p's kept form and x's shared table."""
-    return _form_sum(p.form, *_cleared(_point_for(p, x)))
+    return _form_value(p.form, *_cleared(_point_for(p, x)))
 
 
 def poly_eval_fresh(p: SymmetricPolynomial, x: Sequence) -> Fraction:
     """p(x) from a form built afresh from p.terms, through a private, empty
     table: reads neither p's kept form nor the shared memo."""
-    return _form_sum(_cleared_form(p.terms), *_cleared(_point_for(p, x)),
-                     table={})
+    return _form_value(_cleared_form(p.terms), *_cleared(_point_for(p, x)),
+                       table={})
 
 
 def poly_eval_float(p: SymmetricPolynomial, x: Sequence) -> float:

@@ -19,7 +19,7 @@ from omegalab.classical import muirhead_eval
 from omegalab.errors import (CertificationError, DegeneracyError, DomainError,
                              ParameterError)
 from omegalab.heckman_opdam import QuadratureConfig
-from omegalab.jack import omega_jack_eval
+from omegalab.jack import JackParam, omega_jack_eval
 from omegalab.lab import (FAMILIES, NOISE_FLOOR, WITNESS_FAMILIES, Witness,
                           _make_family, _sample_points,
                           check_log_convexity, check_schur_convexity,
@@ -313,10 +313,16 @@ def test_n4_order_sweep_passes_without_an_error_estimate_pass(monkeypatch):
 
 def test_sweep_lists_violations_pair_by_pair_point_by_point(monkeypatch):
     # minus the sum of squared parts is strictly Schur-concave, so every
-    # (pair, point) of a Jack sweep violates; the family looks the
-    # point-bound evaluator up in lab at call time
-    monkeypatch.setattr(lab, "omega_jack_at", lambda th, x: lambda lam:
-                        Fraction(-sum(p * p for p in lam.parts)))
+    # (pair, point) of a Jack sweep violates; the family looks its
+    # evaluator up in lab at call time
+    class Concave:
+        def __init__(self, theta):
+            self.theta = JackParam(theta)
+
+        def at(self, x):
+            return lambda lam: (-sum(p * p for p in lam.parts), 1)
+
+    monkeypatch.setattr(lab, "JackValues", Concave)
     report = check_schur_convexity("jack", 3, 4, samples=3, seed=5, theta=1)
     pairs = list(enumerate_pairs(3, 4, "same-weight-comparable"))
     points = _sample_points(3, 3, 0, 10, 5, as_float=False)
@@ -324,6 +330,41 @@ def test_sweep_lists_violations_pair_by_pair_point_by_point(monkeypatch):
     assert ([(w.lam, w.mu, w.x) for w in report.violations]
             == [(lam, mu, x) for lam, mu in pairs for x in points])
     assert report.near_misses == report.skipped == 0
+
+
+# exact values as the evaluators hand them over: v / s through _form_sum,
+# the value v of m_(1) at a one-variable point over a scale s, which is
+# never 0 but may be negative (a Macdonald normalizer may be)
+EXACT = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+SCALE = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+def exact_pair(v, s):
+    X, d = sympoly._cleared((v,))
+    pair = sympoly._form_sum(sympoly._cleared_form({(1,): Fraction(1)}),
+                             X, d, s)
+    assert pair[1] > 0
+    return pair
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(EXACT, SCALE), min_size=3, max_size=3),
+       st.sampled_from([(0, 1, 2), (0, 0, 0), (0, 1, 0), (0, 0, 1)]))
+def test_pair_comparison_is_the_fraction_comparison(values, repeat):
+    # repeat copies values so that equal sides come up: (0, 0, 0) makes
+    # both order sides and all three midpoint values equal
+    values = [values[i] for i in repeat]
+    pairs = [exact_pair(v, s) for v, s in values]
+    fractions = [v / s for v, s in values]
+    assert [Fraction(*p) for p in pairs] == fractions
+    for stmt, shapes, lhs_value, rhs_value in (
+            (lab._SCHUR, 2, fractions[0], fractions[1]),
+            (lab._LOGCONVEX, 3, fractions[0] * fractions[1],
+             fractions[2] * fractions[2])):
+        lhs, rhs = stmt.pair_sides(pairs[:shapes])
+        assert lab._below(lhs, rhs) == (lhs_value < rhs_value)
+        # a witness carries the sides as the Fraction products
+        assert (Fraction(*lhs), Fraction(*rhs)) == (lhs_value, rhs_value)
 
 
 def test_witness_json_carries_values_past_the_digit_limit():

@@ -1,6 +1,6 @@
-"""Point-bound exact evaluation: omega_jack_at and omega_mac_at against
-fresh expansions, their refusals, what the sweeps and the hunt read from
-the memo, and exact values pinned by digest."""
+"""Exact evaluation per parameter set: JackValues and MacdonaldValues
+against fresh expansions, their refusals, what the sweeps and the hunt
+read from the memo, and exact values pinned by digest."""
 
 import hashlib
 import json
@@ -13,13 +13,14 @@ from omegalab.classical import expand_classical
 from omegalab.errors import (CertificationError, DegeneracyError,
                              DimensionMismatchError, DomainError,
                              ParameterError)
-from omegalab.jack import JackParam, jack_expand, omega_jack_at, omega_jack_eval
+from omegalab.jack import JackParam, JackValues, jack_expand, omega_jack_eval
 from omegalab.lab import (_json_value, _sample_points, check_log_convexity,
                           check_schur_convexity, find_witness, hunt_violation)
-from omegalab.macdonald import (MacdonaldParams, lattice_point,
-                                macdonald_expand, omega_mac_at,
+from omegalab.macdonald import (MacdonaldParams, MacdonaldValues,
+                                lattice_point, macdonald_expand,
                                 omega_mac_eval)
-from omegalab.partitions import Partition, majorizes, partitions_of
+from omegalab.partitions import (Partition, enumerate_pairs, majorizes,
+                                 partitions_of)
 from omegalab.sampling import RationalSampler
 from omegalab.sympoly import poly_eval_fresh
 
@@ -57,8 +58,9 @@ def digest(obj):
 def test_jack_evaluator_is_the_fresh_quotient(n):
     ones = (Fraction(1),) * n
     for theta in THETAS:
+        values = JackValues(theta)
         for x in points(n):
-            omega = omega_jack_at(theta, x)
+            omega = values.at(x)
             for lam in shapes(n):
                 if theta == "inf":
                     conj = Partition(lam).conjugate(max(lam[0], 1))
@@ -66,7 +68,7 @@ def test_jack_evaluator_is_the_fresh_quotient(n):
                 else:
                     p = jack_expand(lam, theta)
                 value = poly_eval_fresh(p, x) / poly_eval_fresh(p, ones)
-                assert omega(lam) == value, (theta, lam, x)
+                assert Fraction(*omega(lam)) == value, (theta, lam, x)
                 assert omega_jack_eval(lam, theta, x) == value
 
 
@@ -74,13 +76,14 @@ def test_jack_evaluator_is_the_fresh_quotient(n):
 def test_macdonald_evaluator_is_the_fresh_quotient(n):
     for q, t in MAC_QT:
         mp = MacdonaldParams(q, t, n)
+        values = MacdonaldValues(mp)
         for x in mac_points(n, mp):
-            omega = omega_mac_at(mp, x)
+            omega = values.at(x)
             for lam in shapes(n):
                 p = macdonald_expand(lam, mp)
                 value = (poly_eval_fresh(p, x)
                          / poly_eval_fresh(p, mp.t_delta()))
-                assert omega(lam) == value, (q, t, lam, x)
+                assert Fraction(*omega(lam)) == value, (q, t, lam, x)
                 assert omega_mac_eval(lam, mp, x) == value
 
 
@@ -206,6 +209,30 @@ def test_sweeps_clear_each_point_once(monkeypatch):
         sweep()
         monkeypatch.setattr(sympoly, "_cleared", cleared)
         assert seen == [tuple(map(Fraction, x)) for x in expected]
+
+
+def test_a_sweep_looks_each_shape_up_once(monkeypatch):
+    # a Jack sweep holds each shape's form and normalizer from the first
+    # point on: one memo lookup per distinct shape, not one per (shape,
+    # point), whether the memo starts cold or warm
+    monkeypatch.setattr(cache, "_MEMO", {})
+    shapes = {shape for pair in enumerate_pairs(4, 6, "same-weight-comparable")
+              for shape in pair}
+    memoized = cache._memoized
+    for _ in range(2):
+        keys = []
+
+        def counted(key, *args):
+            keys.append(key)
+            return memoized(key, *args)
+
+        monkeypatch.setattr(cache, "_memoized", counted)
+        report = check_schur_convexity("jack", 4, 6, samples=10, seed=3,
+                                       theta=Fraction(1, 2))
+        monkeypatch.setattr(cache, "_memoized", memoized)
+        assert report.samples == 10 and report.passed
+        lookups = [key for key in keys if key[0] == "jack"]
+        assert len(lookups) == len(set(lookups)) == len(shapes) == 25
 
 
 # sha256 of exact outputs, recorded before the sweeps bound one evaluator

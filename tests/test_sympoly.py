@@ -1,6 +1,7 @@
 """Sparse symmetric polynomials in the monomial basis."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -396,3 +397,36 @@ def test_the_fill_is_the_orbit_sum(parts, data):
     assert sympoly._fill(key, X, table) == walk
     assert len(table) <= math.prod(key.count(p) + 1 for p in set(key))
     assert monomial_eval(key, X) == walk
+
+
+# -- a fill deeper than the recursion limit ------------------------------------
+
+
+def test_a_fill_past_the_recursion_limit_is_refused(monkeypatch):
+    # the fill recurses once per variable: 900 variables evaluate, and 1200
+    # pass the interpreter's limit, refused with the variable count
+    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {})
+    monkeypatch.setattr(sympoly, "_memo_entries", 0)
+    assert monomial_eval((1,), range(1, 901)) == 900 * 901 // 2
+    with pytest.raises(ParameterError, match="on 1200 variables"):
+        monomial_eval((1,), range(1, 1201))
+    assert sympoly._memo_entries == memo_entries()
+
+
+def test_a_refused_fill_keeps_the_entry_count(monkeypatch):
+    # m_(1,0,...) fills its 2400 entries at 1200 variables under a raised
+    # limit; m_(2,0,...) at the same point under the default limit is
+    # refused, and the point's entries stay counted
+    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {})
+    monkeypatch.setattr(sympoly, "_memo_entries", 0)
+    x = range(1, 1201)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1500)
+    try:
+        assert monomial_eval((1,), x) == 1200 * 1201 // 2
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sympoly._memo_entries == memo_entries() == 2400
+    with pytest.raises(ParameterError, match="on 1200 variables"):
+        monomial_eval((2,), x)
+    assert sympoly._memo_entries == memo_entries()
