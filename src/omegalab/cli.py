@@ -131,12 +131,15 @@ def _add_quadrature_flags(p: argparse.ArgumentParser):
                    help="tie threshold on coordinates")
 
 
+def _given(ns, *names) -> dict:
+    # every flag given, 0 included, goes to the callee, which refuses what
+    # it must; the others keep its defaults
+    return {name: getattr(ns, name) for name in names
+            if getattr(ns, name) is not None}
+
+
 def _quadrature_config(ns) -> QuadratureConfig | None:
-    # every flag given, 0 included, goes to the constructor, which refuses
-    # what it must; the others keep its defaults
-    given = {name: getattr(ns, name)
-             for name in ("nodes_per_dimension", "min_gap")
-             if getattr(ns, name) is not None}
+    given = _given(ns, "nodes_per_dimension", "min_gap")
     return QuadratureConfig(**given) if given else None
 
 
@@ -315,14 +318,13 @@ def _emit_report(rep: InequalityReport, out: str, quiet: bool):
 
 def _cmd_check(ns, seed, out, quiet) -> int:
     cfg = _quadrature_config(ns)
-    common = dict(samples=ns.samples, seed=seed)
+    common = dict(samples=ns.samples, seed=seed,
+                  **_given(ns, "x_low", "x_high"))
     if ns.kind == "weak":
         if ns.theta is None:
             raise ParameterError("check weak needs --theta")
-        rep = check_weak_majorization(
-            ns.theta, ns.n, ns.max_weight, **common,
-            x_low=Fraction(1) if ns.x_low is None else ns.x_low,
-            x_high=Fraction(10) if ns.x_high is None else ns.x_high)
+        rep = check_weak_majorization(ns.theta, ns.n, ns.max_weight,
+                                      **common)
     else:
         family = "muirhead" if ns.kind == "muirhead" else ns.family
         if family is None:
@@ -331,10 +333,7 @@ def _cmd_check(ns, seed, out, quiet) -> int:
                   else check_schur_convexity)
         rep = driver(family, ns.n, ns.max_weight, **common,
                      theta=ns.theta, q=ns.q, t=ns.t, a=ns.a, k=ns.k,
-                     label_bound=ns.label_bound,
-                     x_low=Fraction(0) if ns.x_low is None else ns.x_low,
-                     x_high=Fraction(10) if ns.x_high is None else ns.x_high,
-                     cfg=cfg)
+                     label_bound=ns.label_bound, cfg=cfg)
     _emit_report(rep, out, quiet)
     return 0 if rep.passed else 1
 

@@ -20,17 +20,24 @@ Heckman-Opdam log-convexity sweep tests only rounding.  The order sweep can
 fail, as can the Jack consistency and reflection checks on the quadrature
 itself.
 
+Every driver, the sweeps, the witness builder and the hunt alike, reads
+its family from one record (_make_family, the only code that branches on a
+family's name): its report parameters, an exact family's evaluator at(x),
+the floating family's probe, and the lattice family's MacdonaldParams.  The
+exact Jack and Macdonald families hold one evaluator per driver call
+(JackValues, MacdonaldValues), which looks each shape's form and normalizer
+up once and checks and clears each point once.
+
 Probes are pure functions of (pair, point), so sweeps are trivially
 data-parallel; this implementation runs them in order and the report is the
 single merge point.  The sweep loops over points outside and pairs inside:
 at each point one family call evaluates every shape a pair compares, so the
 floating family builds one quadrature tree per point for the values, and
 one more at twice the nodes for their error estimates only at a point where
-some pair's gap passes the noise floor; the exact Jack and Macdonald
-families hold one evaluator per sweep (JackValues, MacdonaldValues), which
-looks each shape's form and normalizer up once and checks and clears each
-point once, and the row is dropped once that point's pairs are compared.
-Violations are still listed pair by pair, point by point.
+some pair's gap passes the noise floor, and the row is dropped once that
+point's pairs are compared.  Violations are still listed pair by pair,
+point by point.  The lattice sweep and the lattice-only hunt share one
+point set (_lattice_points).
 
 The hunt also runs points first, through one evaluator, but evaluates each
 shape only when a pair first needs it.  It usually stops at its first
@@ -183,23 +190,26 @@ class InequalityReport:
 
 
 class _Family:
-    """Evaluation strategy shared by the sweep driver.
+    """One family as every driver reads it: the sweeps, the witness builder
+    and the hunt.
 
-    probe(lams, x) returns the normalized family member at x for every
-    partition: for the exact families a list of integer pairs (N, D) with
-    D > 0, compared by _below.  The floating family returns (values,
-    gaps): the floats, every partition's from one quadrature tree, and a
-    function that returns their quadrature error estimates, from one more
-    tree at twice the nodes.
+    params are the family's report parameters.  An exact family has at(x),
+    which checks and clears x once and returns lam -> the value at x as an
+    integer pair (N, D) with D > 0, compared by _below; the lattice family
+    also carries its MacdonaldParams as lattice.  The floating family has
+    probe(lams, x) instead, which returns (values, gaps): the floats, every
+    partition's from one quadrature tree, and a function that returns their
+    quadrature error estimates, from one more tree at twice the nodes.
     """
 
-    __slots__ = ("name", "params", "exact", "probe")
+    __slots__ = ("name", "params", "at", "probe", "lattice")
 
-    def __init__(self, name, params, exact, probe):
+    def __init__(self, name, params, *, at=None, probe=None, lattice=None):
         self.name = name
         self.params = params
-        self.exact = exact
+        self.at = at
         self.probe = probe
+        self.lattice = lattice
 
 
 def _below(lhs, rhs) -> bool:
@@ -207,43 +217,35 @@ def _below(lhs, rhs) -> bool:
     return lhs[0] * rhs[1] < rhs[0] * lhs[1]
 
 
-def _exact_probe(at):
-    """An exact family's probe: at(x) returns lam -> the value at x as an
-    integer pair, so a family can check and clear x once per point, not
-    once per shape."""
-    def probe(lams, x):
-        return list(map(at(x), lams))
-    return probe
-
-
-def _fraction_probe(value):
-    """The probe of a family whose value(lam, x) is a Fraction."""
-    def probe(lams, x):
-        return [(v.numerator, v.denominator)
-                for v in (value(lam, x) for lam in lams)]
-    return probe
+def _fraction_at(value):
+    """at(x) for a family whose value(lam, x) is a Fraction."""
+    def at(x):
+        def omega(lam):
+            v = value(lam, x)
+            return v.numerator, v.denominator
+        return omega
+    return at
 
 
 def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
                  cfg=None) -> _Family:
     if family == "muirhead":
-        return _Family(family, {}, True, _fraction_probe(muirhead_eval))
+        return _Family(family, {}, at=_fraction_at(muirhead_eval))
     if family == "powersum":
-        return _Family(family, {}, True, _fraction_probe(powersum_eval))
+        return _Family(family, {}, at=_fraction_at(powersum_eval))
     if family == "jack":
         if theta is None:
             raise ParameterError("the jack family needs theta")
         values = JackValues(theta)
         th = values.theta
         label = "inf" if th.is_infinite else th.theta
-        return _Family(family, {"theta": label}, True,
-                       _exact_probe(values.at))
+        return _Family(family, {"theta": label}, at=values.at)
     if family == "macdonald-lattice":
         if q is None or t is None:
             raise ParameterError("the macdonald-lattice family needs q and t")
         mp = MacdonaldParams(q, t, n, Fraction(1) if a is None else a)
-        return _Family(family, {"q": mp.q, "t": mp.t, "a": mp.a}, True,
-                       _exact_probe(MacdonaldValues(mp).at))
+        return _Family(family, {"q": mp.q, "t": mp.t, "a": mp.a},
+                       at=MacdonaldValues(mp).at, lattice=mp)
     if family == "heckman-opdam":
         if k is None:
             raise ParameterError("the heckman-opdam family needs k")
@@ -255,7 +257,7 @@ def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
                 hop, [tuple(p + hop.k * r for p, r in zip(lam.parts, rho))
                       for lam in lams], x, cfg)
 
-        return _Family(family, {"k": hop.k}, False, probe)
+        return _Family(family, {"k": hop.k}, probe=probe)
     raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -285,45 +287,13 @@ def _sample_points(samples, n, x_low, x_high, seed, as_float):
     return points
 
 
-def _lattice_labels(n, label_bound):
+def _lattice_points(mp: MacdonaldParams, label_bound):
+    """The lattice points whose labels have entries in [0, label_bound]."""
     if label_bound < 0:
         raise DomainError(f"need label_bound >= 0; got {label_bound}")
-    out = []
-    for w in range(n * label_bound + 1):
-        out.extend(partitions_of(w, n, label_bound))
-    return out
-
-
-def _evaluation_points(fam: _Family, n, samples, x_low, x_high, seed,
-                       label_bound):
-    """The x set for one sweep.
-
-    The lattice family is evaluated exhaustively on the labeled lattice
-    points with entries in [0, label_bound]; `samples`, `x_low` and `x_high`
-    are ignored there.  Other families draw `samples` rational points from
-    [x_low, x_high]^n (floated for the Heckman-Opdam family).
-    """
-    if fam.name == "macdonald-lattice":
-        mp = MacdonaldParams(fam.params["q"], fam.params["t"], n,
-                             fam.params["a"])
-        return [lattice_point(lab, mp).coords
-                for lab in _lattice_labels(n, label_bound)]
-    return _sample_points(samples, n, x_low, x_high, seed,
-                          as_float=not fam.exact)
-
-
-def _resolved_params(fam: _Family, label_bound, x_low, x_high,
-                     cfg: QuadratureConfig) -> dict:
-    """Family parameters plus the sweep settings, echoed into the report."""
-    params = dict(fam.params)
-    if fam.name == "macdonald-lattice":
-        params["label_bound"] = label_bound
-    else:
-        params["x_low"] = Fraction(x_low)
-        params["x_high"] = Fraction(x_high)
-    if fam.name == "heckman-opdam":
-        params["nodes"] = (cfg or QuadratureConfig()).nodes_per_dimension
-    return params
+    return [lattice_point(label, mp).coords
+            for w in range(mp.n * label_bound + 1)
+            for label in partitions_of(w, mp.n, label_bound)]
 
 
 # lhs >= rhs over the pairs of one enumeration mode: shapes(lam, mu) lists
@@ -378,11 +348,16 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
     (_below on integer pairs), the floating family on rhs - lhs past its
     tolerance plus noise.
 
+    The lattice family is evaluated exhaustively on the lattice points
+    whose labels have entries in [0, label_bound]; samples, x_low and
+    x_high are ignored there.  Other families draw samples rational points
+    from [x_low, x_high]^n (floated for the floating family).
+
     Points run outside, pairs inside.  Each pair's shapes are held as slots
     (indices) into one list of distinct shapes, which one family call
-    evaluates per point; a tie there skips the point for every pair.
-    Violations are gathered per pair, so the report lists them pair by
-    pair, point by point.
+    evaluates per point; a floating tie there skips the point for every
+    pair.  Violations are gathered per pair, so the report lists them pair
+    by pair, point by point.
 
     A floating gap at or below the noise floor is neither a violation nor
     a near-miss, whatever the tolerance (it is never negative), so the
@@ -395,8 +370,18 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
     if samples < 0:
         raise DomainError(f"need samples >= 0; got {samples}")
     fam = _make_family(family, n, theta=theta, q=q, t=t, a=a, k=k, cfg=cfg)
-    points = _evaluation_points(fam, n, samples, x_low, x_high, seed,
-                                label_bound)
+    exact = fam.at is not None
+    # the family's parameters plus the sweep settings, echoed into the report
+    params = dict(fam.params)
+    if fam.lattice is None:
+        points = _sample_points(samples, n, x_low, x_high, seed,
+                                as_float=not exact)
+        params.update(x_low=Fraction(x_low), x_high=Fraction(x_high))
+    else:
+        points = _lattice_points(fam.lattice, label_bound)
+        params["label_bound"] = label_bound
+    if not exact:
+        params["nodes"] = (cfg or QuadratureConfig()).nodes_per_dimension
     pairs = list(enumerate_pairs(n, max_weight, stmt.mode))
     slots = {}
     pair_slots = [[slots.setdefault(shape, len(slots))
@@ -405,17 +390,18 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
     found = [[] for _ in pairs]
     near_misses = skipped = 0
     for x in points if pairs else ():
-        try:
-            row = fam.probe(shapes, x)
-        except TieError:
-            skipped += len(pairs)
-            continue
-        if not fam.exact:
-            row, gaps = row
+        if exact:
+            row = list(map(fam.at(x), shapes))
+        else:
+            try:
+                row, gaps = fam.probe(shapes, x)
+            except TieError:
+                skipped += len(pairs)
+                continue
             errs = None
         for (lam, mu), slot, hits in zip(pairs, pair_slots, found):
             values = [row[i] for i in slot]
-            if fam.exact:
+            if exact:
                 lhs, rhs = stmt.pair_sides(values)
                 failed = _below(lhs, rhs)
                 if failed:
@@ -436,9 +422,8 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
                 hits.append(Witness(fam.name, fam.params, lam, mu, x, lhs,
                                     rhs))
     elapsed = int((time.monotonic() - start) * 1000)
-    return InequalityReport(stmt.command, fam.name,
-                            _resolved_params(fam, label_bound, x_low, x_high, cfg),
-                            n, max_weight, seed, len(pairs), len(points),
+    return InequalityReport(stmt.command, fam.name, params, n, max_weight,
+                            seed, len(pairs), len(points),
                             [w for hits in found for w in hits], near_misses,
                             skipped, elapsed)
 
@@ -539,10 +524,8 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
     n = lam.n
     r = _violated_prefix(lam, mu)
     fam = _make_family(family, n, theta=theta, q=q, t=t, a=a)
-    if family == "macdonald-lattice":
-        mp = MacdonaldParams(fam.params["q"], fam.params["t"], n,
-                             fam.params["a"])
-
+    mp = fam.lattice
+    if mp is not None:
         def point(K):
             label = (K,) * r + (0,) * (n - r)
             return lattice_point(label, mp).coords, {"label": label}
@@ -558,7 +541,8 @@ def find_witness(lam, mu, family, *, theta=None, q=None, t=None,
                    f"for {lam} vs {mu} under {family}")
     for value in (1 << e for e in range(PARAMETER_CEILING.bit_length())):
         x, where = point(value)
-        lhs, rhs = fam.probe([lam, mu], x)
+        omega = fam.at(x)
+        lhs, rhs = omega(lam), omega(mu)
         if _below(lhs, rhs):
             return Witness(family, dict(fam.params, **where), lam, mu, x,
                            Fraction(*lhs), Fraction(*rhs))
@@ -639,7 +623,8 @@ def hunt_violation(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
 
 
 def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
-    """hunt_violation's search: (witness, probes, enumerated pair count).
+    """hunt_violation's search: (witness, probes, enumerated pair count,
+    the family's report parameters).
 
     With no pair to compare it returns at once: the off-lattice point stream
     never ends, and no probe would spend the budget.
@@ -647,21 +632,20 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
     _check_variables(n)
     if budget < 0:
         raise DomainError(f"need budget >= 0; got {budget}")
-    mp = MacdonaldParams(q, t, n, a)
+    fam = _make_family("macdonald-lattice", n, q=q, t=t, a=a)
+    mp = fam.lattice
     pairs = list(enumerate_pairs(n, max_weight, "same-weight-comparable"))
     if lattice_only:
-        points = iter([lattice_point(lab, mp).coords
-                       for lab in _lattice_labels(n, label_bound)])
+        points = _lattice_points(mp, label_bound)
     else:
         points = _hunt_points(n, seed)
-    evaluator = MacdonaldValues(mp)
     probes = 0
     for x in points if pairs else ():
-        omega = evaluator.at(x)
+        omega = fam.at(x)
         values = {}
         for lam, mu in pairs:
             if probes >= budget:
-                return None, probes, len(pairs)
+                return None, probes, len(pairs), fam.params
             probes += 1
             for p in (lam, mu):
                 if p not in values:
@@ -675,10 +659,10 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
                         raise CertificationError(
                             f"Omega_{p}({x}) did not re-derive to {value}; "
                             "the witness is withheld")
-                params = {"q": mp.q, "t": mp.t, "a": mp.a}
-                witness = Witness("macdonald", params, lam, mu, x, lhs, rhs)
-                return witness, probes, len(pairs)
-    return None, probes, len(pairs)
+                witness = Witness("macdonald", fam.params, lam, mu, x, lhs,
+                                  rhs)
+                return witness, probes, len(pairs), fam.params
+    return None, probes, len(pairs), fam.params
 
 
 def hunt_report(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
@@ -688,12 +672,11 @@ def hunt_report(q, t, n=2, max_weight=6, budget=100000, seed=0, *,
     pairs_checked counts probes spent; samples counts enumerated pairs.
     """
     start = time.monotonic()
-    witness, probes, pairs = _hunt(q, t, n, max_weight, budget, seed, a,
-                                   lattice_only, label_bound)
+    witness, probes, pairs, params = _hunt(q, t, n, max_weight, budget, seed,
+                                           a, lattice_only, label_bound)
     elapsed = int((time.monotonic() - start) * 1000)
-    mp = MacdonaldParams(q, t, n, a)
-    params = {"q": mp.q, "t": mp.t, "a": mp.a, "budget": budget,
-              "mode": "lattice" if lattice_only else "off-lattice"}
+    params = dict(params, budget=budget,
+                  mode="lattice" if lattice_only else "off-lattice")
     return InequalityReport("hunt", "macdonald", params, n, max_weight,
                             seed, probes, pairs,
                             [witness] if witness else [], 0, 0, elapsed)

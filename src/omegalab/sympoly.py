@@ -171,10 +171,10 @@ class SymmetricPolynomial:
 
 # the shared tables of integer monomial values, one per cleared point X:
 # _MONOMIAL_MEMO[X] maps nu to m_nu(X_1, ..., X_len(nu)).  _memo_entries
-# counts the entries filled since the memo was last emptied, a private
-# table's included, and a new point that finds it at MONOMIAL_MEMO_SIZE or
-# more empties the memo first: the tables hold at most that many entries
-# besides those filled since the last new point
+# counts the entries the memo holds: a fill into a private table, or into
+# one the memo has dropped, is not counted.  A new point that finds it at
+# MONOMIAL_MEMO_SIZE or more empties the memo first: the tables hold at
+# most that many entries besides those filled since the last new point
 MONOMIAL_MEMO_SIZE = 1 << 15
 _MONOMIAL_MEMO: dict[tuple, dict] = {}
 _memo_entries = 0
@@ -271,8 +271,9 @@ def _form_sum(form: tuple, X: tuple, d: int, scale=1,
     refused by the caller; a negative one flips both signs.  m_nu(X) is
     read from table and filled on a miss (_fill); None is X's table in the
     shared _MONOMIAL_MEMO.  A fill deeper than the interpreter's recursion
-    limit (about 900 variables) raises ParameterError, and the entries it
-    did put in the table are counted.
+    limit (about 900 variables) raises ParameterError.  The entries a fill
+    puts in a table the shared memo holds are counted, also when it is
+    refused.
     """
     global _memo_entries
     if table is None:
@@ -288,7 +289,8 @@ def _form_sum(form: tuple, X: tuple, d: int, scale=1,
             f"a monomial table fill on {count_text(len(X))} variables "
             f"recurses past the interpreter's limit") from None
     finally:
-        _memo_entries += len(table) - held
+        if len(table) != held and _MONOMIAL_MEMO.get(X) is table:
+            _memo_entries += len(table) - held
     num *= scale.denominator
     den = scale.numerator * lcm * d ** top
     return (-num, -den) if den < 0 else (num, den)

@@ -665,6 +665,24 @@ def test_hunt_on_lattice_finds_nothing():
     assert 0 < probes <= 10 ** 4
 
 
+@pytest.mark.parametrize("n, bound", [(2, 3), (3, 2)])
+def test_lattice_hunt_probes_the_lattice_sweep_points(n, bound):
+    # with no witness the lattice-only hunt probes every (pair, point) of
+    # the lattice order sweep once: the two read one point set
+    witness, probes = hunt_violation(n=n, max_weight=5, budget=10 ** 6,
+                                     lattice_only=True, label_bound=bound,
+                                     **Q13)
+    report = check_schur_convexity("macdonald-lattice", n, 5,
+                                   label_bound=bound, **Q13)
+    assert witness is None and report.passed
+    assert probes == report.pairs_checked * report.samples > 0
+
+
+def test_hunt_without_q_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="needs q and t"):
+        hunt_violation(None, Fraction(1, 3))
+
+
 def test_hunt_without_pairs_returns():
     # the off-lattice point stream never ends and, with no pair to compare,
     # no probe spends the budget; a subprocess bounds a hang

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from omegalab import sympoly
+from omegalab import cache, sympoly
 from omegalab.errors import (DegeneracyError, DimensionMismatchError,
                              DomainError, ParameterError)
 from omegalab.macdonald import MacdonaldParams, lattice_point
-from omegalab.jack import jack_expand
+from omegalab.jack import JackValues, jack_expand
+from omegalab.lab import hunt_violation
+from omegalab.partitions import Partition
 from omegalab.sympoly import (SymmetricPolynomial, distinct_permutations,
                               monomial_eval, orbit_size, parse_poly,
                               poly_eval, poly_eval_float, poly_eval_fresh,
@@ -430,3 +432,37 @@ def test_a_refused_fill_keeps_the_entry_count(monkeypatch):
     with pytest.raises(ParameterError, match="on 1200 variables"):
         monomial_eval((2,), x)
     assert sympoly._memo_entries == memo_entries()
+
+
+def test_only_entries_the_memo_holds_are_counted(monkeypatch):
+    # a certified hunt also fills private tables (poly_eval_fresh) for its
+    # second derivation; they are dropped, so they are not counted.  With
+    # no expansion memoized, the shared tables hold the point's entries and
+    # the normalizers'
+    monkeypatch.setattr(cache, "_MEMO", {})
+    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {})
+    monkeypatch.setattr(sympoly, "_memo_entries", 0)
+    witness, probes = hunt_violation(Fraction(1, 2), Fraction(1, 3), n=3,
+                                     max_weight=6)
+    assert witness is not None and probes == 1
+    assert sympoly._memo_entries == memo_entries() == 20
+    p = SymmetricPolynomial(2, {(2, 1): Fraction(1)})
+    assert poly_eval_fresh(p, (Fraction(5), Fraction(7))) == 25 * 7 + 49 * 5
+    assert sympoly._memo_entries == memo_entries() == 20
+    # nor is a fill into a table the memo has dropped: an evaluator made at
+    # one point still fills that point's table after a new point empties
+    # the memo (both shapes are resolved first, so no normalizer is
+    # evaluated in between)
+    monkeypatch.setattr(sympoly, "MONOMIAL_MEMO_SIZE", 1)
+    values = JackValues(Fraction(1, 2))
+    shapes = Partition((2, 1, 0)), Partition((3, 2, 1))
+    omega = values.at((Fraction(7), Fraction(6), Fraction(1)))
+    for lam in shapes:
+        omega(lam)
+    first = values.at((Fraction(3), Fraction(2), Fraction(1)))
+    first(shapes[0])
+    values.at((Fraction(5), Fraction(4), Fraction(1)))
+    held = sympoly._memo_entries
+    assert held == memo_entries()
+    first(shapes[1])
+    assert sympoly._memo_entries == memo_entries() == held
