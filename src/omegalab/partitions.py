@@ -21,6 +21,8 @@ from .errors import DimensionMismatchError, DomainError
 VectorLike = Union["Partition", Sequence]
 
 PAIR_MODES = ("same-weight-comparable", "midpoint-integral", "weak-comparable")
+# the modes whose pairs are the comparable pairs of an order (order_covers)
+ORDER_MODES = ("same-weight-comparable", "weak-comparable")
 
 
 def as_int_vector(v: Sequence) -> tuple[int, ...]:
@@ -248,3 +250,70 @@ def enumerate_pairs(n: int, max_weight: int, mode: str) -> Iterator[tuple[Partit
         for lam, mu in itertools.product(group, group):
             if lam != mu and majorizes(lam, mu):
                 yield lam, mu
+
+
+def _dominance_covered(lam: tuple) -> Iterator[tuple]:
+    """The partitions that lam covers in dominance: lam - e_i + e_j with
+    i < j that are partitions, where j = i + 1 or lam_i = lam_j + 2
+    (Brylawski, Discrete Math. 6, 1973)."""
+    n = len(lam)
+    for i in range(n - 1):
+        if not lam[i]:
+            break  # zero rows have no box to give
+        for j in range(i + 1, n):
+            if j > i + 1 and lam[i] != lam[j] + 2:
+                continue
+            mu = list(lam)
+            mu[i] -= 1
+            mu[j] += 1
+            # only rows i and j moved, so only their inner neighbours can
+            # break the order
+            if mu[i] >= mu[i + 1] and mu[j - 1] >= mu[j]:
+                yield tuple(mu)
+
+
+def order_covers(n: int, max_weight: int,
+                 mode: str) -> tuple[list[tuple[Partition, Partition]], int]:
+    """The cover pairs of the order that mode enumerates, and the number of
+    its pairs, len(list(enumerate_pairs(n, max_weight, mode))), found
+    without enumerating a pair.
+
+    Modes (ORDER_MODES, each the pairs of a partial order):
+      same-weight-comparable: (lambda, mu) with lambda covering mu in
+          dominance (_dominance_covered).
+      weak-comparable: those, plus (lambda, lambda - e_r) with r lambda's
+          last nonzero row, counted from 0, where lambda_r = 1 or
+          r = n - 1: the weak order steps down a weight only through its
+          last row.
+
+    Every comparable pair is joined by a chain of covers, so a transitive
+    relation holds on every pair when it holds on every cover.  Covers come
+    lambda by lambda, in enumerate_partitions order.  The pair count is a
+    bitset closure: a shape's strict down-set is the union of its covered
+    shapes' down-sets and bits, taken in (weight, lexicographic) order,
+    which puts every shape after all those below it in both orders; the
+    weak mode adds its pairs (lambda, lambda), one per shape.
+    """
+    if mode not in ORDER_MODES:
+        raise DomainError(f"no covers for pair mode {mode!r}; expected one "
+                          f"of {ORDER_MODES}")
+    parts = enumerate_partitions(n, max_weight)
+    weak = mode == "weak-comparable"
+    covers = []
+    for lam in parts:
+        below = list(_dominance_covered(lam.parts))
+        if weak and lam.weight:
+            last = sum(1 for p in lam.parts if p) - 1
+            if lam.parts[last] == 1 or last == n - 1:
+                mu = list(lam.parts)
+                mu[last] -= 1
+                below.append(tuple(mu))
+        covers.extend((lam, Partition(mu)) for mu in below)
+    walk = sorted(parts, key=lambda p: (p.weight, p.parts))
+    index = {p: i for i, p in enumerate(walk)}
+    down = [0] * len(walk)
+    for lam, mu in sorted(covers, key=lambda pair: index[pair[0]]):
+        j = index[mu]
+        down[index[lam]] |= down[j] | 1 << j
+    count = sum(d.bit_count() for d in down)
+    return covers, (count + len(parts) if weak else count)

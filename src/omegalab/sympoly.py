@@ -69,6 +69,15 @@ def orbit_size(lam: Sequence[int]) -> int:
         math.factorial(lam.count(p)) for p in set(lam))
 
 
+def _exponent_key(key, n: int) -> Exponent:
+    """key as a partition of length exactly n (partition_key's checks)."""
+    key = partition_key(key)
+    if len(key) != n:
+        raise DimensionMismatchError(
+            f"exponent {key} has length {len(key)}, expected {n}")
+    return key
+
+
 class SymmetricPolynomial:
     """Rational combination of monomial symmetric polynomials, fixed n."""
 
@@ -82,13 +91,8 @@ class SymmetricPolynomial:
         if terms:
             for key, coeff in terms.items():
                 c = Fraction(coeff)
-                if c == 0:
-                    continue
-                key = partition_key(key)
-                if len(key) != n:
-                    raise DimensionMismatchError(
-                        f"exponent {key} has length {len(key)}, expected {n}")
-                clean[key] = c
+                if c != 0:
+                    clean[_exponent_key(key, n)] = c
         self.terms = clean
         self._form = None
 
@@ -497,4 +501,8 @@ def parse_poly(text: str, n: int | None = None) -> SymmetricPolynomial:
             terms[key] = terms.get(key, Fraction(0)) + coeff
     if n is None:
         raise DomainError("no terms and no explicit n")
-    return SymmetricPolynomial(n, terms)
+    # the coefficients are Fractions already: each nonzero term's key is
+    # checked once here, and none is wrapped again by the constructor
+    poly = SymmetricPolynomial(n)
+    poly.terms = {_exponent_key(key, n): c for key, c in terms.items() if c}
+    return poly

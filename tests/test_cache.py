@@ -101,6 +101,26 @@ def test_disk_record_that_misfits_its_key_is_recomputed(record, monkeypatch,
     assert ExpansionCache(path).get(KEY) == p
 
 
+@pytest.mark.parametrize("body", ["1,2: 1 ; 2,0: 1",      # not decreasing
+                                  "2,0: 1 ; 1,1,0: 1"])   # wrong length
+def test_record_with_a_bad_exponent_is_skipped(body, monkeypatch, tmp_path):
+    # parse_poly checks each key itself and builds the polynomial without
+    # the constructor's checks: a bad key still fails the record
+    path = tmp_path / "cache.txt"
+    good = "macdonald|n=2|lam=1,1|q=1/2|t=1/3\t1,1: 1\n"
+    path.write_text(f"omegalab-cache v1\n{KEY}\t{body}\n{good}")
+    with pytest.warns(UserWarning, match=r"cache\.txt:2: skipping corrupt"):
+        disk = ExpansionCache(str(path))
+    assert disk.get(KEY) is None and len(disk) == 1
+    monkeypatch.setattr(cache, "_MEMO", {})
+    activate(disk)
+    try:
+        assert macdonald_expand((2, 0), HALF_THIRD) == _expand_uncached(
+            (2, 0), HALF_THIRD)
+    finally:
+        activate(None)
+
+
 def test_keys_that_would_corrupt_the_format_raise(monkeypatch, tmp_path):
     path = str(tmp_path / "cache.txt")
     disk = ExpansionCache(path)

@@ -1211,6 +1211,26 @@ def test_determinant_past_its_variable_ceiling_builds_nothing(monkeypatch):
             ho_eval(HOParams(1, n), x, x)
 
 
+def test_determinant_takes_at_most_32_variables(monkeypatch):
+    # the ceiling from both sides, in numbers: a tie-free k = 1 vector on 32
+    # variables reaches the determinant, and one on 33 is refused first
+    formed = []
+    original = heckman_opdam._harish_chandra_log
+
+    def counted(s, x):
+        formed.append(len(s))
+        return original(s, x)
+
+    monkeypatch.setattr(heckman_opdam, "_harish_chandra_log", counted)
+    for n in (32, 33):
+        x = tuple((n - i) / 4 for i in range(n))
+        try:
+            ho_closed_forms(HOParams(1, n), x, x)
+        except DegeneracyError as refused:
+            assert (n == 33) == ("at most 32 variables" in str(refused))
+    assert formed == [32]
+
+
 def test_work_ceiling_counts_only_the_vectors_the_quadrature_sums():
     # at n = 6 and the default 64 nodes one vector sums 64^15 node terms;
     # the determinant serves the first vector, so it is not refused, and

@@ -27,7 +27,8 @@ from omegalab.lab import (FAMILIES, NOISE_FLOOR, WITNESS_FAMILIES, Witness,
                           hunt_violation)
 from omegalab.macdonald import MacdonaldParams, lattice_point, omega_mac_eval
 from omegalab.partitions import (Partition, enumerate_pairs, majorizes,
-                                 partitions_of, weakly_majorizes)
+                                 order_covers, partitions_of,
+                                 weakly_majorizes)
 
 Q13 = dict(q=Fraction(1, 2), t=Fraction(1, 3))
 
@@ -330,6 +331,65 @@ def test_sweep_lists_violations_pair_by_pair_point_by_point(monkeypatch):
     assert ([(w.lam, w.mu, w.x) for w in report.violations]
             == [(lam, mu, x) for lam, mu in pairs for x in points])
     assert report.near_misses == report.skipped == 0
+
+
+def squares_but(broken_x, broken_lam, broken_value):
+    """Stub exact values: the sum of squared parts, which is strictly
+    Schur-convex and increasing on partitions, so it passes every order and
+    weak pair, except broken_value for broken_lam at broken_x."""
+    def value(lam, x):
+        if x == broken_x and lam.parts == broken_lam:
+            return broken_value, 1
+        return sum(p * p for p in lam.parts), 1
+    return value
+
+
+@pytest.mark.parametrize("mode, cover, broken_value, violating", [
+    # the cover (2,2,0) -> (2,1,1) fails, and so does the pair
+    # (3,1,0) -> (2,1,1), which is not a cover
+    ("same-weight-comparable", ((2, 2, 0), (2, 1, 1)), 11, 2),
+    # a cover that moves a box past a row: lambda_i = lambda_j + 2
+    ("same-weight-comparable", ((2, 1, 0), (1, 1, 1)), 6, 1),
+    # the weak cover (2,1,1) -> (2,1,0) across weights fails, and no other
+    # pair
+    ("weak-comparable", ((2, 1, 1), (2, 1, 0)), 7, 1),
+])
+def test_one_broken_cover_lists_every_violating_pair(mode, cover,
+                                                     broken_value, violating,
+                                                     monkeypatch):
+    # a sweep compares only the covers at a point where all pass, and every
+    # pair where one fails: the violations are those of the pair loop
+    points = _sample_points(3, 3, 1, 10, 5, as_float=False)
+    value = squares_but(points[1], cover[1], broken_value)
+
+    class Stub:
+        def __init__(self, theta):
+            self.theta = JackParam(theta)
+
+        def at(self, x):
+            return lambda lam: value(lam, x)
+
+    monkeypatch.setattr(lab, "JackValues", Stub)
+    if mode == "weak-comparable":
+        report = check_weak_majorization(1, 3, 4, samples=3, seed=5)
+    else:
+        report = check_schur_convexity("jack", 3, 4, samples=3, seed=5,
+                                       theta=1, x_low=1)
+
+    def below(lam, mu, x):
+        return Fraction(*value(lam, x)) < Fraction(*value(mu, x))
+
+    covers, count = order_covers(3, 4, mode)
+    assert ([(lam.parts, mu.parts, x) for lam, mu in covers for x in points
+             if below(lam, mu, x)] == [(*cover, points[1])])
+    pairs = list(enumerate_pairs(3, 4, mode))
+    expected = [(lam, mu, x) for lam, mu in pairs for x in points
+                if below(lam, mu, x)]
+    assert len(expected) == violating
+    assert ([(w.lam, w.mu, w.x, w.lhs, w.rhs) for w in report.violations]
+            == [(lam, mu, x, Fraction(*value(lam, x)),
+                 Fraction(*value(mu, x))) for lam, mu, x in expected])
+    assert report.pairs_checked == count == len(pairs)
 
 
 # exact values as the evaluators hand them over: v / s through _form_sum,
@@ -640,6 +700,87 @@ def test_midpoint_gap_past_the_noise_floor_reads_the_estimates(err,
         assert report.near_misses == 0
 
 
+def stub_quadrature(monkeypatch, values, errs):
+    """Stub the Heckman-Opdam family at n = 2, k = 2: shape lam has value
+    values.get(lam, 1.0) and error estimate errs.get(lam, 0.0).  Returns
+    the log of points at which the estimates were read."""
+    reads = []
+
+    def shape(s):
+        # s = lam + k rho with k rho = (1, -1)
+        return round(s[0] - 1), round(s[1] + 1)
+
+    def fake(hop, svecs, x, cfg):
+        def gaps():
+            reads.append(x)
+            return [errs.get(shape(s), 0.0) for s in svecs]
+        return [values.get(shape(s), 1.0) for s in svecs], gaps
+
+    monkeypatch.setattr(lab, "_ho_eval_lazy", fake)
+    return reads
+
+
+# each floating bound from both sides: a factor of the bound just inside it
+# and just past it
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_order_band_is_ten_times_the_summed_estimates(factor, monkeypatch):
+    # the one order pair at n = 2, max_weight 2 is (2,0) -> (1,1): its gap
+    # is factor * 10 * (el + er), a near miss inside the band and a
+    # violation past it
+    el, er = 3e-7, 7e-7
+    gap = factor * 10 * (el + er)
+    reads = stub_quadrature(monkeypatch, {(1, 1): 1.0 + gap},
+                            {(2, 0): el, (1, 1): er})
+    report = check_schur_convexity("heckman-opdam", 2, 2, samples=3, seed=1,
+                                   k=2)
+    assert report.pairs_checked == 1 and len(reads) == 3
+    if factor < 1:
+        assert report.passed and report.near_misses == 3
+    else:
+        assert len(report.violations) == 3 and report.near_misses == 0
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_midpoint_band_propagates_the_estimates(factor, monkeypatch):
+    # the one midpoint pair with lambda != mu at n = 2, max_weight 2 is
+    # (2,0), (0,0) with midpoint (1,0); its gap vc^2 - vl vm is factor times
+    # the band 10 (el |vm| + em |vl| + 2 ec |vc|), each estimate scaled by
+    # the other side's value
+    vl, vm, vc = 2.0, 3.0, 2.45
+    gap = vc * vc - vl * vm
+    unit = 10 * (1 * vm + 2 * vl + 2 * 4 * vc)
+    el, em, ec = (c * gap / (factor * unit) for c in (1, 2, 4))
+    reads = stub_quadrature(monkeypatch,
+                            {(2, 0): vl, (0, 0): vm, (1, 0): vc},
+                            {(2, 0): el, (0, 0): em, (1, 0): ec})
+    report = check_log_convexity("heckman-opdam", 2, 2, samples=3, seed=1,
+                                 k=2)
+    assert len(reads) == 3
+    if factor < 1:
+        assert report.passed and report.near_misses == 3
+    else:
+        assert ([(w.lam.parts, w.mu.parts) for w in report.violations]
+                == [((2, 0), (0, 0))] * 3)
+        assert report.near_misses == 0
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_noise_gate_is_the_noise_floor(factor, monkeypatch):
+    # with no error estimate the band is the noise floor alone: a gap of
+    # factor * NOISE_FLOOR * (|lhs| + |rhs|) passes unread inside it, and
+    # past it reads the estimates and is a violation
+    ratio = factor * NOISE_FLOOR
+    gap = 2 * ratio / (1 - ratio)
+    reads = stub_quadrature(monkeypatch, {(1, 1): 1.0 + gap}, {})
+    report = check_schur_convexity("heckman-opdam", 2, 2, samples=3, seed=1,
+                                   k=2)
+    assert report.near_misses == 0
+    if factor < 1:
+        assert report.passed and reads == []
+    else:
+        assert len(report.violations) == 3 and len(reads) == 3
+
+
 def test_exact_identities_are_not_near_misses():
     # shifting lambda along (1,1) multiplies F by exp(c * sum(x)), so
     # F_(2,2) * F_(0,0) = F_(1,1)^2 exactly; quadrature lands the identity
@@ -655,6 +796,14 @@ def test_exact_identities_are_not_near_misses():
     report = check_log_convexity("heckman-opdam", 2, 4, samples=10, seed=0,
                                  k=2, cfg=cfg)
     assert report.passed and report.near_misses == 0
+
+
+def test_witness_search_gives_up_past_two_to_the_sixtieth():
+    # the powersum ray never separates (3,3,0) from (4,1,1): the search
+    # doubles T from 1 and stops at PARAMETER_CEILING = 2^60
+    with pytest.raises(DomainError,
+                       match="no ray separation below 1152921504606846976 "):
+        find_witness((3, 3, 0), (4, 1, 1), "powersum")
 
 
 def test_hunt_on_lattice_finds_nothing():
@@ -676,6 +825,56 @@ def test_lattice_hunt_probes_the_lattice_sweep_points(n, bound):
                                    label_bound=bound, **Q13)
     assert witness is None and report.passed
     assert probes == report.pairs_checked * report.samples > 0
+
+
+def test_lattice_hunt_with_one_broken_cover_probes_as_the_pair_loop(
+        monkeypatch):
+    # stub lattice values break the cover (2,2,0) -> (2,1,1) at the last of
+    # four lattice points; at each budget the hunt returns what probing pair by
+    # pair returns: budgets that end in the middle of an earlier point, in
+    # the broken point before and just after its first violating pair, and
+    # one that reaches the witness
+    mp = MacdonaldParams(**Q13, n=3)
+    points = lab._lattice_points(mp, 1)
+    value = squares_but(points[3], (2, 1, 1), 11)
+
+    class Stub:
+        def __init__(self, params):
+            self.params = params
+
+        def at(self, x):
+            return lambda lam: value(lam, x)
+
+    monkeypatch.setattr(lab, "MacdonaldValues", Stub)
+    monkeypatch.setattr(lab, "_certified_omega",
+                        lambda lam, mp, x: Fraction(*value(lam, x)))
+    pairs = list(enumerate_pairs(3, 4, "same-weight-comparable"))
+
+    def pair_by_pair(budget):
+        probes = 0
+        for x in points:
+            for lam, mu in pairs:
+                if probes >= budget:
+                    return None, probes
+                probes += 1
+                if Fraction(*value(lam, x)) < Fraction(*value(mu, x)):
+                    return (lam, mu, x), probes
+        return None, probes
+
+    first = next(i for i, (lam, mu) in enumerate(pairs)
+                 if Fraction(*value(lam, points[3]))
+                 < Fraction(*value(mu, points[3])))
+    hit = 3 * len(pairs) + first + 1
+    for budget in (len(pairs) + 3, hit - 1, hit, 10 ** 6):
+        expected = pair_by_pair(budget)
+        witness, probes = hunt_violation(n=3, max_weight=4, budget=budget,
+                                         lattice_only=True, label_bound=1,
+                                         **Q13)
+        found = witness and (witness.lam, witness.mu, witness.x)
+        assert (found, probes) == expected
+    # the first violating pair in pair order is not the broken cover
+    assert expected == ((Partition((3, 1, 0)), Partition((2, 1, 1)),
+                         points[3]), hit)
 
 
 def test_hunt_without_q_is_a_parameter_error():

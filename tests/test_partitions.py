@@ -18,8 +18,9 @@ from omegalab.jack import omega_jack_eval
 from omegalab.macdonald import (MacdonaldParams, macdonald_expand,
                                 omega_mac_eval, shifted_macdonald)
 from omegalab import partitions as partitions_module
-from omegalab.partitions import (Partition, contains, enumerate_pairs,
-                                 enumerate_partitions, majorizes, midpoint,
+from omegalab.partitions import (ORDER_MODES, Partition, contains,
+                                 enumerate_pairs, enumerate_partitions,
+                                 majorizes, midpoint, order_covers,
                                  partitions_of, weakly_majorizes)
 from omegalab.sympoly import SymmetricPolynomial, monomial_eval
 
@@ -190,6 +191,40 @@ def test_enumerate_pairs_is_deterministic():
 def test_enumerate_pairs_rejects_unknown_mode():
     with pytest.raises(DomainError):
         list(enumerate_pairs(2, 2, "nonsense"))
+
+
+def transitive_reduction(pairs) -> set:
+    """The pairs (a, b), a != b, with no c strictly between them."""
+    strict = {(a, b) for a, b in pairs if a != b}
+    above = {}
+    for a, b in strict:
+        above.setdefault(a, set()).add(b)
+    return {(a, b) for a, b in strict
+            if not any((c, b) in strict for c in above[a] - {b})}
+
+
+@pytest.mark.parametrize("mode", ORDER_MODES)
+def test_order_covers_are_the_transitive_reduction_of_the_pairs(mode):
+    for n in range(1, 7):
+        for max_weight in range(9):
+            pairs = list(enumerate_pairs(n, max_weight, mode))
+            covers, count = order_covers(n, max_weight, mode)
+            assert len(set(covers)) == len(covers)
+            assert set(covers) == transitive_reduction(pairs)
+            assert count == len(pairs)
+
+
+def test_order_covers_refuse_what_enumerate_pairs_refuses():
+    for n, max_weight in ((0, 3), (-1, 3), (2, -1)):
+        for mode in ORDER_MODES:
+            with pytest.raises(DomainError) as listed:
+                list(enumerate_pairs(n, max_weight, mode))
+            with pytest.raises(DomainError) as covered:
+                order_covers(n, max_weight, mode)
+            assert str(covered.value) == str(listed.value)
+    for mode in ("nonsense", "midpoint-integral"):
+        with pytest.raises(DomainError):
+            order_covers(2, 2, mode)
 
 
 # -- one length rule for a partition on n variables ---------------------------
