@@ -17,7 +17,8 @@ from typing import Sequence
 
 from .errors import DomainError
 from .partitions import partition_key
-from .sympoly import SymmetricPolynomial, monomial_eval, orbit_size
+from .sympoly import (FamilyValues, SymmetricPolynomial, monomial_eval,
+                      orbit_size)
 
 FAMILIES = ("monomial", "elementary", "powersum")
 
@@ -71,6 +72,21 @@ def muirhead_eval(lam, x: Sequence) -> Fraction:
     x = tuple(x)
     lam = partition_key(lam, len(x))
     return monomial_eval(lam, x) / orbit_size(lam)
+
+
+class MuirheadValues(FamilyValues):
+    """Muirhead means m_lambda(x) / m_lambda(1,...,1) as integer pairs
+    (N, D) with D > 0: each point is cleared once in at(x), and each
+    shape's one-term form and orbit size are built once, on the first point
+    that asks for the shape."""
+
+    __slots__ = ()
+
+    _point = staticmethod(tuple)
+
+    def _resolve(self, lam, n):
+        lam = partition_key(lam, n)
+        return SymmetricPolynomial.monomial(lam, n), orbit_size(lam)
 
 
 def powersum_eval(lam, x: Sequence) -> Fraction:

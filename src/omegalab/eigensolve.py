@@ -7,13 +7,17 @@ to a monomial symmetric polynomial m_nu it returns eigenvalue(nu) * m_nu
 plus terms supported strictly below nu.  The eigenfunction with leading term
 m_lambda is then found by back-substitution along any linear extension of
 dominance restricted to the ideal {nu : nu dominated by lambda, |nu|=|lambda|};
-lexicographic-descending order is such an extension.
+lexicographic-descending order is such an extension.  The families pass
+integer rows and eigenvalues, each over one scale per row table, and the
+back-substitution is fraction-free: integer pending sums over one running
+denominator, one Fraction per coefficient.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -57,6 +61,13 @@ def cached_rows(rows: dict, build: Callable[[tuple], dict]):
     return row
 
 
+def is_dominance_minimum(lam: Sequence[int]) -> bool:
+    """Whether the dominance ideal of the partition lam is {lam} alone: the
+    least partition of a weight on n parts is the balanced one, whose parts
+    differ by at most 1."""
+    return not lam or lam[0] - lam[-1] <= 1
+
+
 def solve_eigen_expansion(lam: Sequence[int], n: int,
                           apply_to_monomial: Callable[[tuple], dict],
                           eigenvalue: Callable[[tuple], Fraction],
@@ -70,6 +81,13 @@ def solve_eigen_expansion(lam: Sequence[int], n: int,
     ideal; collisions raise DegeneracyError.  (Collisions between two
     non-leading ideal members are harmless: back-substitution never divides
     by their difference.)  Every row is checked at every use, shared or not.
+
+    Rows and eigenvalues may be integers or Fractions, and may all carry one
+    common scale: c_nu (E_lam - E_nu) = sum_rho c_rho R_rho[nu] is
+    homogeneous in (R, E), so the scale cancels.  Fractions are first put
+    over the lcm S of their denominators.  The solve itself is fraction-free
+    (Bareiss, Math. Comp. 22, 1968): the pending sums are integer numerators
+    over one running denominator, and each coefficient becomes one Fraction.
     """
     lam = tuple(lam)
     ideal = dominance_ideal(lam, n)
@@ -81,18 +99,8 @@ def solve_eigen_expansion(lam: Sequence[int], n: int,
         if values[nu] == e_top:
             raise DegeneracyError(
                 f"eigenvalue collision between {lam} and {nu}{where}")
-
-    coeffs: dict[tuple, Fraction] = {}
-    # pending[mu]: sum of c_rho * row_rho[mu] over the solved rho; each row
-    # is scattered once its coefficient is known, and lex-descending order
-    # puts every mu below nu after it
-    pending: dict[tuple, Fraction] = {}
+    rows = []
     for nu in ideal:
-        if nu == lam:
-            c = Fraction(1)
-        else:
-            c = pending.pop(nu, Fraction(0)) / (e_top - values[nu])
-        coeffs[nu] = c
         row = apply_to_monomial(nu)
         # operator stability: the row must stay inside the dominance ideal,
         # with the eigenvalue itself on the diagonal
@@ -101,15 +109,48 @@ def solve_eigen_expansion(lam: Sequence[int], n: int,
             raise OperatorRowError(
                 f"row of {nu} leaves the dominance ideal of {lam} at "
                 f"{outside[0]}{where}")
-        diagonal = row.get(nu, Fraction(0))
+        diagonal = row.get(nu, 0)
         if diagonal != values[nu]:
             raise OperatorRowError(
                 f"row of {nu} has diagonal {diagonal}, not the eigenvalue "
                 f"{values[nu]}{where}")
+        rows.append(row)
+    tables = (values, *rows)
+    if any(type(v) is not int for table in tables for v in table.values()):
+        scale = math.lcm(*{v.denominator for table in tables
+                           for v in table.values()})
+        values, *rows = [{key: v.numerator * (scale // v.denominator)
+                          for key, v in table.items()} for table in tables]
+        e_top = values[lam]
+
+    coeffs: dict[tuple, Fraction] = {}
+    # pending[mu] / den: sum of c_rho * row_rho[mu] over the solved rho.
+    # Each row is scattered once its coefficient is known, and
+    # lex-descending order puts every mu below nu after it
+    pending: dict[tuple, int] = {}
+    den = 1
+    for nu, row in zip(ideal, rows):
+        if nu == lam:
+            p = 1
+            coeffs[nu] = Fraction(1)
+        else:
+            p = pending.pop(nu, 0)
+            if not p:
+                continue
+            g = e_top - values[nu]
+            coeffs[nu] = Fraction(p, den * g)
+            # c_nu = p / (den g): put the pending sums over den g first
+            den *= g
+            for mu in pending:
+                pending[mu] *= g
         for mu, r in row.items():
             if mu != nu:
-                pending[mu] = pending.get(mu, 0) + c * r
-    return SymmetricPolynomial(n, coeffs)
+                pending[mu] = pending.get(mu, 0) + p * r
+    # the keys are the ideal's partitions and the coefficients nonzero
+    # Fractions, so the constructor need not check or wrap them again
+    poly = SymmetricPolynomial(n)
+    poly.terms = coeffs
+    return poly
 
 
 def solve_linear_system(matrix: list[list[Fraction]],

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import cache
 from .classical import expand_classical
-from .eigensolve import (cached_rows, dominance_ideal,
+from .eigensolve import (cached_rows, is_dominance_minimum,
                          solve_eigen_expansion)
 from .errors import DegeneracyError, DomainError, ParameterError
 from .macdonald import MacdonaldParams, macdonald_expand
@@ -60,8 +60,16 @@ class JackParam:
         return f"JackParam({'inf' if self.is_infinite else self.theta})"
 
 
+def _jack_scale(theta) -> int:
+    """The scale of every Jack row and eigenvalue at theta: its
+    denominator.  Rows and eigenvalues are integers, the rational ones times
+    this."""
+    return theta.denominator
+
+
 def _apply_jack_op(nu: tuple, n: int, theta: Fraction) -> dict:
-    """Monomial-basis row of the theta-deformed differential operator on m_nu.
+    """Monomial-basis row of the theta-deformed differential operator on m_nu,
+    times _jack_scale(theta), in integers.
 
     The operator is sum_i x_i^2 d_i^2 + 2 theta sum_{i<j}
     (x_i^2 d_i - x_j^2 d_j)/(x_i - x_j).  Paired with its (i, j)-swap, each
@@ -72,12 +80,15 @@ def _apply_jack_op(nu: tuple, n: int, theta: Fraction) -> dict:
         2 theta sum_{i<j} sum_{b < min(mu_i, mu_j)} (a - b)
             [sort(mu with mu_i -> a, mu_j -> b) = nu],  a = mu_i + mu_j - b,
     and the mu that occur move two parts (a, b) of nu to (k, a + b - k)
-    for b < k < a.
+    for b < k < a.  With theta = num / den, the row returned is den times
+    this: the diagonal den sum nu_i (nu_i - 1) + 2 num sum max, and the
+    entries below it 2 num times their count.
     """
+    num, den = theta.numerator, _jack_scale(theta)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    row = {nu: sum(p * (p - 1) for p in nu)
-           + 2 * theta * sum(max(nu[i], nu[j]) for i, j in pairs)}
-    if theta:
+    row = {nu: den * sum(p * (p - 1) for p in nu)
+           + 2 * num * sum(max(nu[i], nu[j]) for i, j in pairs)}
+    if num:
         targets = set()
         for i, j in pairs:
             a, b = nu[i], nu[j]
@@ -94,20 +105,23 @@ def _apply_jack_op(nu: tuple, n: int, theta: Fraction) -> dict:
                     spread[i], spread[j] = a, b
                     if tuple(sorted(spread, reverse=True)) == nu:
                         count += a - b
-            row[mu] = 2 * theta * count
-    return {mu: Fraction(c) for mu, c in row.items() if c}
+            row[mu] = 2 * num * count
+    return {mu: c for mu, c in row.items() if c}
 
 
-def _jack_eigenvalue(nu: tuple, n: int, theta: Fraction) -> Fraction:
-    return (sum(p * (p - 1) for p in nu)
-            + 2 * theta * sum((n - 1 - i) * nu[i] for i in range(n)))
+def _jack_eigenvalue(nu: tuple, n: int, theta: Fraction) -> int:
+    """sum nu_i (nu_i - 1) + 2 theta sum (n - 1 - i) nu_i, times
+    _jack_scale(theta), as the rows are."""
+    return (_jack_scale(theta) * sum(p * (p - 1) for p in nu)
+            + 2 * theta.numerator * sum((n - 1 - i) * nu[i]
+                                        for i in range(n)))
 
 
 def _solve(lam: tuple, n: int, th: Fraction,
            rows: dict) -> SymmetricPolynomial:
     """The eigen-solve for P_lambda, reading and filling rows (nu -> operator
     row of weight |lambda| at theta)."""
-    if len(dominance_ideal(lam, n)) == 1:
+    if is_dominance_minimum(lam):
         return SymmetricPolynomial.monomial(lam, n)
     return solve_eigen_expansion(
         lam, n,

@@ -65,7 +65,7 @@ from fractions import Fraction
 
 from . import macdonald
 from ._version import __version__
-from .classical import muirhead_eval, powersum_eval
+from .classical import MuirheadValues, powersum_eval
 from .errors import (CertificationError, DegeneracyError, DomainError,
                      ParameterError, TieError, count_text)
 # ho_eval and ho_error_estimate stay bound for the benchmark tracer's patches
@@ -230,7 +230,7 @@ def _below(lhs, rhs) -> bool:
 
 
 def _fraction_at(value):
-    """at(x) for a family whose value(lam, x) is a Fraction."""
+    """at(x) for a family whose value(lam, x) is a Fraction (powersum)."""
     def at(x):
         def omega(lam):
             v = value(lam, x)
@@ -242,7 +242,7 @@ def _fraction_at(value):
 def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
                  cfg=None) -> _Family:
     if family == "muirhead":
-        return _Family(family, {}, at=_fraction_at(muirhead_eval))
+        return _Family(family, {}, at=MuirheadValues().at)
     if family == "powersum":
         return _Family(family, {}, at=_fraction_at(powersum_eval))
     if family == "jack":

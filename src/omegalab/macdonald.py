@@ -4,7 +4,9 @@ Provides the monic dominance-triangular expansions P_lambda(x; q, t), their
 normalizations Omega_lambda = P_lambda / P_lambda(t^delta), the dominant
 q-lattice of evaluation points, shifted (interpolation) Macdonald
 polynomials, the binomial-formula identity relating the two, and the
-parameter-inversion identity.  Everything is exact rational arithmetic.
+parameter-inversion identity.  Everything is exact rational arithmetic;
+the operator rows and eigenvalues of the expansions are integers over one
+scale per row table (_mac_scale).
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import math
 from fractions import Fraction
 
 from . import cache
-from .eigensolve import (cached_rows, dominance_ideal, solve_eigen_expansion,
-                         solve_linear_system)
+from .eigensolve import (cached_rows, is_dominance_minimum,
+                         solve_eigen_expansion, solve_linear_system)
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
                      ParameterError, count_text)
 from .partitions import (as_int_vector, contains, partition_key,
@@ -182,8 +184,16 @@ def _kostka(n: int, weight: int) -> dict:
     return schur
 
 
+def _mac_scale(n: int, weight: int, q: Fraction, t: Fraction) -> int:
+    """The scale of every Macdonald row and eigenvalue of one weight on n
+    variables: b^weight d^(n-1) for q = a/b, t = c/d.  Rows and eigenvalues
+    are integers, the rational ones times this."""
+    return q.denominator ** weight * t.denominator ** (n - 1)
+
+
 def _apply_macdonald_op(nu: tuple, n: int, q: Fraction, t: Fraction) -> dict:
-    """Monomial-basis row of the Macdonald q-difference operator on m_nu.
+    """Monomial-basis row of the Macdonald q-difference operator on m_nu,
+    times _mac_scale(n, |nu|, q, t), in integers.
 
     The operator is D = sum_i A_i(x;t) T_{q,x_i} with A_i = prod_{j != i}
     (t x_i - x_j)/(x_i - x_j), which is also a_delta^-1 sum_w eps(w)
@@ -191,12 +201,16 @@ def _apply_macdonald_op(nu: tuple, n: int, q: Fraction, t: Fraction) -> dict:
     Functions and Hall Polynomials, VI (3.4)).  So a_delta * D m_nu is
     sum_w eps(w) sum_eta (sum_i t^((w delta)_i) q^(eta_i)) x^(eta + w delta),
     whose strictly decreasing exponents kappa + delta give D m_nu in the
-    Schur basis; the Kostka numbers take it to monomials.
+    Schur basis; the Kostka numbers take it to monomials.  Over the scale,
+    q^e is a^e b^(w-e) and t^k is c^k d^(n-1-k), for w = |nu|: every entry
+    of nu is at most w.
     """
     # the table first: its ceiling covers this row's walk too
-    kostka = _kostka(n, sum(nu))
-    qpow = [q ** e for e in range(nu[0] + 1)]
-    tpow = [t ** d for d in range(n)]
+    weight = sum(nu)
+    kostka = _kostka(n, weight)
+    qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
+    qpow = [qn ** e * qd ** (weight - e) for e in range(nu[0] + 1)]
+    tpow = [tn ** k * td ** (n - 1 - k) for k in range(n)]
     schur: dict = {}
     for kappa, sign, eta, d in _alternant_terms(nu, n):
         c = sum(tpow[dk] * qpow[ek] for dk, ek in zip(d, eta))
@@ -205,17 +219,16 @@ def _apply_macdonald_op(nu: tuple, n: int, q: Fraction, t: Fraction) -> dict:
     for kappa, c in schur.items():
         for mu, k in kostka[kappa].items():
             row[mu] = row.get(mu, 0) + c * k
-    return {mu: Fraction(c) for mu, c in row.items() if c}
+    return {mu: c for mu, c in row.items() if c}
 
 
-def _mac_eigenvalue(nu: tuple, n: int, q: Fraction, t: Fraction) -> Fraction:
-    """sum_i q^(nu_i) t^(n-1-i), over the one common denominator
-    b^(nu_1) d^(n-1) for q = a/b, t = c/d."""
-    a, b, c, d = q.numerator, q.denominator, t.numerator, t.denominator
-    top = nu[0]
-    return Fraction(sum(a ** p * b ** (top - p) * c ** (n - 1 - i) * d ** i
-                        for i, p in enumerate(nu)),
-                    b ** top * d ** (n - 1))
+def _mac_eigenvalue(nu: tuple, n: int, q: Fraction, t: Fraction) -> int:
+    """sum_i q^(nu_i) t^(n-1-i), times _mac_scale(n, |nu|, q, t), as the
+    rows of nu's weight are."""
+    qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
+    weight = sum(nu)
+    return sum(qn ** p * qd ** (weight - p) * tn ** (n - 1 - i) * td ** i
+               for i, p in enumerate(nu))
 
 
 def _expand_uncached(lam: tuple, params: MacdonaldParams,
@@ -224,7 +237,7 @@ def _expand_uncached(lam: tuple, params: MacdonaldParams,
     row of weight |lambda| at params); None builds every row afresh, as
     certification needs."""
     n, q, t = params.n, params.q, params.t
-    if len(dominance_ideal(lam, n)) == 1:
+    if is_dominance_minimum(lam):
         return SymmetricPolynomial.monomial(lam, n)
     return solve_eigen_expansion(
         lam, n,

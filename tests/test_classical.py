@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from omegalab.classical import (expand_classical, muirhead_eval, muirhead_gap,
-                                powersum_compare, powersum_eval)
+from omegalab import classical, lab
+from omegalab.classical import (MuirheadValues, expand_classical,
+                                muirhead_eval, muirhead_gap, powersum_compare,
+                                powersum_eval)
 from omegalab.errors import DomainError
-from omegalab.partitions import Partition, enumerate_pairs
+from omegalab.partitions import Partition, enumerate_pairs, partitions_of
 
 
 def nonneg_points(n, hi=6):
@@ -72,6 +74,32 @@ def test_muirhead_two_variable_inequality(x):
 def test_muirhead_theorem_on_comparable_pairs(pair, x):
     lam, mu = pair
     assert muirhead_eval(lam, x) >= muirhead_eval(mu, x)
+
+
+@given(nonneg_points(4, hi=5))
+def test_muirhead_values_are_the_muirhead_means(x):
+    omega = MuirheadValues().at(x)
+    for w in range(6):
+        for lam in partitions_of(w, 4):
+            num, den = omega(lam)
+            assert den > 0 and Fraction(num, den) == muirhead_eval(lam, x)
+
+
+def test_a_muirhead_sweep_builds_each_shape_once(monkeypatch):
+    # one orbit size per distinct shape, not one per (shape, point)
+    sizes = []
+    orbit_size = classical.orbit_size
+
+    def counted(lam):
+        sizes.append(tuple(lam))
+        return orbit_size(lam)
+
+    monkeypatch.setattr(classical, "orbit_size", counted)
+    report = lab.check_schur_convexity("muirhead", 4, 6, samples=10, seed=3)
+    assert report.samples == 10 and report.passed
+    shapes = {p for pair in enumerate_pairs(4, 6, "same-weight-comparable")
+              for p in pair}
+    assert len(sizes) == len(set(sizes)) == len(shapes) == 25
 
 
 def test_muirhead_gap_sign():

@@ -4,22 +4,28 @@ tables that cold expansions share.
 The reference below is the solver as it was before rows were shared: it
 builds every row afresh for each lambda, calls the eigenvalue wherever it
 needs one, and gathers each coefficient from every earlier row.  The
-package's solver must give the same expansions exactly.
+package's solver must give the same expansions exactly.  A second
+reference is the scatter back-substitution in Fractions, as the solver was
+before it kept integer numerators over one running denominator.
 """
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from omegalab import cache, jack, macdonald
-from omegalab.eigensolve import dominance_ideal, solve_eigen_expansion
+from omegalab.eigensolve import (dominance_ideal, is_dominance_minimum,
+                                 solve_eigen_expansion)
 from omegalab.errors import DomainError, OperatorRowError
-from omegalab.jack import _apply_jack_op, _jack_eigenvalue, jack_expand
+from omegalab.jack import (_apply_jack_op, _jack_eigenvalue, _jack_scale,
+                           jack_expand)
 from omegalab.macdonald import (MacdonaldParams, _apply_macdonald_op,
+                                _mac_eigenvalue, _mac_scale,
                                 macdonald_expand)
 from omegalab.partitions import majorizes, partitions_of
-from omegalab.sympoly import SymmetricPolynomial
+from omegalab.sympoly import SymmetricPolynomial, serialize_poly
 from test_lab import run_optimized
 
 THETAS = (Fraction(2, 3), Fraction(5))
@@ -76,8 +82,10 @@ def test_jack_expansions_match_the_reference_solver(theta, empty_memo):
 def test_macdonald_expansions_match_the_reference_solver(q, t, empty_memo):
     for n, lam in shapes(4, 7):
         mp = MacdonaldParams(q, t, n)
+        scale = _mac_scale(n, sum(lam), q, t)
         expected = reference_solve(
-            lam, n, lambda nu: _apply_macdonald_op(nu, n, q, t),
+            lam, n, lambda nu: {mu: Fraction(c, scale) for mu, c in
+                                _apply_macdonald_op(nu, n, q, t).items()},
             lambda nu: reference_mac_eigenvalue(nu, n, q, t))
         assert macdonald_expand(lam, mp) == expected, (lam, q, t)
 
@@ -176,3 +184,131 @@ def test_solver_reads_rows_without_changing_them():
             solve_eigen_expansion(lam, n, rows.__getitem__,
                                   lambda nu: _jack_eigenvalue(nu, n, th))
     assert rows == before
+
+
+def fraction_solve(lam, n, row, eigenvalue):
+    """Scatter back-substitution with Fraction pending sums."""
+    ideal = dominance_ideal(lam, n)
+    e_top = Fraction(eigenvalue(lam))
+    coeffs, pending = {}, {}
+    for nu in ideal:
+        if nu == lam:
+            c = Fraction(1)
+        else:
+            c = pending.pop(nu, Fraction(0)) / (e_top - eigenvalue(nu))
+        coeffs[nu] = c
+        for mu, r in row(nu).items():
+            if mu != nu:
+                pending[mu] = pending.get(mu, Fraction(0)) + c * r
+    return SymmetricPolynomial(n, coeffs)
+
+
+def jack_case(n, w, theta):
+    return ((lambda nu: _apply_jack_op(nu, n, theta)),
+            (lambda nu: _jack_eigenvalue(nu, n, theta)),
+            _jack_scale(theta))
+
+
+def macdonald_case(n, w, q, t):
+    return ((lambda nu: _apply_macdonald_op(nu, n, q, t)),
+            (lambda nu: _mac_eigenvalue(nu, n, q, t)),
+            _mac_scale(n, w, q, t))
+
+
+@pytest.mark.parametrize("case, params, max_n, max_weight", [
+    (jack_case, (Fraction(1, 3),), 6, 8),
+    (jack_case, (Fraction(2, 3),), 6, 8),
+    (jack_case, (Fraction(5),), 6, 8),
+    (jack_case, (Fraction(7, 2),), 6, 8),
+    (macdonald_case, (Fraction(1, 2), Fraction(1, 3)), 5, 7),
+    (macdonald_case, (Fraction(9, 10), Fraction(1, 100)), 5, 7),
+    (macdonald_case, (Fraction(2, 3), Fraction(3, 7)), 5, 7),
+])
+def test_integer_solve_is_the_fraction_back_substitution(case, params, max_n,
+                                                         max_weight):
+    # the same solve from the integer rows, from the rational rows (the
+    # integer ones over their scale, which the solver puts back over one
+    # lcm), and by Fraction back-substitution
+    for n in range(1, max_n + 1):
+        for w in range(max_weight + 1):
+            row, eigenvalue, scale = case(n, w, *params)
+            rows = {nu: row(nu) for nu in partitions_of(w, n)}
+            rational = {nu: {mu: Fraction(c, scale) for mu, c in r.items()}
+                        for nu, r in rows.items()}
+            assert all(type(c) is int for r in rows.values()
+                       for c in r.values())
+            for lam in partitions_of(w, n):
+                if is_dominance_minimum(lam):
+                    continue
+                solved = solve_eigen_expansion(lam, n, rows.__getitem__,
+                                               eigenvalue)
+                assert solved == fraction_solve(lam, n, rows.__getitem__,
+                                                eigenvalue), (lam, params)
+                assert solved == solve_eigen_expansion(
+                    lam, n, rational.__getitem__,
+                    lambda nu: Fraction(eigenvalue(nu), scale)), (lam, params)
+
+
+def test_the_dominance_minimum_is_the_balanced_partition():
+    for n in range(1, 8):
+        for w in range(13):
+            for lam in partitions_of(w, n):
+                assert is_dominance_minimum(lam) == (
+                    len(dominance_ideal(lam, n)) == 1), lam
+
+
+@pytest.mark.parametrize("family", ["jack", "macdonald"])
+def test_a_table_row_leaving_the_ideal_is_refused(family, empty_memo):
+    # integer rows at n = 3: the row of (1, 1, 1) gains an entry at
+    # (3, 0, 0), outside the ideal of (2, 1, 0)
+    th, q, t = Fraction(2, 3), Fraction(1, 2), Fraction(1, 3)
+    if family == "jack":
+        key = ("jack rows", 3, 3, th)
+        row = _apply_jack_op((1, 1, 1), 3, th)
+    else:
+        key = ("macdonald rows", (3, q, t), 3)
+        row = _apply_macdonald_op((1, 1, 1), 3, q, t)
+    cache._memoized(key, dict)[0][(1, 1, 1)] = {**row, (3, 0, 0): 1}
+    with pytest.raises(OperatorRowError, match="leaves the dominance ideal"):
+        if family == "jack":
+            jack_expand((2, 1, 0), th)
+        else:
+            macdonald_expand((2, 1, 0), MacdonaldParams(q, t, 3))
+
+
+def test_rational_rows_with_a_wrong_diagonal_are_refused():
+    # the rows over their scale, one diagonal off by a third: refused
+    # before the rows are put over one denominator
+    n, th = 3, Fraction(2, 3)
+    rows = {nu: {mu: Fraction(c, 3) for mu, c in
+                 _apply_jack_op(nu, n, th).items()}
+            for nu in partitions_of(3, n)}
+    rows[(1, 1, 1)][(1, 1, 1)] += Fraction(1, 3)
+    with pytest.raises(OperatorRowError, match="diagonal"):
+        solve_eigen_expansion((3, 0, 0), n, rows.__getitem__,
+                              lambda nu: Fraction(_jack_eigenvalue(nu, n, th),
+                                                  3))
+
+
+# sha256 of serialize_poly of every expansion below, in this order, one
+# hash updated per expansion; recorded while the solve was still done in
+# Fractions from rational rows
+EXPANSION_DIGEST = ("e767f7e6619fa5322d4e9a6ba8ddfd13"
+                    "8575d2298bc10a91235b61389b7fc0b5")
+
+
+def test_expansions_match_the_pinned_digest(empty_memo):
+    h = hashlib.sha256()
+    for q, t in ((Fraction(1, 2), Fraction(1, 3)),
+                 (Fraction(9, 10), Fraction(1, 100)),
+                 (Fraction(2, 3), Fraction(3, 7))):
+        mp = MacdonaldParams(q, t, 5)
+        for w in range(9):
+            for lam in partitions_of(w, 5):
+                h.update(serialize_poly(macdonald_expand(lam, mp)).encode())
+    for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1),
+                  Fraction(5), Fraction(7, 2)):
+        for w in range(11):
+            for lam in partitions_of(w, 6):
+                h.update(serialize_poly(jack_expand(lam, theta)).encode())
+    assert h.hexdigest() == EXPANSION_DIGEST

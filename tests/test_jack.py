@@ -9,12 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from omegalab.classical import expand_classical
 from omegalab.errors import DomainError, ParameterError
-from omegalab.jack import (JackParam, _apply_jack_op, jack_expand,
-                           jack_limit_probe, omega_jack_eval)
+from omegalab.jack import (JackParam, _apply_jack_op, _jack_scale,
+                           jack_expand, jack_limit_probe, omega_jack_eval)
 from omegalab.partitions import Partition
 
 THETAS = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
           Fraction(5)]
+
+
+def rational_row(nu, n, theta):
+    """The operator's row on m_nu: the integer row over its scale."""
+    scale = _jack_scale(theta)
+    return {mu: Fraction(c, scale)
+            for mu, c in _apply_jack_op(nu, n, theta).items()}
 
 
 def test_param_validation():
@@ -33,10 +40,10 @@ def test_mixing_coefficient_formula():
     # 2 theta, so triangularity forces
     # c = 4 theta / ((2 + 4 theta) - 2 theta) = 2 theta / (theta + 1).
     for theta in THETAS:
-        row = _apply_jack_op((2, 0), 2, theta)
+        row = rational_row((2, 0), 2, theta)
         assert row[(2, 0)] == 2 + 4 * theta
         assert row[(1, 1)] == 4 * theta
-        assert _apply_jack_op((1, 1), 2, theta) == {(1, 1): 2 * theta}
+        assert rational_row((1, 1), 2, theta) == {(1, 1): 2 * theta}
         p = jack_expand((2, 0), theta)
         assert p.coefficient((1, 1)) == 2 * theta / (theta + 1)
 
@@ -88,7 +95,7 @@ def test_eigenfunction_property(theta):
     p = jack_expand(lam, theta)
     image = {}
     for key, coeff in p.terms.items():
-        for nu, c in _apply_jack_op(key, 3, theta).items():
+        for nu, c in rational_row(key, 3, theta).items():
             image[nu] = image.get(nu, Fraction(0)) + coeff * c
     eig = (sum(v * (v - 1) for v in lam)
            + 2 * theta * sum((3 - 1 - i) * lam[i] for i in range(3)))

@@ -19,7 +19,7 @@ from omegalab.errors import (DimensionMismatchError, DomainError,
                              ParameterError)
 from omegalab.macdonald import (MAX_ROW_STEPS, MacdonaldParams,
                                 _alternant_terms, _apply_macdonald_op,
-                                _expand_uncached, binomial_check,
+                                _expand_uncached, _mac_scale, binomial_check,
                                 interpolation_node, inversion_check,
                                 lattice_point, macdonald_expand,
                                 omega_mac_eval, rational_power,
@@ -135,6 +135,25 @@ def test_rows_past_the_ceiling_are_refused():
                                                Fraction(1, 3), 100))
 
 
+def test_the_row_ceiling_is_two_to_the_twenty_eighth(monkeypatch):
+    # weight 3: the table on 68 variables is admitted (its walk is stubbed
+    # out at its first step), the one on 69 is refused before any walk
+    class Walked(Exception):
+        pass
+
+    def walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(macdonald, "_alternant_terms", walk)
+    kostka = macdonald._kostka.__wrapped__
+    assert math.comb(70, 67) * (68 * 68 + 3) <= 2 ** 28
+    with pytest.raises(Walked):
+        kostka(68, 3)
+    assert math.comb(71, 68) * (69 * 69 + 3) > 2 ** 28
+    with pytest.raises(ParameterError, match="past the ceiling of 268435456"):
+        kostka(69, 3)
+
+
 def test_expansion_triangular_coefficient():
     # dominance-triangular with the known mixing coefficient
     # c = (1 + q)(1 - t)/(1 - q t) on the weight-2 ideal
@@ -182,8 +201,10 @@ def test_eigenfunction_property(qt):
     p = macdonald_expand(lam, params)
     image = {}
     for key, coeff in p.terms.items():
+        scale = _mac_scale(params.n, sum(key), q, t)
         for nu, c in _apply_macdonald_op(key, params.n, q, t).items():
-            image[nu] = image.get(nu, Fraction(0)) + coeff * c
+            image[nu] = (image.get(nu, Fraction(0))
+                         + coeff * Fraction(c, scale))
     eig = sum(q ** lam[i] * t ** (params.n - 1 - i) for i in range(2))
     for key, coeff in p.terms.items():
         assert image.get(key, Fraction(0)) == eig * coeff

@@ -3,7 +3,8 @@
 The eigen-solve uses the same row functions it is solved with, so an
 eigenfunction check there cannot catch a wrong row.  Here each operator is
 applied to m_nu from its definition at exact rational points with distinct
-coordinates, and compared with sum_mu row[mu] m_mu at those points.
+coordinates, and compared with sum_mu row[mu] m_mu at those points, each
+integer row taken over its scale.
 """
 
 import math
@@ -12,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from omegalab.jack import _apply_jack_op
-from omegalab.macdonald import _apply_macdonald_op
+from omegalab.jack import _apply_jack_op, _jack_scale
+from omegalab.macdonald import _apply_macdonald_op, _mac_scale
 from omegalab.partitions import partitions_of
 from omegalab.sympoly import distinct_permutations, monomial_eval
 
@@ -59,6 +60,13 @@ def macdonald_operator(nu, x, q, t):
     return total
 
 
+# each row function's scale: its rows are the operator's times this
+SCALES = {
+    _apply_jack_op: lambda nu, n, theta: _jack_scale(theta),
+    _apply_macdonald_op: lambda nu, n, q, t: _mac_scale(n, sum(nu), q, t),
+}
+
+
 @pytest.mark.parametrize("row_of, operator, params", [
     (_apply_jack_op, jack_operator, (Fraction(0),)),
     (_apply_jack_op, jack_operator, (Fraction(2, 3),)),
@@ -74,7 +82,9 @@ def test_rows_match_the_operator_definition(row_of, operator, params):
             shapes = list(partitions_of(w, n))
             points = distinct_points(n, len(shapes) + 1, seed=10 * n + w)
             for nu in shapes:
-                row = row_of(nu, n, *params)
+                scale = SCALES[row_of](nu, n, *params)
+                row = {mu: Fraction(c, scale)
+                       for mu, c in row_of(nu, n, *params).items()}
 
                 def agrees(row):
                     return all(operator(nu, x, *params) == sum(
