@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -84,10 +83,11 @@ def solve_eigen_expansion(lam: Sequence[int], n: int,
 
     Rows and eigenvalues may be integers or Fractions, and may all carry one
     common scale: c_nu (E_lam - E_nu) = sum_rho c_rho R_rho[nu] is
-    homogeneous in (R, E), so the scale cancels.  Fractions are first put
-    over the lcm S of their denominators.  The solve itself is fraction-free
-    (Bareiss, Math. Comp. 22, 1968): the pending sums are integer numerators
-    over one running denominator, and each coefficient becomes one Fraction.
+    homogeneous in (R, E), so the scale cancels.  The solve is
+    fraction-free for integer rows (Bareiss, Math. Comp. 22, 1968): the
+    pending sums are integer numerators over one running denominator, and
+    each coefficient becomes one Fraction.  Fraction rows take the same
+    steps with rational pending sums, and give the same coefficients.
     """
     lam = tuple(lam)
     ideal = dominance_ideal(lam, n)
@@ -115,13 +115,6 @@ def solve_eigen_expansion(lam: Sequence[int], n: int,
                 f"row of {nu} has diagonal {diagonal}, not the eigenvalue "
                 f"{values[nu]}{where}")
         rows.append(row)
-    tables = (values, *rows)
-    if any(type(v) is not int for table in tables for v in table.values()):
-        scale = math.lcm(*{v.denominator for table in tables
-                           for v in table.values()})
-        values, *rows = [{key: v.numerator * (scale // v.denominator)
-                          for key, v in table.items()} for table in tables]
-        e_top = values[lam]
 
     coeffs: dict[tuple, Fraction] = {}
     # pending[mu] / den: sum of c_rho * row_rho[mu] over the solved rho.

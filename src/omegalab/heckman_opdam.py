@@ -38,12 +38,13 @@ them.  Each grid builder splits its rows at a fixed grid size
 of 2^13 elements, so memory per level is bounded by L times that size (or
 by L times one point's grid, when that is larger; the leaf may take four
 times that size over all L), and no value depends on the split or on the
-other vectors in its batch.  The work of one evaluation is capped before
-any node is built (MAX_NODES, MAX_NODE_TERMS), counting only the vectors
-that reach the quadrature.  A value out of floating range raises instead
-of being returned.  This is the only module in the package that works in
-floating point end to end; everything it is checked against (Jack
-evaluations) stays exact until the final comparison.
+other vectors in its batch.  The work of each quadrature pass is capped
+before that pass builds a node (MAX_NODES, MAX_NODE_TERMS), counting only
+the vectors that reach the quadrature, so a sweep's 2m pass is checked
+where a point first reads its estimates.  A value out of floating range
+raises instead of being returned.  This is the only module in the package
+that works in floating point end to end; everything it is checked against
+(Jack evaluations) stays exact until the final comparison.
 
 Conventions: F is symmetric in x and in s separately, F(0) = 1, and
 F_{k, lam + k*rho}(x) = Omega_lam(e^x; k) ties the family to the Jack side.
@@ -575,18 +576,6 @@ def _uniform(xs: list, min_gap: float) -> bool:
     return False
 
 
-def _ho_eval_batch(params: HOParams, svecs, x, cfg: QuadratureConfig) -> list:
-    """ho_eval at x for every spectral vector in svecs, from one tree.
-
-    The checks, closed forms and shortcuts of ho_eval apply to each s, and
-    each value equals ho_eval(params, s, x, cfg) bit for bit.  A value that
-    overflows or is lost to nan raises DegeneracyError, and a batch whose
-    worst case exceeds MAX_NODE_TERMS raises ParameterError before any node
-    is built.
-    """
-    return _ho_pass(params, _ho_closed(params, svecs, x, cfg), x, cfg)
-
-
 def _check_work(params: HOParams, count: int,
                 cfg: QuadratureConfig = None):
     """Refuse a batch of count spectral vectors whose terms could exceed
@@ -656,8 +645,8 @@ def _ho_pass(params: HOParams, closed: tuple, x,
              cfg: QuadratureConfig) -> list:
     """_ho_closed's values, with the vectors it left to the quadrature
     summed at cfg's nodes.  The work check counts only those vectors and
-    runs before any node is built; a value out of floating range raises
-    DegeneracyError."""
+    runs before this pass builds a node; a value out of floating range
+    raises DegeneracyError."""
     values, ss, xs, mean = closed
     rest = [i for i, v in enumerate(values) if v is None]
     _check_work(params, len(rest), cfg)
@@ -689,9 +678,12 @@ def ho_eval(params: HOParams, s, x, cfg: QuadratureConfig = None) -> float:
     remaining trace-free part goes through the interlacing recursion.  At
     k = 1, Harish-Chandra's determinant (ho_closed_forms) serves every
     vector where its rounding bound allows, and the rest take the
-    quadrature.
+    quadrature.  One pass at cfg's nodes: its work check runs before it
+    builds a node, and a value out of floating range raises
+    DegeneracyError.
     """
-    return _ho_eval_batch(params, [s], x, cfg or QuadratureConfig())[0]
+    cfg = cfg or QuadratureConfig()
+    return _ho_pass(params, _ho_closed(params, [s], x, cfg), x, cfg)[0]
 
 
 # the k = 1 determinant serves a vector only while its rounding bound is at
@@ -933,13 +925,14 @@ def _ho_eval_lazy(params: HOParams, svecs, x,
     """F at m nodes for every s in svecs, and a function that returns
     ho_error_estimate's gap for each of them.
 
-    The checks and closed forms run once, and so do both work checks, the
-    2m one included, before any node is built: a batch that the estimate's
-    pass would refuse is refused here, even if its gaps are never read.
-    The values take one quadrature pass at m nodes.  Each call of the
-    function takes one at 2m, for the vectors the closed forms left, and
-    reuses the closed forms, so a vector one serves has gap 0.  A caller
-    that reads no gap builds no 2m node."""
+    The checks and closed forms run once; only the 2m node count itself
+    is refused here, past MAX_NODES, before any pass.  The values take one
+    quadrature pass at m nodes.  Each call of the function takes one at
+    2m, for the vectors the closed forms left, and reuses the closed
+    forms, so a vector one serves has gap 0.  Each pass makes its own work
+    check before it builds a node, so a batch whose 2m pass is past
+    MAX_NODE_TERMS is refused only when its gaps are read, and a caller
+    that reads no gap builds no 2m node and is never refused for one."""
     cfg = cfg or QuadratureConfig()
     m = cfg.nodes_per_dimension
     if 2 * m > MAX_NODES:
@@ -947,26 +940,14 @@ def _ho_eval_lazy(params: HOParams, svecs, x,
             f"the error estimate doubles the node count, so it takes at "
             f"most {MAX_NODES // 2} nodes per panel; got "
             f"nodes_per_dimension={m}")
-    doubled = cfg.with_nodes(2 * m)
     closed = _ho_closed(params, svecs, x, cfg)
-    _check_work(params, closed[0].count(None), doubled)
     values = _ho_pass(params, closed, x, cfg)
 
     def gaps():
-        fine = _ho_pass(params, closed, x, doubled)
+        fine = _ho_pass(params, closed, x, cfg.with_nodes(2 * m))
         return [abs(f - c) for c, f in zip(values, fine)]
 
     return values, gaps
-
-
-def _ho_eval_and_gap(params: HOParams, svecs, x,
-                     cfg: QuadratureConfig = None) -> list:
-    """(F at m nodes, ho_error_estimate's gap) for every s in svecs: the
-    values and gaps of _ho_eval_lazy, so the vectors the closed forms leave
-    take one pass at m nodes and one at 2m, and the rest are evaluated once
-    with gap 0."""
-    values, gaps = _ho_eval_lazy(params, svecs, x, cfg)
-    return list(zip(values, gaps()))
 
 
 def ho_error_estimate(params: HOParams, s, x,
@@ -974,6 +955,7 @@ def ho_error_estimate(params: HOParams, s, x,
     """Self-consistency gap |F at m nodes - F at 2m nodes|.
 
     Ten times this value is the working quadrature tolerance used by the
-    inequality sweeps.
+    inequality sweeps.  The m pass runs first, and the 2m pass makes its
+    own work check before it builds a node.
     """
-    return _ho_eval_and_gap(params, [s], x, cfg)[0][1]
+    return _ho_eval_lazy(params, [s], x, cfg)[1]()[0]

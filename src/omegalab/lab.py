@@ -477,7 +477,9 @@ def check_schur_convexity(family, n, max_weight, samples=100, seed=0, *,
     machine-noise floor, and counts sub-tolerance failures above the noise
     floor as near-misses.  The
     estimates are computed only at points where some pair's gap passes the
-    noise floor; a gap at or below it passes whatever the tolerance.
+    noise floor; a gap at or below it passes whatever the tolerance.  Their
+    2m-node pass is work-checked there, so one past MAX_NODE_TERMS raises
+    ParameterError at the first point that computes them, mid-sweep.
     """
     return _sweep(_SCHUR, family, n, max_weight, samples, seed, theta=theta,
                   q=q, t=t, a=a, k=k, label_bound=label_bound, x_low=x_low,
@@ -495,7 +497,8 @@ def check_log_convexity(family, n, max_weight, samples=100, seed=0, *,
     lhs/rhs record the compared products.  Floating tolerance propagates the
     per-value quadrature estimates to first order; as in the order sweep,
     only failures above the noise floor count as near-misses, and a point
-    computes its estimates only where some pair's gap passes that floor.
+    computes its estimates, and is refused for their work, only where some
+    pair's gap passes that floor.
     """
     return _sweep(_LOGCONVEX, family, n, max_weight, samples, seed,
                   theta=theta, q=q, t=t, a=a, k=k, label_bound=label_bound,

@@ -227,8 +227,8 @@ def macdonald_case(n, w, q, t):
 def test_integer_solve_is_the_fraction_back_substitution(case, params, max_n,
                                                          max_weight):
     # the same solve from the integer rows, from the rational rows (the
-    # integer ones over their scale, which the solver puts back over one
-    # lcm), and by Fraction back-substitution
+    # integer ones over their scale, which cancels in the solve), and by
+    # Fraction back-substitution
     for n in range(1, max_n + 1):
         for w in range(max_weight + 1):
             row, eigenvalue, scale = case(n, w, *params)

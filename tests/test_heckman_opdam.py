@@ -23,9 +23,9 @@ from omegalab.heckman_opdam import (DETERMINANT_BOUND,
                                     DETERMINANT_MAX_VARIABLES, MAX_NODE_TERMS,
                                     MAX_NODES, MAX_PERMUTATION_TERMS,
                                     MIN_POSITIVE_K, R0, HOParams,
-                                    QuadratureConfig, _f_rec,
-                                    _ho_eval_and_gap, _ho_eval_batch, _log_m,
-                                    _power_panels, _unit_gauss, _unit_jacobi,
+                                    QuadratureConfig, _f_rec, _ho_eval_lazy,
+                                    _log_m, _power_panels, _unit_gauss,
+                                    _unit_jacobi,
                                     _unit_panels, ho_closed_forms,
                                     ho_direction_residual, ho_error_estimate,
                                     ho_eval, ho_jack_consistency)
@@ -470,7 +470,7 @@ def test_batched_values_equal_one_at_a_time_bitwise(n, nodes, k):
             except DegeneracyError:
                 served.append(False)
         assert any(served) and not all(served), served
-    assert (_ho_eval_batch(p, svecs, x, cfg)
+    assert (_ho_eval_lazy(p, svecs, x, cfg)[0]
             == [ho_eval(p, s, x, cfg) for s in svecs])
 
 
@@ -495,16 +495,16 @@ def test_batched_closed_forms_and_shortcuts_apply_per_s():
     cfg = QuadratureConfig(8)
     zero = HOParams(0, 3)
     x = (0.7, 0.1, -0.5)
-    assert (_ho_eval_batch(zero, svecs, x, cfg)
+    assert (_ho_eval_lazy(zero, svecs, x, cfg)[0]
             == [ho_closed_forms(zero, s, x) for s in svecs])
     p = HOParams(1.5, 3)
     uniform = (0.4, 0.4, 0.4)
-    assert (_ho_eval_batch(p, svecs, uniform, cfg)
+    assert (_ho_eval_lazy(p, svecs, uniform, cfg)[0]
             == [math.exp(sum(sorted(s, reverse=True)) * 0.4) for s in svecs])
     with pytest.raises(TieError):
-        _ho_eval_batch(p, svecs, (0.5, 0.5, 0.0), cfg)
+        _ho_eval_lazy(p, svecs, (0.5, 0.5, 0.0), cfg)
     with pytest.raises(DomainError):
-        _ho_eval_batch(p, svecs + [(1.0, 0.0)], x, cfg)
+        _ho_eval_lazy(p, svecs + [(1.0, 0.0)], x, cfg)
 
 
 def test_small_multiplicity_at_four_variables_is_finite():
@@ -1005,6 +1005,14 @@ def test_work_ceilings_refuse_before_any_node_is_built(monkeypatch):
     for nodes in (MAX_NODES + 1, 10 ** 400):
         with pytest.raises(ParameterError, match=f"ceiling of {MAX_NODES}"):
             QuadratureConfig(nodes)
+    # the error estimate's 2m pass: five vectors at n = 4, k = 1/2 and 8
+    # nodes take 5 * 16^6 terms at m, below the ceiling, so their values
+    # are returned, and 5 * 32^6 at 2m, above it, so reading their gaps is
+    # refused below, before any 16-node table is built
+    values, gaps = _ho_eval_lazy(HOParams(0.5, 4),
+                                 [(1.0, 0.0, -1.0, -2.0)] * 5,
+                                 (0.9, 0.3, -0.2, -1.0), QuadratureConfig(8))
+    assert len(values) == 5 and all(v > 0 for v in values)
     monkeypatch.setattr(heckman_opdam, "_unit_panels", unbuilt)
     monkeypatch.setattr(heckman_opdam, "_power_panels", unbuilt)
     # five variables at the default 64 nodes: 64^10 node terms for k >= 1,
@@ -1015,12 +1023,11 @@ def test_work_ceilings_refuse_before_any_node_is_built(monkeypatch):
         message = str(caught.value)
         assert f"{terms} node terms" in message, message
         assert f"ceiling of {MAX_NODE_TERMS}" in message, message
-    # the error estimate's 2m pass: five vectors at n = 4, k = 1/2 and 8
-    # nodes take 5 * 16^6 terms at m, below the ceiling, and 5 * 32^6 at
-    # 2m, above it; the 2m work check runs before the m pass
-    with pytest.raises(ParameterError, match=f"{5 * 32 ** 6} node terms"):
-        _ho_eval_and_gap(HOParams(0.5, 4), [(1.0, 0.0, -1.0, -2.0)] * 5,
-                         (0.9, 0.3, -0.2, -1.0), QuadratureConfig(8))
+    with pytest.raises(ParameterError) as caught:
+        gaps()
+    message = str(caught.value)
+    assert f"{5 * 32 ** 6} node terms" in message, message
+    assert "with 16 nodes per panel" in message, message
     # the error estimate doubles m, so past MAX_NODES // 2 it is refused
     # with the m it was given, not the doubled count
     with pytest.raises(ParameterError) as caught:
@@ -1237,10 +1244,11 @@ def test_work_ceiling_counts_only_the_vectors_the_quadrature_sums():
     # its error estimate is 0.  A tied s falls back and is refused as before
     p, x = HOParams(1, 6), evenly_spaced(6)
     s = tuple(float(r) for r in p.rho)
-    assert _ho_eval_and_gap(p, [s], x) == [(ho_eval(p, s, x), 0.0)]
+    values, gaps = _ho_eval_lazy(p, [s], x)
+    assert list(zip(values, gaps())) == [(ho_eval(p, s, x), 0.0)]
     tied = (2.0, 2.0, 1.0, 0.0, -1.0, -2.0)
     for call in (lambda: ho_eval(p, tied, x),
-                 lambda: _ho_eval_and_gap(p, [s, tied], x)):
+                 lambda: _ho_eval_lazy(p, [s, tied], x)):
         with pytest.raises(ParameterError,
                            match=f"for 1 spectral vectors at n=6"):
             call()
@@ -1288,10 +1296,10 @@ def test_no_path_imports_numpy_polynomial():
 
 def test_error_estimate_tries_each_determinant_once(monkeypatch):
     # a vector the k = 1 determinant serves has one value in both passes
-    # and gap 0, so one _ho_eval_and_gap tries each vector's determinant
-    # once, served or not; only the near tie in s, which falls back, takes
-    # the m pass and then the 2m pass.  Values are ho_eval's and
-    # ho_error_estimate's bit for bit
+    # and gap 0, so one _ho_eval_lazy and its gaps try each vector's
+    # determinant once, served or not; only the near tie in s, which falls
+    # back, takes the m pass and then the 2m pass.  Values are ho_eval's
+    # and ho_error_estimate's bit for bit
     p, cfg = HOParams(1, 3), QuadratureConfig(8)
     x = (0.9, 0.3, -0.6)
     svecs = [tuple(float(a + r) for a, r in zip(lam, p.rho))
@@ -1313,7 +1321,8 @@ def test_error_estimate_tries_each_determinant_once(monkeypatch):
 
     monkeypatch.setattr(heckman_opdam, "_harish_chandra", counted_determinant)
     monkeypatch.setattr(heckman_opdam, "_ho_pass", counted_pass)
-    assert _ho_eval_and_gap(p, svecs, x, cfg) == expected
+    values, gaps = _ho_eval_lazy(p, svecs, x, cfg)
+    assert list(zip(values, gaps())) == expected
     assert sorted(tried) == sorted(tuple(sorted(s, reverse=True))
                                    for s in svecs)
     assert passes == [(8, 1), (16, 1)]

@@ -302,14 +302,53 @@ def test_n4_order_sweep_passes_without_an_error_estimate_pass(monkeypatch):
     assert report.pairs_checked == 4 and report.passed
     assert calls == [(8, 5)] * 2
     # at k = 1/2 every box might be near: the estimate's 2m pass would sum
-    # 5 * 32^6 node terms, so the sweep is refused before any pass
+    # 5 * 32^6 node terms, past the ceiling, but no point reads its
+    # estimates, so each takes one 8-node pass and none is refused
     calls.clear()
+    report = check_schur_convexity("heckman-opdam", 4, 3, samples=2, seed=0,
+                                   k=Fraction(1, 2), cfg=QuadratureConfig(8))
+    assert report.pairs_checked == 4 and report.passed
+    assert report.near_misses == 0
+    assert calls == [(8, 5)] * 2
+
+
+def test_n4_midpoint_sweep_passes_without_an_error_estimate_pass(
+        monkeypatch):
+    # the midpoint sweep's 2m pass would sum 7 * 32^6 node terms at k = 1/2,
+    # past the ceiling; no point reads its estimates, so none is refused
+    calls = count_passes(monkeypatch)
+    report = check_log_convexity("heckman-opdam", 4, 3, samples=2, seed=0,
+                                 k=Fraction(1, 2), cfg=QuadratureConfig(8))
+    assert report.passed and report.near_misses == 0
+    assert calls == [(8, 7)] * 2
+
+
+def test_n4_sweep_that_reads_its_estimates_is_refused_at_its_first_point(
+        monkeypatch):
+    # a negative noise floor passes every gap to the band, so each point
+    # reads its estimates: the first one's 2m pass, 5 * 32^6 node terms at
+    # 16 nodes, is refused before any 16-node table is built, after that
+    # point's one 8-node pass
+    calls = count_passes(monkeypatch)
+    monkeypatch.setattr(lab, "NOISE_FLOOR", -1.0)
+    built = heckman_opdam._unit_panels, heckman_opdam._power_panels
+
+    def unbuilt_at_16(builder):
+        def table(m, k):
+            assert m != 16, "a 16-node table was built"
+            return builder(m, k)
+        return table
+
+    monkeypatch.setattr(heckman_opdam, "_unit_panels",
+                        unbuilt_at_16(built[0]))
+    monkeypatch.setattr(heckman_opdam, "_power_panels",
+                        unbuilt_at_16(built[1]))
     with pytest.raises(ParameterError) as caught:
         check_schur_convexity("heckman-opdam", 4, 3, samples=2, seed=0,
                               k=Fraction(1, 2), cfg=QuadratureConfig(8))
     assert "5368709120 node terms" in str(caught.value)
     assert "with 16 nodes per panel" in str(caught.value)
-    assert calls == []
+    assert calls == [(8, 5), (16, 5)]
 
 
 def test_sweep_lists_violations_pair_by_pair_point_by_point(monkeypatch):
