@@ -17,8 +17,8 @@ from typing import Sequence
 
 from .errors import DomainError
 from .partitions import partition_key
-from .sympoly import (FamilyValues, SymmetricPolynomial, monomial_eval,
-                      orbit_size)
+from .sympoly import (FamilyValues, SymmetricPolynomial, _cleared,
+                      monomial_eval, orbit_size)
 
 FAMILIES = ("monomial", "elementary", "powersum")
 
@@ -89,13 +89,34 @@ class MuirheadValues(FamilyValues):
         return SymmetricPolynomial.monomial(lam, n), orbit_size(lam)
 
 
+def powersum_at(x: Sequence):
+    """lambda -> p_lambda(x) as an integer pair (N, D) with D > 0.
+
+    x is cleared once, here (x = X / d, _cleared), and each power sum
+    p_k(X) is summed once, on the first shape that asks for it, with
+    p_0 = n; then p_lambda(x) = prod p_{lambda_i}(X) / d^|lambda|.  lambda
+    is a partition on len(x) variables (partition_key)."""
+    X, d = _cleared(x)
+    n = len(X)
+    sums = {0: n}
+
+    def value(lam) -> tuple[int, int]:
+        key = partition_key(lam, n)
+        num = 1
+        for k in key:
+            if k not in sums:
+                sums[k] = sum(v ** k for v in X)
+            num *= sums[k]
+        return num, d ** sum(key)
+
+    return value
+
+
 def powersum_eval(lam, x: Sequence) -> Fraction:
-    """p_lambda(x) as a product of power sums; zero parts contribute p_0 = n."""
-    xs = tuple(Fraction(c) for c in x)
-    out = Fraction(1)
-    for part in partition_key(lam, len(xs)):
-        out *= sum((v ** part for v in xs), Fraction(0))
-    return out
+    """p_lambda(x) as a product of power sums; zero parts contribute p_0 = n.
+    The one-shape case of powersum_at, refusing in its order: x, then
+    lambda."""
+    return Fraction(*powersum_at(x)(lam))
 
 
 def powersum_compare(lam, mu, x: Sequence) -> tuple[Fraction, Fraction, str]:

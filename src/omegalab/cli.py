@@ -150,29 +150,29 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("expand", help="print a monomial expansion")
-    p.add_argument("--family", required=True,
-                   choices=("classical", "jack", "macdonald"))
-    p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    p.add_argument("--n", type=_int_arg,
-                   help="number of variables (default: parts)")
-    p.add_argument("--basis", choices=CLASSICAL_BASES, default="monomial",
-                   help="classical family to expand")
-    p.add_argument("--theta", type=_theta_arg, help="jack parameter")
-    p.add_argument("--q", type=_rational_arg)
-    p.add_argument("--t", type=_rational_arg)
+    # flags shared by several commands, declared once: the parameters of
+    # the parametrized families, and the shape that expand and eval read
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--theta", type=_theta_arg, help="jack parameter")
+    params.add_argument("--q", type=_rational_arg, help="macdonald q")
+    params.add_argument("--t", type=_rational_arg, help="macdonald t")
+    shape = argparse.ArgumentParser(add_help=False, parents=[params])
+    shape.add_argument("--family", required=True,
+                       choices=("classical", "jack", "macdonald"))
+    shape.add_argument("--lambda", dest="lam", type=_partition_arg,
+                       required=True)
+    shape.add_argument("--n", type=_int_arg,
+                       help="number of variables (default: parts)")
+    shape.add_argument("--basis", choices=CLASSICAL_BASES, default="monomial",
+                       help="classical family (with --family classical)")
+
+    p = sub.add_parser("expand", help="print a monomial expansion",
+                       parents=[shape])
     _add_globals(p)
     p.set_defaults(handler=_cmd_expand)
 
-    p = sub.add_parser("eval", help="exactly evaluate an expansion")
-    p.add_argument("--family", required=True,
-                   choices=("classical", "jack", "macdonald"))
-    p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
-    p.add_argument("--n", type=_int_arg)
-    p.add_argument("--basis", choices=CLASSICAL_BASES, default="monomial")
-    p.add_argument("--theta", type=_theta_arg)
-    p.add_argument("--q", type=_rational_arg)
-    p.add_argument("--t", type=_rational_arg)
+    p = sub.add_parser("eval", help="exactly evaluate an expansion",
+                       parents=[shape])
     p.add_argument("--x", type=_point_arg, required=True,
                    help="comma-separated rational coordinates")
     _add_globals(p)
@@ -184,16 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_globals(p)
     p.set_defaults(handler=_cmd_majorize)
 
-    p = sub.add_parser("check", help="run an inequality sweep")
+    p = sub.add_parser("check", help="run an inequality sweep",
+                       parents=[params])
     p.add_argument("kind", choices=CHECK_KINDS)
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--max-weight", dest="max_weight", type=_int_arg,
                    required=True)
     p.add_argument("--samples", type=_int_arg, default=100)
-    p.add_argument("--theta", type=_theta_arg)
-    p.add_argument("--q", type=_rational_arg)
-    p.add_argument("--t", type=_rational_arg)
     p.add_argument("--a", type=_rational_arg)
     p.add_argument("--k", type=_real_arg, help="heckman-opdam coupling")
     p.add_argument("--label-bound", dest="label_bound", type=_int_arg,
@@ -204,13 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_globals(p)
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("witness", help="construct a separation point")
+    p = sub.add_parser("witness", help="construct a separation point",
+                       parents=[params])
     p.add_argument("--lambda", dest="lam", type=_partition_arg, required=True)
     p.add_argument("--mu", type=_partition_arg, required=True)
     p.add_argument("--family", required=True, choices=WITNESS_FAMILIES)
-    p.add_argument("--theta", type=_theta_arg)
-    p.add_argument("--q", type=_rational_arg)
-    p.add_argument("--t", type=_rational_arg)
     p.add_argument("--a", type=_rational_arg)
     _add_globals(p)
     p.set_defaults(handler=_cmd_witness)

@@ -547,17 +547,17 @@ def _leaf_rows(k: float, s, x0, x1, tilt, vpow: float, logc, nodes: int):
 
 def _checked(params: HOParams, svecs, x) -> tuple:
     """The checks every evaluation makes: svecs and x of length n, and all
-    finite.  Returns the vectors and x as floats, each sorted
-    decreasingly."""
+    real (_real) and finite.  Returns the vectors and x as floats, each
+    sorted decreasingly."""
     n = params.n
-    svecs = [tuple(float(v) for v in s) for s in svecs]
+    svecs = [tuple(_real(v, "spectral entry") for v in s) for s in svecs]
     for s in svecs:
         if len(s) != n or len(x) != n:
             raise DomainError(f"need length-{n} vectors; got s={s}, "
                               f"x={tuple(x)}")
         if not all(math.isfinite(v) for v in s):
             raise DomainError(f"need finite spectral vector; got {s}")
-    xs = sorted((float(v) for v in x), reverse=True)
+    xs = sorted((_real(v, "coordinate") for v in x), reverse=True)
     if not all(math.isfinite(v) for v in xs):
         raise DomainError(f"need finite coordinates; got {x}")
     return [tuple(sorted(s, reverse=True)) for s in svecs], xs
@@ -880,12 +880,13 @@ def ho_jack_consistency(lam, params: HOParams, x,
     """
     theta = JackParam(Fraction(params.k))
     lam = partition_key(lam, params.n)
+    x = tuple(_real(v, "coordinate") for v in x)
     s = tuple(float(Fraction(li) + theta.theta * r)
               for li, r in zip(lam, params.rho))
     p, denom = _jack_normalized(lam, theta)
     try:
         jack_side = poly_eval_float(
-            p, [math.exp(float(v)) for v in x]) / float(denom)
+            p, [math.exp(v) for v in x]) / float(denom)
     except (OverflowError, DegeneracyError):
         # e^x, or the value, past the double range
         jack_side = math.inf
@@ -903,11 +904,11 @@ def ho_direction_residual(params: HOParams, s, x, h: float,
     Central difference of F along the all-ones direction, compared with
     sum(s) * F(x); returns |difference| / |F(x)|.
     """
-    h = float(h)
+    h = _real(h, "step h")
     if not h > 0:
         raise DomainError(f"need step h > 0; got {h}")
-    s = tuple(float(v) for v in s)
-    x = tuple(float(v) for v in x)
+    s = tuple(_real(v, "spectral entry") for v in s)
+    x = tuple(_real(v, "coordinate") for v in x)
     up = tuple(v + h for v in x)
     down = tuple(v - h for v in x)
     f0 = ho_eval(params, s, x, cfg)

@@ -24,9 +24,11 @@ Every driver, the sweeps, the witness builder and the hunt alike, reads
 its family from one record (_make_family, the only code that branches on a
 family's name): its report parameters, an exact family's evaluator at(x),
 the floating family's probe, and the lattice family's MacdonaldParams.  The
-exact Jack and Macdonald families hold one evaluator per driver call
-(JackValues, MacdonaldValues), which looks each shape's form and normalizer
-up once and checks and clears each point once.
+exact muirhead, Jack and Macdonald families hold one evaluator per driver
+call (MuirheadValues, JackValues, MacdonaldValues), which looks each
+shape's form and normalizer up once and checks and clears each point once;
+the powersum family's powersum_at clears each point once and sums each of
+its power sums once.
 
 Probes are pure functions of (pair, point), so sweeps are trivially
 data-parallel; this implementation runs them in order and the report is the
@@ -49,13 +51,14 @@ transitive, nor is a floating comparison with its tolerance and noise
 floor, so those sweeps compare every pair at every point.
 
 The hunt also runs points first, through one evaluator, but evaluates each
-shape only when a pair first needs it.  It usually stops at its first
-probe, and evaluating the whole row there first solves every expansion up
-to max_weight: that made the off-lattice hunt at n=4, max_weight 8 some 40
-to 80 times slower.  The lattice-only hunt, which finds nothing on sound
-values and so evaluates every shape anyway, checks the covers first at a
-point whose pairs all fit in the remaining budget, and spends a probe per
-pair there at once when all pass.
+shape at a point only when a cover or a pair first needs it, through one
+memo per point.  It usually stops at its first probe, and evaluating the
+whole row there first solves every expansion up to max_weight: that made
+the off-lattice hunt at n=4, max_weight 8 some 40 to 80 times slower.  Both
+point streams take one step: at a point whose pairs all fit in the
+remaining budget the covers are checked first, up to the first that
+fails, and where all pass the point spends a probe per pair at once;
+otherwise the pairs are probed in turn from the same memo.
 """
 
 import itertools
@@ -65,7 +68,7 @@ from fractions import Fraction
 
 from . import macdonald
 from ._version import __version__
-from .classical import MuirheadValues, powersum_eval
+from .classical import MuirheadValues, powersum_at
 from .errors import (CertificationError, DegeneracyError, DomainError,
                      ParameterError, TieError, count_text)
 # ho_eval and ho_error_estimate stay bound for the benchmark tracer's patches
@@ -229,22 +232,12 @@ def _below(lhs, rhs) -> bool:
     return lhs[0] * rhs[1] < rhs[0] * lhs[1]
 
 
-def _fraction_at(value):
-    """at(x) for a family whose value(lam, x) is a Fraction (powersum)."""
-    def at(x):
-        def omega(lam):
-            v = value(lam, x)
-            return v.numerator, v.denominator
-        return omega
-    return at
-
-
 def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
                  cfg=None) -> _Family:
     if family == "muirhead":
         return _Family(family, {}, at=MuirheadValues().at)
     if family == "powersum":
-        return _Family(family, {}, at=_fraction_at(powersum_eval))
+        return _Family(family, {}, at=powersum_at)
     if family == "jack":
         if theta is None:
             raise ParameterError("the jack family needs theta")
@@ -261,7 +254,7 @@ def _make_family(family, n, *, theta=None, q=None, t=None, a=None, k=None,
     if family == "heckman-opdam":
         if k is None:
             raise ParameterError("the heckman-opdam family needs k")
-        hop = HOParams(float(k), n)
+        hop = HOParams(k, n)
         rho = tuple(float(r) for r in hop.rho)
 
         def probe(lams, x):
@@ -674,7 +667,6 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
     fam = _make_family("macdonald-lattice", n, q=q, t=t, a=a)
     mp = fam.lattice
     covers, count = order_covers(n, max_weight, "same-weight-comparable")
-    shapes = list(dict.fromkeys(p for pair in covers for p in pair))
     pairs = None
     if lattice_only:
         points = _lattice_points(mp, label_bound)
@@ -684,15 +676,18 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
     for x in points if count else ():
         omega = fam.at(x)
         values = {}
-        if lattice_only and count <= budget - probes:
-            # a lattice point with no witness evaluates every shape anyway,
-            # so the covers are checked first: where all pass, so does every
-            # pair, and the point spends one probe per pair at once
-            values = {p: omega(p) for p in shapes}
-            if not any(_below(values[lam], values[mu])
-                       for lam, mu in covers):
-                probes += count
-                continue
+
+        def value(p):
+            if p not in values:
+                values[p] = omega(p)
+            return values[p]
+
+        # the covers are checked first: where all pass, so does every pair,
+        # and a point that fits the budget spends one probe per pair at once
+        if count <= budget - probes and not any(
+                _below(value(lam), value(mu)) for lam, mu in covers):
+            probes += count
+            continue
         if pairs is None:
             pairs = list(enumerate_pairs(n, max_weight,
                                          "same-weight-comparable"))
@@ -700,10 +695,7 @@ def _hunt(q, t, n, max_weight, budget, seed, a, lattice_only, label_bound):
             if probes >= budget:
                 return None, probes, count, fam.params
             probes += 1
-            for p in (lam, mu):
-                if p not in values:
-                    values[p] = omega(p)
-            lhs, rhs = values[lam], values[mu]
+            lhs, rhs = value(lam), value(mu)
             if _below(lhs, rhs):
                 lhs, rhs = Fraction(*lhs), Fraction(*rhs)
                 # soundness: recompute both sides from fresh expansions

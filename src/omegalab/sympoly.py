@@ -349,8 +349,11 @@ class FamilyValues:
 
 def monomial_eval(lam, x: Sequence) -> Fraction:
     """m_lambda(x): sum of x^eta over distinct rearrangements eta of lambda,
-    which may be given in any order and is padded to the length of x."""
+    which may be given in any order and is padded to the length of x, a
+    point with at least one coordinate."""
     x = tuple(x)
+    if not x:
+        raise DomainError("need n >= 1")
     parts = partition_key(sorted(lam, reverse=True), len(x))
     return _form_value(_cleared_form({parts: Fraction(1)}), *_cleared(x))
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from omegalab import classical, lab
 from omegalab.classical import (MuirheadValues, expand_classical,
@@ -11,6 +11,7 @@ from omegalab.classical import (MuirheadValues, expand_classical,
                                 powersum_eval)
 from omegalab.errors import DomainError
 from omegalab.partitions import Partition, enumerate_pairs, partitions_of
+from omegalab.sympoly import monomial_eval
 
 
 def nonneg_points(n, hi=6):
@@ -107,11 +108,58 @@ def test_muirhead_gap_sign():
     assert muirhead_gap((2, 0), (1, 1), (1, 1)) == 0
 
 
-def test_powersum_eval_matches_expansion():
-    x = (Fraction(3, 2), Fraction(1, 3), Fraction(2))
-    for lam in ((2, 1, 0), (3, 0, 0), (1, 1, 1)):
-        expanded = expand_classical("powersum", lam, 3).eval(x)
-        assert powersum_eval(lam, x) == expanded
+# a partition with its zero parts on n = 1 to 4 variables, weight up to 6,
+# and a point of that length with coordinates of either sign
+POWERSUM_CASES = st.sampled_from([
+    lam for n in range(1, 5) for w in range(7) for lam in partitions_of(w, n)
+]).flatmap(lambda lam: st.tuples(st.just(lam), st.tuples(*[st.fractions(
+    min_value=-5, max_value=5, max_denominator=12)] * len(lam))))
+
+
+@example(((2, 1, 0), (Fraction(3, 2), Fraction(1, 3), Fraction(2))))
+@example(((3, 0, 0), (Fraction(3, 2), Fraction(1, 3), Fraction(2))))
+@example(((1, 1, 1), (Fraction(3, 2), Fraction(1, 3), Fraction(2))))
+@given(POWERSUM_CASES)
+def test_powersum_eval_matches_expansion(case):
+    lam, x = case
+    expanded = expand_classical("powersum", lam, len(x)).eval(x)
+    assert powersum_eval(lam, x) == expanded
+
+
+def test_a_point_sums_each_power_sum_once(monkeypatch):
+    # the cleared coordinates count their powers: p_1 to p_4 are each
+    # summed once over the three coordinates, however many shapes read
+    # them, and p_0 = n is never summed
+    powers = []
+
+    class Counted(int):
+        def __pow__(self, k):
+            powers.append(k)
+            return int(self) ** k
+
+    cleared = classical._cleared
+
+    def counted(x):
+        X, d = cleared(x)
+        return tuple(map(Counted, X)), d
+
+    monkeypatch.setattr(classical, "_cleared", counted)
+    x = (Fraction(1, 2), 3, Fraction(-2, 3))
+    value = classical.powersum_at(x)
+    shapes = [(3, 2, 1), (2, 2, 2), (4, 1, 0), (3, 3, 0), Partition((2, 1, 1))]
+    assert ([Fraction(*value(lam)) for lam in shapes]
+            == [expand_classical("powersum", lam, 3).eval(x)
+                for lam in shapes])
+    assert sorted(powers) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+
+
+def test_an_empty_point_is_refused():
+    # m_lambda and the Muirhead mean need a coordinate, as a
+    # SymmetricPolynomial needs a variable; the empty power-sum product is 1
+    for call in (monomial_eval, muirhead_eval):
+        with pytest.raises(DomainError, match="need n >= 1"):
+            call((), ())
+    assert powersum_eval((), ()) == 1
 
 
 def test_powersum_zero_part_contributes_n():

@@ -29,6 +29,7 @@ from omegalab.heckman_opdam import (DETERMINANT_BOUND,
                                     _unit_panels, ho_closed_forms,
                                     ho_direction_residual, ho_error_estimate,
                                     ho_eval, ho_jack_consistency)
+from omegalab.lab import check_schur_convexity
 from omegalab.partitions import partitions_of
 
 
@@ -141,6 +142,29 @@ def test_closed_forms_check_their_inputs():
         ho_closed_forms(HOParams(1, 2), (2.5, 1.0), (0.9,))
     with pytest.raises(DomainError, match="finite coordinates"):
         ho_closed_forms(HOParams(0, 2), (2.5, 1.0), (0.9, math.nan))
+
+
+def test_inputs_that_are_not_real_numbers_are_parameter_errors():
+    # a coordinate, spectral entry, step or multiplicity past the floating
+    # range, or not a number at all, is refused with ParameterError, not
+    # with float()'s own OverflowError or ValueError
+    p, s, x = HOParams(0.5, 3), (1.0, 0.5, 0.0), (0.3, 0.1, -0.2)
+    big = 10 ** 400
+    calls = [
+        lambda: ho_eval(p, (big, 0, 0), x),
+        lambda: ho_eval(p, s, (0, big, 0)),
+        lambda: ho_eval(p, s, ("a", 0, 0)),
+        lambda: ho_closed_forms(HOParams(1, 3), (big, 0, 0), x),
+        lambda: ho_error_estimate(p, (0, 0, big), x),
+        lambda: ho_direction_residual(p, s, x, h=big),
+        lambda: ho_jack_consistency((1, 0, 0), p, ("a", 0.2, 0.3)),
+        lambda: check_schur_convexity("heckman-opdam", 3, 2, samples=1,
+                                      k=big),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError,
+                           match="out of floating range|need a real"):
+            call()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

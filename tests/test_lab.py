@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -215,6 +216,38 @@ def digest(reports) -> str:
 
 def test_sweep_reports_match_pinned_digest():
     assert digest(sweep_reports(DIGEST_SWEEPS)) == REPORT_DIGEST
+
+
+# powersum order and log-convexity sweeps at n = 1, 3, 5 and 8, weights up
+# to 10, sample boxes from 0 included; two ray witnesses, and the ray's
+# refusal for a pair it never separates
+POWERSUM_SWEEPS = [
+    (sweep, ("powersum",) + args, kwargs)
+    for sweep in (check_schur_convexity, check_log_convexity)
+    for args, kwargs in [
+        ((1, 6), dict(samples=3, seed=1)),
+        ((3, 6), dict(samples=6, seed=2, x_low=0, x_high=3)),
+        ((5, 10), dict(samples=3, seed=3, x_low=0, x_high=Fraction(5, 2))),
+        ((8, 10), dict(samples=2, seed=4, x_low=Fraction(1, 3), x_high=4)),
+    ]
+]
+POWERSUM_WITNESSES = [((2, 2, 2), (3, 3, 0)), ((4, 1, 1), (3, 3, 0))]
+
+# sha256 of the powersum reports, witnesses and refusal, recorded while
+# each power sum was still summed in Fractions per (shape, point)
+POWERSUM_DIGEST = ("5d54fab1373d6fc1fa6caacb8f81ca6d"
+                   "9452cc32e06c4abaae7e7ffdf8b29d86")
+
+
+def test_powersum_reports_match_pinned_digest():
+    reports = sweep_reports(POWERSUM_SWEEPS)
+    for lam, mu in POWERSUM_WITNESSES:
+        witness = find_witness(lam, mu, "powersum")
+        reports.append([witness.params, witness.to_json()])
+    with pytest.raises(DomainError, match="no ray separation") as refused:
+        find_witness((3, 3, 0), (4, 1, 1), "powersum")
+    reports.append(str(refused.value))
+    assert digest(reports) == POWERSUM_DIGEST
 
 
 def test_near_tie_reports_match_pinned_digest():
@@ -887,6 +920,8 @@ def test_lattice_hunt_with_one_broken_cover_probes_as_the_pair_loop(
     monkeypatch.setattr(lab, "MacdonaldValues", Stub)
     monkeypatch.setattr(lab, "_certified_omega",
                         lambda lam, mp, x: Fraction(*value(lam, x)))
+    # the off-lattice hunt takes the same point step on the same points
+    monkeypatch.setattr(lab, "_hunt_points", lambda n, seed: iter(points))
     pairs = list(enumerate_pairs(3, 4, "same-weight-comparable"))
 
     def pair_by_pair(budget):
@@ -904,11 +939,12 @@ def test_lattice_hunt_with_one_broken_cover_probes_as_the_pair_loop(
                  if Fraction(*value(lam, points[3]))
                  < Fraction(*value(mu, points[3])))
     hit = 3 * len(pairs) + first + 1
-    for budget in (len(pairs) + 3, hit - 1, hit, 10 ** 6):
+    for budget, lattice_only in itertools.product(
+            (len(pairs) + 3, hit - 1, hit, 10 ** 6), (True, False)):
         expected = pair_by_pair(budget)
         witness, probes = hunt_violation(n=3, max_weight=4, budget=budget,
-                                         lattice_only=True, label_bound=1,
-                                         **Q13)
+                                         lattice_only=lattice_only,
+                                         label_bound=1, **Q13)
         found = witness and (witness.lam, witness.mu, witness.x)
         assert (found, probes) == expected
     # the first violating pair in pair order is not the broken cover

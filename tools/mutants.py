@@ -54,6 +54,14 @@ FAULTS = (
     Fault("determinant-bound-1e-9", "heckman_opdam.py",
           "DETERMINANT_BOUND = 1e-13", "DETERMINANT_BOUND = 1e-9",
           ("tests/test_heckman_opdam.py",)),
+    # the power-sum evaluator's denominator, and the hunt's cover step
+    Fault("powersum-denominator-per-part", "classical.py",
+          "return num, d ** sum(key)", "return num, d ** len(key)",
+          ("tests/test_classical.py::test_powersum_eval_matches_expansion",)),
+    Fault("hunt-cover-step-ignores-budget", "lab.py",
+          "if count <= budget - probes and not any(", "if not any(",
+          (LAB + "test_lattice_hunt_with_one_broken_cover_probes_as_the_"
+           "pair_loop",)),
     # certification of hunt witnesses
     Fault("certify-through-memo", "lab.py",
           "return poly_eval_fresh(p, x) / denom",
