@@ -23,7 +23,7 @@ from ._version import __version__
 from .cache import ExpansionCache
 from .classical import FAMILIES as CLASSICAL_BASES
 from .classical import expand_classical
-from .errors import OmegalabError, ParameterError
+from .errors import DomainError, OmegalabError, ParameterError, quoted
 from .heckman_opdam import (HOParams, QuadratureConfig,
                             ho_direction_residual, ho_eval,
                             ho_jack_consistency)
@@ -39,17 +39,25 @@ from .sympoly import _decimal_text, _parse_rational
 CHECK_KINDS = ("schur", "logconvex", "weak", "muirhead")
 HO_ACTIONS = ("eval", "verify", "residual")
 
-# a value that starts with "-" and a digit or a point; argparse reads only
-# plain numbers such as -1 or -1.5 as values, and "-1,1", "-1/2" or
-# "-2.5E-3" as an unknown option
+# a value that starts with "-" and a digit or a point; argparse's own
+# pattern reads only plain numbers such as -1 or -1.5 as values, and
+# "-1,1", "-1/2" or "-2.5E-3" as an unknown option
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with every argument that starts with "-" and a digit or a
+    point classed as a value, not an option; the subcommands' parsers are
+    of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+
 def _bad_argument(kind: str, text: str, reason: str):
-    """The usage error for text, quoting a bounded prefix of it: arguments
-    may be of any length, and an exception's own text repeats them whole."""
-    shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
-    return argparse.ArgumentTypeError(f"bad {kind} {shown}: {reason}")
+    """The usage error for text, quoting a bounded prefix of it (quoted)."""
+    return argparse.ArgumentTypeError(f"bad {kind} {quoted(text)}: {reason}")
 
 
 def _partition_arg(text: str) -> Partition:
@@ -64,14 +72,12 @@ def _partition_arg(text: str) -> Partition:
 
 
 def _rational_arg(text: str) -> Fraction:
-    # integers and p/q of any length
+    # integers, p/q and decimals of any length; the reader's refusal
+    # already reads "bad rational <prefix>: <reason>"
     try:
-        return _parse_rational(text.strip())
-    except (ValueError, ZeroDivisionError) as e:
-        reason = ("zero denominator" if isinstance(e, ZeroDivisionError)
-                  else str(e) if isinstance(e, OmegalabError)
-                  else "not an integer, p/q or decimal")
-        raise _bad_argument("rational", text, reason)
+        return _parse_rational(text)
+    except DomainError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _point_arg(text: str) -> tuple:
@@ -144,7 +150,7 @@ def _quadrature_config(ns) -> QuadratureConfig | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="omegalab",
         description="exact symmetric-function engine and inequality laboratory")
     top.add_argument("--version", action="version", version=__version__)
@@ -405,44 +411,8 @@ def _cmd_ho(ns, seed, out, quiet) -> int:
     return 0 if ns.tol is None or res <= ns.tol else 1
 
 
-def _value_options(parser: argparse.ArgumentParser) -> set:
-    """Every option string, of parser and its subcommands, that takes a
-    value."""
-    out = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                out |= _value_options(sub)
-        elif action.nargs is None:
-            out.update(action.option_strings)
-    return out
-
-
-def _join_negative_values(argv: list, options: set) -> list:
-    """argv with each "--opt VALUE", VALUE a negative number or vector,
-    passed on as "--opt=VALUE"; --opt may be a prefix of an option, as
-    argparse allows.  Nothing after a bare "--" changes."""
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--":
-            return out + argv[i:]
-        if (tok.startswith("--") and i + 1 < len(argv)
-                and _NEGATIVE_VALUE.match(argv[i + 1])
-                and any(option.startswith(tok) for option in options)):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    ns = parser.parse_args(_join_negative_values(argv,
-                                                 _value_options(parser)))
+    ns = build_parser().parse_args(argv)
     seed = getattr(ns, "seed", 0)
     out = getattr(ns, "out", "json")
     quiet = getattr(ns, "quiet", False)

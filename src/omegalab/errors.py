@@ -53,3 +53,13 @@ def count_text(value: int) -> str:
         return str(value)
     sign = "-" if value < 0 else ""
     return f"about {sign}10^{int(math.log10(abs(value)))}"
+
+
+def quoted(value) -> str:
+    """repr(value) for an error message, cut to 40 characters of the value
+    and marked "...": an input may be of any length, and an exception's own
+    text repeats it whole."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else repr(value[:40]) + "..."
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."

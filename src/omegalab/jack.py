@@ -22,7 +22,7 @@ from .errors import DegeneracyError, DomainError, ParameterError
 from .macdonald import MacdonaldParams, macdonald_expand
 from .partitions import Partition, partition_key
 from .sympoly import (FamilyValues, SymmetricPolynomial, _decimal_text,
-                      poly_eval_float)
+                      _parse_rational, poly_eval_float)
 
 INFINITE = math.inf
 
@@ -41,7 +41,7 @@ class JackParam:
         if isinstance(theta, str) and theta.strip() in ("inf", "oo"):
             self.theta = INFINITE
             return
-        theta = Fraction(theta)
+        theta = Fraction(_parse_rational(theta))
         if theta < 0:
             raise ParameterError(f"need theta >= 0; got {theta}")
         self.theta = theta
@@ -184,7 +184,7 @@ def jack_expand(lam, theta) -> SymmetricPolynomial:
 
 
 def _coerce_nonneg_point(x) -> tuple[Fraction, ...]:
-    pt = tuple(Fraction(v) for v in x)
+    pt = tuple(Fraction(_parse_rational(v)) for v in x)
     if any(v < 0 for v in pt):
         raise DomainError(f"need nonnegative coordinates; got {pt}")
     return pt
@@ -249,7 +249,7 @@ def jack_limit_probe(lam, theta, x, ks: Sequence[int]):
     theta = JackParam(theta)
     if theta.is_infinite or theta.theta <= 0:
         raise DomainError("the limit probe needs finite positive theta")
-    x = tuple(Fraction(v) for v in x)
+    x = tuple(Fraction(_parse_rational(v)) for v in x)
     n = len(x)
     if any(x[i] <= x[i + 1] for i in range(n - 1)) or x[-1] <= 0:
         raise DomainError(f"need strictly decreasing positive x; got {x}")
@@ -270,7 +270,7 @@ def jack_limit_probe(lam, theta, x, ks: Sequence[int]):
                                   "weakly decreasing")
         xk = tuple(float(a) * q ** (-mu[j]) * t ** (n - 1 - j)
                    for j in range(n))
-        params = MacdonaldParams(Fraction(q), Fraction(t), n)
+        params = MacdonaldParams(q, t, n)
         p = macdonald_expand(lam, params)
         mac_val = poly_eval_float(p, xk) / poly_eval_float(
             p, tuple(t ** d for d in params.delta))

@@ -82,7 +82,7 @@ from .macdonald import (MacdonaldParams, MacdonaldValues, lattice_point,
 from .partitions import (ORDER_MODES, Partition, enumerate_pairs, majorizes,
                          midpoint, order_covers, partitions_of)
 from .sampling import RationalSampler
-from .sympoly import _decimal_text, poly_eval_fresh
+from .sympoly import _decimal_text, _parse_rational, poly_eval_fresh
 
 FAMILIES = ("muirhead", "powersum", "jack", "macdonald-lattice",
             "heckman-opdam")
@@ -272,10 +272,9 @@ def _check_variables(n):
                              f"{count_text(n)}")
 
 
-def _sample_points(samples, n, x_low, x_high, seed, as_float):
-    """Deterministic shared sample set, each point sorted decreasing."""
-    low = Fraction(x_low)
-    high = Fraction(x_high)
+def _sample_points(samples, n, low, high, seed, as_float):
+    """Deterministic shared sample set, each point sorted decreasing; low
+    and high are exact."""
     if low < 0:
         raise DomainError(f"sample range must be nonnegative; got low={low}")
     if as_float:
@@ -356,7 +355,8 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
     The lattice family is evaluated exhaustively on the lattice points
     whose labels have entries in [0, label_bound]; samples, x_low and
     x_high are ignored there.  Other families draw samples rational points
-    from [x_low, x_high]^n (floated for the floating family).
+    from [x_low, x_high]^n (floated for the floating family), reading
+    x_low and x_high once, here; a weak sweep refuses x_low below 1.
 
     Points run outside, pairs inside.  Each pair's shapes are held as slots
     (indices) into one list of distinct shapes, which one family call
@@ -381,9 +381,13 @@ def _sweep(stmt: _Statement, family, n, max_weight, samples, seed, *,
     # the family's parameters plus the sweep settings, echoed into the report
     params = dict(fam.params)
     if fam.lattice is None:
-        points = _sample_points(samples, n, x_low, x_high, seed,
+        low, high = _parse_rational(x_low), _parse_rational(x_high)
+        if stmt is _WEAK and low < 1:
+            raise DomainError(f"weak majorization sweeps need x >= 1; "
+                              f"got x_low={x_low}")
+        points = _sample_points(samples, n, low, high, seed,
                                 as_float=not exact)
-        params.update(x_low=Fraction(x_low), x_high=Fraction(x_high))
+        params.update(x_low=low, x_high=high)
     else:
         points = _lattice_points(fam.lattice, label_bound)
         params["label_bound"] = label_bound
@@ -507,9 +511,6 @@ def check_weak_majorization(theta, n, max_weight, samples=100, seed=0, *,
     Omega_(0,0)(x) below that box), so a sampler reaching under 1 is a
     domain error.
     """
-    if Fraction(x_low) < 1:
-        raise DomainError(f"weak majorization sweeps need x >= 1; "
-                          f"got x_low={x_low}")
     return _sweep(_WEAK, "jack", n, max_weight, samples, seed, theta=theta,
                   x_low=x_low, x_high=x_high)
 

@@ -23,7 +23,7 @@ from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
 from .partitions import (as_int_vector, contains, partition_key,
                          partitions_of)
 from .sympoly import (FamilyValues, SymmetricPolynomial, _decimal_text,
-                      distinct_permutations, monomial_eval)
+                      _parse_rational, distinct_permutations, monomial_eval)
 
 
 def _iroot(m: int, r: int) -> int | None:
@@ -42,8 +42,9 @@ def _iroot(m: int, r: int) -> int | None:
 
 def rational_power(q: Fraction, theta: Fraction) -> Fraction:
     """q**theta when it is rational; ParameterError otherwise."""
-    q = Fraction(q)
-    theta = Fraction(theta)
+    # a Fraction, so that q ** -k stays exact
+    q = Fraction(_parse_rational(q))
+    theta = _parse_rational(theta)
     if q <= 0:
         raise ParameterError("base must be positive")
     base = q ** theta.numerator
@@ -66,9 +67,7 @@ class MacdonaldParams:
     __slots__ = ("q", "t", "a", "n")
 
     def __init__(self, q, t, n: int, a=Fraction(1), _relax=False):
-        q = Fraction(q)
-        t = Fraction(t)
-        a = Fraction(a)
+        q, t, a = (Fraction(_parse_rational(v)) for v in (q, t, a))
         if _relax:
             if q <= 0 or t <= 0 or q == 1 or t == 1:
                 raise ParameterError("need positive parameters, not equal to 1")
@@ -266,10 +265,10 @@ def macdonald_expand(lam, params: MacdonaldParams) -> SymmetricPolynomial:
     return cache._memoized(*_source(partition_key(lam, params.n), params))[0]
 
 
-def _coerce_point(x, n: int) -> tuple[Fraction, ...]:
+def _coerce_point(x, n: int) -> tuple:
     if len(x) != n:
         raise DimensionMismatchError(f"point {tuple(x)} not of length {n}")
-    return tuple(Fraction(v) for v in x)
+    return tuple(map(_parse_rational, x))
 
 
 def _normalized(lam: tuple, params: MacdonaldParams):

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, quoted
 
 VectorLike = Union["Partition", Sequence]
 
@@ -26,13 +26,25 @@ ORDER_MODES = ("same-weight-comparable", "weak-comparable")
 
 
 def as_int_vector(v: Sequence) -> tuple[int, ...]:
-    """Coerce to a tuple of exact ints; rejects anything fractional."""
+    """Coerce to a tuple of exact ints; DomainError for an entry that is not
+    an integer, of any kind (fractional, text, not finite, not a number)."""
     given = tuple(v)
-    out = tuple(map(int, given))
+    try:
+        out = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        out = None
     if out != given:
-        entry = next(g for g, i in zip(given, out) if g != i)
-        raise DomainError(f"expected an integer entry, got {entry!r}")
+        entry = next(g for g in given if not _is_integer(g))
+        raise DomainError(f"expected an integer entry, got {quoted(entry)}")
     return out
+
+
+def _is_integer(v) -> bool:
+    """v == int(v), False where int(v) raises."""
+    try:
+        return int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def partition_key(parts, n: int | None = None) -> tuple[int, ...]:

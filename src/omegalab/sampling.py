@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
+from .sympoly import _parse_rational
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -43,8 +44,8 @@ class RationalSampler:
 
     def __init__(self, seed: int, low, high):
         self.seed = int(seed)
-        self.low = Fraction(low)
-        self.high = Fraction(high)
+        self.low = _parse_rational(low)
+        self.high = _parse_rational(high)
         if self.high < self.low:
             raise DomainError(f"empty range [{self.low}, {self.high}]")
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (DegeneracyError, DimensionMismatchError, DomainError,
-                     ParameterError, count_text)
+                     ParameterError, count_text, quoted)
 from .partitions import partition_key
 
 Exponent = tuple  # tuple[int, ...]
@@ -90,7 +90,7 @@ class SymmetricPolynomial:
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for key, coeff in terms.items():
-                c = Fraction(coeff)
+                c = Fraction(_parse_rational(coeff))
                 if c != 0:
                     clean[_exponent_key(key, n)] = c
         self.terms = clean
@@ -120,22 +120,22 @@ class SymmetricPolynomial:
 
     def __add__(self, other: "SymmetricPolynomial") -> "SymmetricPolynomial":
         self._check_compatible(other)
-        return poly_combine([(Fraction(1), self), (Fraction(1), other)])
+        return poly_combine([(1, self), (1, other)])
 
     def __sub__(self, other: "SymmetricPolynomial") -> "SymmetricPolynomial":
         self._check_compatible(other)
-        return poly_combine([(Fraction(1), self), (Fraction(-1), other)])
+        return poly_combine([(1, self), (-1, other)])
 
     def __mul__(self, other):
         if isinstance(other, SymmetricPolynomial):
             return poly_multiply(self, other)
-        return poly_combine([(Fraction(other), self)])
+        return poly_combine([(other, self)])
 
     def __rmul__(self, other):
-        return poly_combine([(Fraction(other), self)])
+        return poly_combine([(other, self)])
 
     def __neg__(self):
-        return poly_combine([(Fraction(-1), self)])
+        return poly_combine([(-1, self)])
 
     def __eq__(self, other):
         if isinstance(other, SymmetricPolynomial):
@@ -185,8 +185,9 @@ _memo_entries = 0
 
 
 def _cleared(x: Sequence) -> tuple[tuple[int, ...], int]:
-    """(X, D) with X an integer vector, D > 0 minimal, and x = X / D."""
-    xs = [v if type(v) in (int, Fraction) else Fraction(v) for v in x]
+    """(X, D) with X an integer vector, D > 0 minimal, and x = X / D; x's
+    coordinates are read by _parse_rational."""
+    xs = list(map(_parse_rational, x))
     d = math.lcm(*(v.denominator for v in xs))
     return tuple(v.numerator * (d // v.denominator) for v in xs), d
 
@@ -393,7 +394,8 @@ def poly_eval_float(p: SymmetricPolynomial, x: Sequence) -> float:
 
 
 def poly_combine(pairs: Iterable[tuple[Fraction, SymmetricPolynomial]]) -> SymmetricPolynomial:
-    """Exact linear combination sum c_i * p_i with zero terms dropped."""
+    """Exact linear combination sum c_i * p_i with zero terms dropped; the
+    c_i are read by _parse_rational."""
     pairs = list(pairs)
     if not pairs:
         raise DomainError("poly_combine needs at least one summand")
@@ -402,7 +404,7 @@ def poly_combine(pairs: Iterable[tuple[Fraction, SymmetricPolynomial]]) -> Symme
     for coeff, poly in pairs:
         if poly.n != n:
             raise DimensionMismatchError("mixed variable counts in combination")
-        c0 = Fraction(coeff)
+        c0 = _parse_rational(coeff)
         if c0 == 0:
             continue
         for key, c in poly.terms.items():
@@ -458,21 +460,40 @@ def _decimal_text(v) -> str:
     return str(Decimal(int(v)))
 
 
-def _parse_rational(text: str) -> Fraction:
-    """Fraction(text), with integer parts of any size.
+def _parse_rational(v):
+    """v as an exact number: the package's one reader of a number from
+    outside.
 
-    Fraction builds 10**exponent exactly, so 1e99999999999 would never
-    return: an exponent of magnitude past MAX_EXPONENT is refused.  Written
-    out in full, values of any length are read.
+    An int or a Fraction is returned as it is.  Text (and a Decimal, read
+    through its text) is read as Fraction(text) reads it, with integer
+    parts of any size: Fraction builds 10**exponent exactly, so
+    1e99999999999 would never return, and an exponent of magnitude past
+    MAX_EXPONENT is refused.  Written out in full, values of any length
+    are read.  Any other number, a float included, is read exactly.
+    Anything that is not a finite rational raises DomainError, quoting a
+    bounded prefix of v.
     """
-    match = _RATIONAL_TEXT.fullmatch(text)
-    if match is None:
+    if type(v) in (int, Fraction):
+        return v
+    text = str(v) if isinstance(v, Decimal) else v
+    reason = "not a finite rational"
+    try:
+        if not isinstance(text, str):
+            return Fraction(v)
+        reason = "not an integer, p/q or decimal"
+        match = _RATIONAL_TEXT.fullmatch(text)
+        if match:
+            num, den = match.groups()
+            return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
         exponent = _EXPONENT_TEXT.search(text)
-        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
-            raise DomainError(f"exponent magnitude past {MAX_EXPONENT}")
-        return Fraction(text)
-    num, den = match.groups()
-    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+        if not exponent or abs(int(exponent.group(1))) <= MAX_EXPONENT:
+            return Fraction(text)
+        reason = f"exponent magnitude past {MAX_EXPONENT}"
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except (ArithmeticError, TypeError, ValueError):
+        pass
+    raise DomainError(f"bad rational {quoted(v)}: {reason}")
 
 
 def serialize_poly(p: SymmetricPolynomial) -> str:

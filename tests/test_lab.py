@@ -1068,3 +1068,47 @@ def test_benchmark_tracer_wraps_and_restores_the_package():
     assert tracer.metas[0]["n"] == 3 and tracer.metas[0]["nodes"] == 8
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_hunt_points_run_through_all_three_phases():
+    # structured points, the ladder grid, then seeded random rationals: two
+    # seeds agree up to the seeded phase and part there
+    n, count = 3, 120
+    first = list(itertools.islice(lab._hunt_points(n, 5), count))
+    assert first == list(itertools.islice(lab._hunt_points(n, 5), count))
+    other = list(itertools.islice(lab._hunt_points(n, 6), count))
+    assert len(set(first)) == count
+    for pt in first:
+        assert len(pt) == n and all(v > 0 for v in pt)
+        assert list(pt) == sorted(pt, reverse=True)
+    assert first[0] == (1,) * n
+    split = next(i for i, (a, b) in enumerate(zip(first, other)) if a != b)
+    assert first[:split] == other[:split]
+    # the ladder's last combination closes the unseeded prefix, and the
+    # ladder's top corner lies inside it
+    assert first[split - 1] == (Fraction(1, 4),) * n
+    assert (Fraction(2),) * n in first[:split]
+    for pt in first[split:]:
+        assert all(Fraction(1, 16) <= v <= 4 for v in pt)
+        assert max(v.denominator for v in pt) > 4
+
+
+def test_hunt_that_never_finds_a_violation_spends_its_budget(monkeypatch):
+    # no point passes for a violation, so the hunt walks the stream past the
+    # structured and ladder points and stops inside a point's pair loop
+    monkeypatch.setattr(lab, "_below", lambda lhs, rhs: False)
+    seen = []
+    points = lab._hunt_points
+
+    def counted(n, seed):
+        for pt in points(n, seed):
+            seen.append(pt)
+            yield pt
+
+    monkeypatch.setattr(lab, "_hunt_points", counted)
+    pairs = len(list(enumerate_pairs(2, 4, "same-weight-comparable")))
+    budget = 60 * pairs + 2
+    assert hunt_violation(Fraction(1, 2), Fraction(1, 3), n=2, max_weight=4,
+                          budget=budget) == (None, budget)
+    assert len(seen) == 61
+    assert seen[-1] not in list(itertools.islice(points(2, 1), 61))

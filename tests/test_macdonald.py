@@ -272,6 +272,20 @@ def test_shifted_vanishing_and_normalization():
                 assert star.eval_label(kappa) == 0, kappa
 
 
+def test_shifted_eval_at_q_to_the_kappa_is_eval_label():
+    # eval takes u and shifts it to z_i = u_i t^(n-i); at u = q^kappa that
+    # is the grid point eval_label reads
+    params = MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 3)
+    for mu in ((2, 1, 0), (2, 0, 0), (1, 1, 1)):
+        star = shifted_macdonald(mu, params)
+        assert star.degree == sum(mu)
+        for w in range(star.degree + 2):
+            for kappa in partitions_of(w, params.n):
+                u = tuple(params.q ** k for k in kappa)
+                assert star.eval(u) == star.eval_label(kappa), (mu, kappa)
+        assert star.eval(tuple(params.q ** k for k in mu)) == 1
+
+
 def test_shifted_symmetry_in_shifted_variables():
     star = shifted_macdonald((2, 1), HALF_THIRD)
     z = (Fraction(5, 7), Fraction(3, 2))

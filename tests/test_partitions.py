@@ -15,13 +15,15 @@ from omegalab.errors import DimensionMismatchError, DomainError
 from omegalab.heckman_opdam import (HOParams, QuadratureConfig,
                                     ho_jack_consistency)
 from omegalab.jack import omega_jack_eval
-from omegalab.macdonald import (MacdonaldParams, macdonald_expand,
-                                omega_mac_eval, shifted_macdonald)
+from omegalab.macdonald import (MacdonaldParams, lattice_point,
+                                macdonald_expand, omega_mac_eval,
+                                shifted_macdonald)
 from omegalab import partitions as partitions_module
 from omegalab.partitions import (ORDER_MODES, Partition, contains,
                                  enumerate_pairs, enumerate_partitions,
                                  majorizes, midpoint, order_covers,
-                                 partitions_of, weakly_majorizes)
+                                 partition_key, partitions_of,
+                                 weakly_majorizes)
 from omegalab.sympoly import SymmetricPolynomial, monomial_eval
 
 
@@ -313,3 +315,21 @@ def test_one_partition_rule(entry, name, lam, outcome):
     else:
         with pytest.raises(outcome):
             call(lam)
+
+
+def test_an_entry_that_is_not_an_integer_is_refused_as_a_domain_error():
+    mp = MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 2)
+    for bad in (float("nan"), float("inf"), "a", "2", None, 1.5,
+                Fraction(3, 2), complex(1, 0)):
+        for call in (lambda: Partition((bad,)),
+                     lambda: partition_key((2, bad)),
+                     lambda: lattice_point((bad, 0), mp),
+                     lambda: omega_jack_eval((bad,), 1, (1,))):
+            with pytest.raises(DomainError,
+                               match="^expected an integer entry, got "):
+                call()
+    # integral values of other types are read as their ints
+    assert Partition((2.0, Fraction(1))).parts == (2, 1)
+    with pytest.raises(DomainError) as caught:
+        Partition(("9" * 5000,))
+    assert len(str(caught.value)) < 100

@@ -2,22 +2,26 @@
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from omegalab import cache, sympoly
+from omegalab.classical import muirhead_eval, powersum_eval
 from omegalab.errors import (DegeneracyError, DimensionMismatchError,
                              DomainError, ParameterError)
-from omegalab.macdonald import MacdonaldParams, lattice_point
-from omegalab.jack import JackValues, jack_expand
-from omegalab.lab import hunt_violation
+from omegalab.macdonald import MacdonaldParams, lattice_point, omega_mac_eval
+from omegalab.jack import JackParam, JackValues, jack_expand, omega_jack_eval
+from omegalab.lab import check_schur_convexity, hunt_violation
 from omegalab.partitions import Partition
+from omegalab.sampling import RationalSampler
 from omegalab.sympoly import (SymmetricPolynomial, distinct_permutations,
                               monomial_eval, orbit_size, parse_poly,
                               poly_eval, poly_eval_float, poly_eval_fresh,
                               poly_multiply, serialize_poly)
+from test_lab import run_optimized
 
 
 def partition_keys(max_len=3, max_part=4):
@@ -466,3 +470,89 @@ def test_only_entries_the_memo_holds_are_counted(monkeypatch):
     assert held == memo_entries()
     first(shapes[1])
     assert sympoly._memo_entries == memo_entries() == held
+
+
+# -- the one reader of an exact number from outside -----------------------------
+
+
+def test_reader_reads_every_finite_rational_exactly():
+    half, big = Fraction(1, 2), 10 ** 5000
+    assert sympoly._parse_rational(half) is half
+    assert sympoly._parse_rational(big) is big
+    assert sympoly._parse_rational(0.1) == Fraction(3602879701896397, 2 ** 55)
+    assert sympoly._parse_rational(True) == 1
+    assert sympoly._parse_rational(Decimal("-2.5E-3")) == Fraction(-1, 400)
+    for text, value in ((" -1/2 ", Fraction(-1, 2)), ("2.5e3", 2500),
+                        ("1" + "0" * 5000, big)):
+        assert sympoly._parse_rational(text) == value
+
+
+def test_input_that_is_not_a_finite_rational_is_refused_as_a_domain_error():
+    nan, inf = math.nan, math.inf
+    mp = MacdonaldParams(Fraction(1, 2), Fraction(1, 3), 2)
+    p = SymmetricPolynomial.monomial((1, 0))
+    for call in (lambda: powersum_eval((1,), ("a",)),
+                 lambda: omega_mac_eval((1, 0), mp, ("a", 1)),
+                 lambda: muirhead_eval((1,), (nan,)),
+                 lambda: poly_eval(p, (nan, 1)),
+                 lambda: omega_jack_eval((1,), 1, (inf,)),
+                 lambda: MacdonaldParams(inf, Fraction(1, 3), 2),
+                 lambda: JackParam("a"),
+                 lambda: JackParam(nan),
+                 lambda: check_schur_convexity("jack", 2, 2, theta=1,
+                                               x_low="a"),
+                 lambda: RationalSampler(0, "a", 1),
+                 lambda: SymmetricPolynomial(2, {(1, 0): "a"}),
+                 lambda: p * None,
+                 lambda: poly_eval(p, (Decimal("NaN"), 1)),
+                 lambda: poly_eval(p, (complex(1, 1), 1)),
+                 lambda: poly_eval(p, ("1/0", 1))):
+        with pytest.raises(DomainError, match="^bad rational "):
+            call()
+    # the message quotes at most 40 characters of what it refuses
+    with pytest.raises(DomainError) as caught:
+        JackParam("x" * 5000)
+    assert str(caught.value) == (f"bad rational {'x' * 40!r}...: not an "
+                                 f"integer, p/q or decimal")
+
+
+def test_exponent_bound_is_forty_three_thousand():
+    # literal numbers: the other exponent tests read MAX_EXPONENT, so they
+    # pass under a scaled bound
+    assert sympoly._parse_rational("1e43000") == 10 ** 43000
+    assert sympoly._parse_rational("1e-43000") == Fraction(1, 10 ** 43000)
+    for text in ("1e43001", "1e-43001"):
+        with pytest.raises(DomainError, match="exponent magnitude past 43000"):
+            sympoly._parse_rational(text)
+
+
+def test_parameters_with_a_huge_exponent_are_refused_at_once():
+    # Fraction(text) would build 10**999999999; a subprocess bounds a hang
+    out, err = run_optimized("""
+        from omegalab.errors import DomainError
+        from omegalab.jack import JackParam
+        from omegalab.macdonald import MacdonaldParams
+        for call in (lambda: JackParam("1e999999999"),
+                     lambda: MacdonaldParams("1e999999999", 1 / 3, 2)):
+            try:
+                call()
+            except DomainError as e:
+                print("exponent" in str(e))
+    """, timeout=60)
+    assert out == ["True", "True"], err
+
+
+def test_work_ceilings_are_pinned(monkeypatch):
+    # literal numbers: the other ceiling tests read MAX_ORBIT_TERMS and
+    # MONOMIAL_MEMO_SIZE, so they pass under a scaled bound
+    e5 = SymmetricPolynomial.monomial((1,) * 5, 100)
+    with pytest.raises(ParameterError, match="past the ceiling of 4194304$"):
+        poly_multiply(e5, e5)
+    # 512 points of 64 entries each fill the memo to 2^15; the next new
+    # point empties it first
+    monkeypatch.setattr(sympoly, "_MONOMIAL_MEMO", {})
+    monkeypatch.setattr(sympoly, "_memo_entries", 0)
+    key = (6, 5, 4, 3, 2, 1)
+    for i in range(1, 514):
+        monomial_eval(key, tuple(range(i, i + 6)))
+        assert memo_entries() == 64 * (i if i <= 512 else 1)

@@ -157,6 +157,24 @@ FAULTS = (
           ("tests/test_partitions.py::"
            "test_order_covers_are_the_transitive_reduction_of_the_pairs",
            LAB + "test_one_broken_cover_lists_every_violating_pair")),
+    # the exact reader's exponent bound and fast path, and the exact
+    # evaluator's ceilings
+    Fault("exponent-bound-x10", "sympoly.py",
+          "MAX_EXPONENT = 10 * sys", "MAX_EXPONENT = 100 * sys",
+          ("tests/test_sympoly.py::"
+           "test_exponent_bound_is_forty_three_thousand",)),
+    Fault("reader-passes-non-finite-floats", "sympoly.py",
+          "if type(v) in (int, Fraction):",
+          "if type(v) in (int, Fraction) or (isinstance(v, float) "
+          "and not math.isfinite(v)):",
+          ("tests/test_sympoly.py::test_input_that_is_not_a_finite_rational_"
+           "is_refused_as_a_domain_error",)),
+    Fault("orbit-ceiling-x4", "sympoly.py",
+          "MAX_ORBIT_TERMS = 1 << 22", "MAX_ORBIT_TERMS = 1 << 24",
+          ("tests/test_sympoly.py::test_work_ceilings_are_pinned",)),
+    Fault("monomial-memo-x4", "sympoly.py",
+          "MONOMIAL_MEMO_SIZE = 1 << 15", "MONOMIAL_MEMO_SIZE = 1 << 17",
+          ("tests/test_sympoly.py::test_work_ceilings_are_pinned",)),
     # a cache record's keys are checked once, in parse_poly
     Fault("parse-poly-unchecked-keys", "sympoly.py",
           "poly.terms = {_exponent_key(key, n): c",
